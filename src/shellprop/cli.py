@@ -25,7 +25,7 @@ import click
 
 from . import __version__
 from .data import Dataset, load_dataset, make_split
-from .errors import ConfigError, InputError, NumericError, ResourceError, ShellPropError
+from .errors import ConfigError, InputError, ShellPropError
 from .graph import SparseGraph, build_graph, read_edge_list
 from .metrics import (
     MetricReport,
@@ -46,8 +46,6 @@ def _exit_code(err: ShellPropError) -> int:
         return 2
     if isinstance(err, InputError):
         return 3
-    if isinstance(err, (NumericError, ResourceError)):
-        return 4
     return 4
 
 
@@ -343,7 +341,11 @@ def cmd_sweep(data, layers, alphas, hidden, dropout, lr, weight_decay, epochs, p
         "weight_decay": weight_decay, "epochs": epochs, "patience": patience,
         "seed": seed,
     }
-    workers = int(os.environ.get("SHELLPROP_THREADS", "1"))
+    try:
+        threads = int(os.environ.get("SHELLPROP_THREADS", "1"))
+    except ValueError as err:
+        raise ConfigError(f"SHELLPROP_THREADS must be an integer: {err}") from None
+    workers = min(threads, len(combos), os.cpu_count() or 1)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [
@@ -374,13 +376,16 @@ def cmd_sweep(data, layers, alphas, hidden, dropout, lr, weight_decay, epochs, p
 
 @main.command("rerun")
 @click.argument("manifest", type=click.Path(exists=True, dir_okay=False, path_type=Path))
+@_guarded
 def cmd_rerun(manifest):
     """Re-execute the command recorded in a manifest."""
-    with open(manifest, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
-    argv = payload.get("argv")
+    try:
+        payload = json.loads(manifest.read_text(encoding="utf-8"))
+    except (OSError, ValueError) as err:
+        raise InputError(f"{manifest}: cannot read manifest: {err}") from None
+    argv = payload.get("argv") if isinstance(payload, dict) else None
     if not isinstance(argv, list) or not argv:
-        raise click.ClickException(f"{manifest}: manifest has no argv record")
+        raise InputError(f"{manifest}: manifest has no argv record")
     main.main(args=[str(a) for a in argv], standalone_mode=False)
 
 

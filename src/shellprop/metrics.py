@@ -108,28 +108,8 @@ def raw_adjacency_propagator(g: SparseGraph) -> Propagator:
 def fused_shell_propagator(
     decomposition: ShellDecomposition, alpha: float
 ) -> Propagator:
-    """The fused shell operator assembled into one explicit sparse matrix.
-
-    Shells are disjoint off the diagonal, so only the per-shell self-loop
-    terms overlap and get summed.  Used for measuring the fused operator;
-    training-path propagation stays shell by shell.
-    """
-    fp = fuse_shells(decomposition, alpha)
-    n = fp.n
-    if not fp.normalized_shells:
-        empty = np.empty(0, dtype=np.int64)
-        m = SparseMatrix.from_coo(empty, empty, np.empty(0), (n, n))
-        return Propagator(m, FUSED_SHELL)
-    rows = np.concatenate([s.row_entries() for s in fp.normalized_shells])
-    cols = np.concatenate([s.col_indices for s in fp.normalized_shells])
-    vals = np.concatenate(
-        [
-            theta * s.values
-            for theta, s in zip(fp.coefficients, fp.normalized_shells)
-        ]
-    )
-    merged = SparseMatrix.from_coo(rows, cols, vals, (n, n), sum_duplicates=True)
-    return Propagator(merged, FUSED_SHELL)
+    """The fused shell operator P of ``fuse_shells`` as a named propagator."""
+    return Propagator(fuse_shells(decomposition, alpha).matrix, FUSED_SHELL)
 
 
 def _as_matrix(a: SparseGraph | SparseMatrix) -> SparseMatrix:

@@ -210,7 +210,7 @@ def _grads_from_cache(
     grad_b2 = g.sum(axis=0)
     ds_in = g @ params.w2.T
     ds = ds_in * cache["mask2"] if cache["mask2"] is not None else ds_in
-    # every normalized shell is symmetric, so the adjoint reuses the operator
+    # P is symmetric, so the adjoint reuses the operator
     dz = fused_propagate(p, ds)
     da1 = dz * (cache["a1"] > 0.0)
     grad_w1 = cache["x_in"].T @ da1 + weight_decay * params.w1
@@ -290,22 +290,15 @@ def evaluate(params: ModelParams, dataset, p: FusedPropagator, mask) -> tuple[fl
 
 
 def _masked_accuracy(
-    params: ModelParams,
-    x: np.ndarray,
-    row_slices,
-    coefficients,
-    truth: np.ndarray,
+    params: ModelParams, x: np.ndarray, rows, truth: np.ndarray
 ) -> float:
-    """Validation accuracy via shells row-sliced to the masked nodes.
+    """Validation accuracy via P's rows sliced to the masked nodes.
 
     Per-row arithmetic is identical to the full forward pass (row slicing
     keeps each row's summation order), only the unused rows are skipped.
     """
     z = np.maximum(x @ params.w1 + params.b1, 0.0)
-    s = np.zeros((truth.shape[0], params.w1.shape[1]))
-    for theta, rows in zip(coefficients, row_slices):
-        s += theta * (rows @ z)
-    logits = s @ params.w2 + params.b2
+    logits = (rows @ z) @ params.w2 + params.b2
     return float((logits.argmax(axis=1) == truth).mean())
 
 
@@ -334,7 +327,7 @@ def train(
     if val_mask.size == 0:
         raise InputError("validation set must be non-empty for early stopping")
     val_truth = y[val_mask]
-    val_slices = [s.to_scipy()[val_mask] for s in propagator.normalized_shells]
+    val_rows = propagator.matrix.to_scipy()[val_mask]
 
     seeds = np.random.SeedSequence(config.seed).spawn(config.epochs + 1)
     params = init_params(x.shape[1], config.hidden, dataset.num_classes, np.random.default_rng(seeds[0]))
@@ -355,9 +348,7 @@ def train(
             cache, params, propagator, y, train_mask, config.weight_decay
         )
         params, adam = adam_step(adam, params, grads, config.lr)
-        val_acc = _masked_accuracy(
-            params, x, val_slices, propagator.coefficients, val_truth
-        )
+        val_acc = _masked_accuracy(params, x, val_rows, val_truth)
         losses.append(epoch_loss)
         val_accs.append(val_acc)
         if val_acc > best_acc:

@@ -4,12 +4,11 @@ A graph's reachable ordered pairs are partitioned into disjoint hop shells:
 shell l holds exactly the pairs (i, j), i != j, at shortest-path distance l.
 Each shell is symmetrically normalized after adding self-loops, and the
 shells are combined with geometrically decaying coefficients into a single
-propagation operator that is always applied shell by shell, never
-materialized densely.
+sparse propagation operator P, built once and applied as one product.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -18,6 +17,7 @@ from .graph import (
     UNREACHABLE,
     SparseGraph,
     SparseMatrix,
+    diameter,
     distance_blocks,
     is_symmetric,
     spmm,
@@ -42,23 +42,45 @@ class ShellDecomposition:
 
 @dataclass(frozen=True, eq=False)
 class FusedPropagator:
-    """Normalized shells paired with their decay coefficients.
+    """The fused operator P = sum_l theta_l * That_l, held as one CSR matrix.
 
-    Every normalized shell is symmetric with non-negative entries and a
-    positive diagonal; coefficients[l-1] = (1 - 1/alpha)**l is strictly
-    decreasing in l.
+    ``normalized_shells`` are the That_l of a ``fuse_shells`` result, a view
+    that normalizes each binary shell anew on every read, and
+    ``coefficients[l-1]`` is the weight theta_l.  ``matrix`` is P, assembled
+    on construction: symmetric and non-negative, with a positive diagonal
+    whenever there is a shell.
     """
 
     n: int
-    normalized_shells: tuple[SparseMatrix, ...]
+    normalized_shells: _NormalizedShells
     coefficients: np.ndarray
     alpha: float
+    matrix: SparseMatrix = field(init=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "coefficients", np.asarray(self.coefficients, dtype=np.float64)
-        )
-        self.coefficients.flags.writeable = False
+        theta = np.array(self.coefficients, dtype=np.float64)
+        theta.flags.writeable = False
+        object.__setattr__(self, "coefficients", theta)
+        shells = self.normalized_shells
+        if not isinstance(shells, _NormalizedShells) or len(shells) != len(theta):
+            raise InputError(
+                "normalized_shells must be those of a fuse_shells result,"
+                f" one per coefficient ({len(theta)} given)"
+            )
+        object.__setattr__(self, "matrix", _fuse(self.n, theta, shells.binary))
+
+
+@dataclass(frozen=True)
+class _NormalizedShells:
+    """A sequence of the That_l of binary shells, normalized anew on each read."""
+
+    binary: tuple[SparseMatrix, ...]
+
+    def __len__(self) -> int:
+        return len(self.binary)
+
+    def __getitem__(self, l: int) -> SparseMatrix:
+        return normalize_shell(self.binary[l])
 
 
 def cumulative_matrix(g: SparseGraph, l: int) -> SparseMatrix:
@@ -146,47 +168,59 @@ def normalize_shell(t: SparseMatrix) -> SparseMatrix:
 
 
 def ppr_coefficients(alpha: float, l_max: int) -> np.ndarray:
-    """Decay coefficients (1 - 1/alpha)**l for l = 1..l_max."""
+    """Decay coefficients (1 - 1/alpha)**l for l = 1..l_max (empty at 0)."""
     if not np.isfinite(alpha) or alpha <= 1.0:
         raise ConfigError(
             f"alpha must be > 1 (got {alpha}): at alpha = 1 every decay"
             " coefficient (1 - 1/alpha)**l vanishes and the propagator"
             " annihilates all input"
         )
-    if l_max < 1:
-        raise ConfigError(f"l_max must be >= 1, got {l_max}")
+    if l_max < 0:
+        raise ConfigError(f"l_max must be >= 0, got {l_max}")
     base = 1.0 - 1.0 / alpha
     return base ** np.arange(1, l_max + 1, dtype=np.float64)
 
 
+def _fuse(n: int, theta: np.ndarray, binary: tuple[SparseMatrix, ...]) -> SparseMatrix:
+    """P = sum_l theta_l * That_l, assembled in one pass from the binary T_l.
+
+    With r = (k + 1)**-1/2, k each node's degree in T_l, That_l holds
+    r[i] * r[j] at each entry (i, j) of T_l and r**2 on its diagonal, as
+    ``normalize_shell`` gives.  A pair lies in one shell only, so each
+    off-diagonal entry is written once; the diagonal sums every level up
+    to l_max, also past a node's own eccentricity.  Row i of P stores its
+    diagonal first, then its entries in shells 1, 2, ... in turn, which
+    fixes the per-row summation order of every product.
+    """
+    degrees = [np.diff(t.row_offsets) for t in binary]
+    offsets = np.zeros(n + 1, dtype=np.int64)
+    offsets[1:] = np.cumsum(sum(degrees, np.ones(n, dtype=np.int64)))
+    cols = np.empty(offsets[-1], dtype=np.int64)
+    vals = np.empty(offsets[-1], dtype=np.float64)
+    cols[offsets[:-1]] = np.arange(n)
+    diag = np.zeros(n)
+    cursor = offsets[:-1] + 1
+    for theta_l, t, k in zip(theta, binary, degrees):
+        r = 1.0 / np.sqrt(k + 1.0)
+        diag += theta_l * (r * r)
+        dest = np.arange(t.nnz) + np.repeat(cursor - t.row_offsets[:-1], k)
+        cols[dest] = t.col_indices
+        vals[dest] = theta_l * (r[t.row_entries()] * r[t.col_indices])
+        cursor += k
+    vals[offsets[:-1]] = diag
+    return SparseMatrix(n, n, offsets, cols, vals)
+
+
 def fuse_shells(decomposition: ShellDecomposition, alpha: float) -> FusedPropagator:
-    """Pair each shell's normalization with its decay coefficient."""
-    if decomposition.l_max == 0:
-        if not np.isfinite(alpha) or alpha <= 1.0:
-            raise ConfigError(f"alpha must be > 1, got {alpha}")
-        return FusedPropagator(decomposition.n, (), np.empty(0), float(alpha))
-    coeffs = ppr_coefficients(alpha, decomposition.l_max)
-    normalized = tuple(normalize_shell(t) for t in decomposition.shells)
-    return FusedPropagator(decomposition.n, normalized, coeffs, float(alpha))
+    """The fused propagator of a decomposition; its That_l are not kept beside P."""
+    theta = ppr_coefficients(alpha, decomposition.l_max)
+    shells = _NormalizedShells(decomposition.shells)
+    return FusedPropagator(decomposition.n, shells, theta, float(alpha))
 
 
 def fused_propagate(p: FusedPropagator, z: np.ndarray) -> np.ndarray:
-    """Apply the fused operator: sum_l theta_l * (That_l @ z), shell by shell.
-
-    Equals the explicit product (sum_l theta_l That_l) @ z without ever
-    forming the combined matrix; memory stays proportional to the stored
-    shell entries.
-    """
-    z = np.asarray(z, dtype=np.float64)
-    if z.shape[0] != p.n:
-        raise InputError(
-            f"shape mismatch: propagator is {p.n}x{p.n}, operand has"
-            f" {z.shape[0]} rows"
-        )
-    out = np.zeros(z.shape, dtype=np.float64)
-    for theta, shell in zip(p.coefficients, p.normalized_shells):
-        out += theta * spmm(shell, z)
-    return out
+    """Apply the fused operator: P @ z (also the adjoint, as P is symmetric)."""
+    return spmm(p.matrix, np.asarray(z, dtype=np.float64))
 
 
 def shell_degree_profile(d: ShellDecomposition) -> list[float]:
@@ -206,21 +240,13 @@ def shell_union(d: ShellDecomposition) -> SparseMatrix:
 
 def shell_report(g: SparseGraph, l_cap: int | None = None) -> dict:
     """JSON-ready shell summary: sizes, per-layer average degree, diameter."""
-    full = shell_decompose(g)
-    graph_diameter = full.l_max
-    if l_cap is not None:
-        if l_cap < 1:
-            raise InputError(f"l_cap must be >= 1 when given, got {l_cap}")
-        kept = min(l_cap, full.l_max)
-        capped = ShellDecomposition(
-            full.n, full.shells[:kept], kept, full.shell_sizes[:kept]
-        )
-    else:
-        capped = full
+    d = shell_decompose(g, l_cap)
+    # a decomposition that stops short of its cap has already found the diameter
+    capped = l_cap is not None and d.l_max == l_cap
     return {
         "n": g.n,
-        "l_max": capped.l_max,
-        "shell_sizes": list(capped.shell_sizes),
-        "avg_degree_per_layer": shell_degree_profile(capped),
-        "diameter": graph_diameter,
+        "l_max": d.l_max,
+        "shell_sizes": list(d.shell_sizes),
+        "avg_degree_per_layer": shell_degree_profile(d),
+        "diameter": diameter(g) if capped else d.l_max,
     }

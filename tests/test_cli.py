@@ -171,6 +171,13 @@ class TestTrainCommand:
         assert (out / "metrics.json").read_bytes() == first
         assert (out / "checkpoint.bin").read_bytes() == checkpoint
 
+    def test_rerun_of_non_json_manifest_exits_3(self, runner, tmp_path):
+        manifest = tmp_path / "bad.json"
+        manifest.write_text("not json")
+        result = runner.invoke(main, ["rerun", str(manifest)])
+        assert result.exit_code == 3
+        assert "bad.json" in result.output
+
 
 class TestSweepCommand:
     def test_cross_product_rows(self, runner, toy_dataset, tmp_path):
@@ -204,6 +211,16 @@ class TestSweepCommand:
              "--out", str(tmp_path / "o")],
         )
         assert result.exit_code == 2
+
+    def test_non_integer_threads_exits_2(self, runner, toy_dataset, tmp_path, monkeypatch):
+        monkeypatch.setenv("SHELLPROP_THREADS", "x")
+        result = runner.invoke(
+            main,
+            ["sweep", "--data", str(toy_dataset), "--layers", "1", "--alphas", "2",
+             "--out", str(tmp_path / "o")],
+        )
+        assert result.exit_code == 2
+        assert "SHELLPROP_THREADS" in result.output
 
     def test_parallel_workers_match_serial(self, runner, toy_dataset, tmp_path, monkeypatch):
         args = ["sweep", "--data", toy_dataset, "--layers", "1,2", "--alphas", "2",

@@ -6,6 +6,7 @@ from shellprop import (
     FusedPropagator,
     InputError,
     ModelParams,
+    ShellDecomposition,
     SparseMatrix,
     TrainConfig,
     adam_step,
@@ -18,7 +19,6 @@ from shellprop import (
     init_params,
     load_checkpoint,
     loss,
-    normalize_shell,
     save_checkpoint,
     shell_decompose,
     synth_planted_partition,
@@ -32,7 +32,8 @@ from helpers import dense_fused, random_connected_graph, reference_forward
 def identity_propagator(n: int) -> FusedPropagator:
     """Single empty shell normalized to I with unit coefficient."""
     empty = SparseMatrix.from_coo([], [], [], (n, n))
-    return FusedPropagator(n, (normalize_shell(empty),), np.array([1.0]), 2.0)
+    shells = fuse_shells(ShellDecomposition(n, (empty,), 1, (0,)), 2.0).normalized_shells
+    return FusedPropagator(n, shells, np.array([1.0]), 2.0)
 
 
 def small_instance(seed: int, n=12, d=5, h=8, c=3, p=0.3):

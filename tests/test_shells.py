@@ -10,6 +10,7 @@ from shellprop import (
     cumulative_matrix,
     fuse_shells,
     fused_propagate,
+    fused_shell_propagator,
     normalize_shell,
     ppr_coefficients,
     shell_decompose,
@@ -210,6 +211,11 @@ class TestPprCoefficients:
         with pytest.raises(ConfigError):
             ppr_coefficients(0.5, 3)
 
+    def test_zero_levels_give_no_coefficients(self):
+        assert ppr_coefficients(2, 0).shape == (0,)
+        with pytest.raises(ConfigError):
+            ppr_coefficients(1, 0)
+
     def test_strictly_decreasing(self):
         for alpha in (1.5, 2.0, 5.0, 10.0):
             c = ppr_coefficients(alpha, 8)
@@ -220,9 +226,10 @@ class TestPprCoefficients:
 
 class TestFusedPropagate:
     def test_single_shell_identity_coefficient(self):
-        t1 = shell_decompose(complete_graph(2)).shells[0]
-        that = normalize_shell(t1)
-        p = FusedPropagator(2, (that,), np.array([1.0]), 2.0)
+        d = shell_decompose(complete_graph(2))
+        that = normalize_shell(d.shells[0])
+        shells = fuse_shells(d, 2.0).normalized_shells
+        p = FusedPropagator(2, shells, np.array([1.0]), 2.0)
         assert np.allclose(fused_propagate(p, np.eye(2)), that.to_dense())
 
     def test_path_alpha_two_matches_dense_oracle(self):
@@ -230,6 +237,48 @@ class TestFusedPropagate:
         p = fuse_shells(shell_decompose(g), 2.0)
         got = fused_propagate(p, np.eye(3))
         assert np.max(np.abs(got - dense_fused(g, 2.0))) < 1e-12
+
+    @pytest.mark.parametrize("alpha", [2.0, 5.0])
+    def test_disconnected_graph_matches_dense_oracle(self, alpha):
+        # a 4-path, a separate edge and an isolated node: the diagonal sums
+        # every level up to l_max = 3, past each node's own eccentricity
+        g = build_graph([(0, 1), (1, 2), (2, 3), (4, 5)], 7)
+        want = dense_fused(g, alpha)
+        z = np.random.default_rng(3).standard_normal((7, 4))
+        got = fused_propagate(fuse_shells(shell_decompose(g), alpha), z)
+        assert np.max(np.abs(got - want @ z)) < 1e-10
+        merged = fused_shell_propagator(shell_decompose(g), alpha).matrix.to_dense()
+        assert np.max(np.abs(merged - want)) < 1e-12
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matrix_is_decayed_sum_of_normalized_shells(self, seed):
+        g = random_graph(seed + 90, 16, 0.15)
+        d = shell_decompose(g)
+        p = fuse_shells(d, 3.0)
+        want = np.zeros((g.n, g.n))
+        for theta, t in zip(p.coefficients, d.shells):
+            want += theta * normalize_shell(t).to_dense()
+        assert np.max(np.abs(p.matrix.to_dense() - want)) < 1e-15
+
+    def test_perturbed_coefficients_change_the_operator(self):
+        p = fuse_shells(shell_decompose(path_graph(4)), 2.0)
+        theta = p.coefficients * [1.0, 1.0, 2.0]
+        q = FusedPropagator(p.n, p.normalized_shells, theta, p.alpha)
+        want = p.matrix.to_dense() + theta[2] / 2 * p.normalized_shells[2].to_dense()
+        assert np.allclose(q.matrix.to_dense(), want, rtol=0, atol=1e-15)
+
+    def test_shells_must_come_from_fuse_shells_one_per_coefficient(self):
+        p = fuse_shells(shell_decompose(path_graph(4)), 2.0)
+        with pytest.raises(InputError):
+            FusedPropagator(p.n, p.normalized_shells, p.coefficients[:2], p.alpha)
+        with pytest.raises(InputError):
+            FusedPropagator(p.n, tuple(p.normalized_shells), p.coefficients, p.alpha)
+
+    def test_edgeless_graph_fuses_to_zero(self):
+        d = shell_decompose(build_graph([], 4))
+        assert not fuse_shells(d, 2.0).matrix.to_dense().any()
+        with pytest.raises(ConfigError):
+            fuse_shells(d, 1.0)
 
     def test_zero_input(self):
         p = fuse_shells(shell_decompose(path_graph(4)), 2.0)
