@@ -7,8 +7,8 @@ Re-running the recorded argv (or ``shellprop rerun manifest.json``)
 reproduces the outputs byte for byte; the manifest itself is excluded from
 the digest because it records wall time.
 
-Exit codes: 0 success, 2 usage or config error, 3 data error, 4 numeric
-failure.
+Exit codes: 0 success, 2 usage or config error, 3 data error, 4 numeric or
+resource failure.
 """
 from __future__ import annotations
 

@@ -63,14 +63,14 @@ class SparseGraph:
         return self.col_indices[self.row_offsets[i] : self.row_offsets[i + 1]]
 
     @cached_property
-    def _scipy(self) -> sp.csr_matrix:
+    def _scipy(self) -> sp.csr_array:
         data = np.ones(self.col_indices.shape[0], dtype=np.float64)
-        return sp.csr_matrix(
+        return sp.csr_array(
             (data, self.col_indices, self.row_offsets), shape=(self.n, self.n)
         )
 
-    def to_scipy(self) -> sp.csr_matrix:
-        """Binary adjacency as a scipy CSR matrix (shared, do not mutate)."""
+    def to_scipy(self) -> sp.csr_array:
+        """Binary adjacency as a scipy CSR array (shared, do not mutate)."""
         return self._scipy
 
 
@@ -96,13 +96,15 @@ class SparseMatrix:
         return (self.n_rows, self.n_cols)
 
     @cached_property
-    def _scipy(self) -> sp.csr_matrix:
-        return sp.csr_matrix(
+    def _scipy(self) -> sp.csr_array:
+        # csr_array keeps the int64 index arrays and shares them, where
+        # csr_matrix makes int32 copies
+        return sp.csr_array(
             (self.values, self.col_indices, self.row_offsets),
             shape=(self.n_rows, self.n_cols),
         )
 
-    def to_scipy(self) -> sp.csr_matrix:
+    def to_scipy(self) -> sp.csr_array:
         return self._scipy
 
     def to_dense(self) -> np.ndarray:
@@ -112,17 +114,6 @@ class SparseMatrix:
         """Row index of every stored entry (COO expansion of the pointers)."""
         return np.repeat(
             np.arange(self.n_rows, dtype=np.int64), np.diff(self.row_offsets)
-        )
-
-    def transpose(self) -> "SparseMatrix":
-        t = self._scipy.T.tocsr()
-        t.sort_indices()
-        return SparseMatrix(
-            self.n_cols,
-            self.n_rows,
-            t.indptr.astype(np.int64),
-            t.indices.astype(np.int64),
-            t.data.copy(),
         )
 
     def diagonal(self) -> np.ndarray:
@@ -342,8 +333,8 @@ def spmm(m: SparseMatrix, x: np.ndarray) -> np.ndarray:
     return m.to_scipy() @ x
 
 
-def is_symmetric(m: SparseMatrix, tol: float = 0.0) -> bool:
+def is_symmetric(m: SparseMatrix) -> bool:
     if m.n_rows != m.n_cols:
         return False
     d = m.to_scipy() - m.to_scipy().T
-    return (abs(d) > tol).nnz == 0 if tol else (d != 0).nnz == 0
+    return (d != 0).nnz == 0

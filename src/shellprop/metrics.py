@@ -9,6 +9,7 @@ what the trajectory helpers verify numerically.
 """
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -18,9 +19,8 @@ from .errors import ConfigError, InputError, NumericError, ResourceError
 from .graph import SparseGraph, SparseMatrix, adjacency_matrix, diameter, is_connected
 from .shells import ShellDecomposition, fuse_shells, normalize_shell
 
-_DENSE_CAP = 2000
-#: float64 loses walk-count exactness past 2**53; n**(l+2) bounds every
-#: intermediate value of a binary dense power, so that is the rejection test.
+#: float64 loses walk-count exactness past 2**53; n**(l+2) bounds every value
+#: a binary matrix's walk count reaches, so that is the rejection test.
 _WALK_COUNT_LIMIT_BITS = 53
 
 SYM_NORM = "sym_norm"
@@ -120,23 +120,25 @@ def _is_binary(m: SparseMatrix) -> bool:
     return m.nnz == 0 or bool(np.all(m.values == 1.0))
 
 
-def _exact_power_total(dense_int: np.ndarray, l: int) -> int:
-    """Total of all entries of an integer matrix power, in exact arithmetic."""
-    n = dense_int.shape[0]
-    m = np.eye(n, dtype=object)
-    a = dense_int.astype(object)
+def _walk_total(m: SparseMatrix, l: int) -> int:
+    """1^T M^l 1 of a binary matrix, by l products on a vector of Python ints."""
+    rows = m.row_entries()
+    x = np.ones(m.n_rows, dtype=object)
     for _ in range(l):
-        m = m @ a
-    return int(m.sum())
+        y = np.zeros(m.n_rows, dtype=object)
+        np.add.at(y, rows, x[m.col_indices])
+        x = y
+    return int(x.sum())
 
 
 def avg_nat(a: SparseGraph | SparseMatrix, l: int, exact: bool = False) -> float:
     """Mean total mass of the l-th matrix power: (1/N) * sum_ij M^l_ij.
 
-    Evaluated by dense matrix powers, which caps the node count at 2000.
-    Binary matrices count walks, and walk counts outgrow the 2**53 float64
-    integer range once n**(l+2) does (around 55 nodes at diameter-scale
-    depths); pass ``exact=True`` to switch to big-integer accumulation there.
+    Evaluated as 1^T M^l 1 by l sparse matrix-vector products, so it costs
+    l * nnz operations and O(n) memory and never forms the power.  Binary
+    matrices count walks, and walk counts outgrow the 2**53 float64 integer
+    range once n**(l+2) does (around 55 nodes at diameter-scale depths);
+    pass ``exact=True`` to count in Python integers there.
     """
     m = _as_matrix(a)
     if m.n_rows != m.n_cols:
@@ -144,63 +146,28 @@ def avg_nat(a: SparseGraph | SparseMatrix, l: int, exact: bool = False) -> float
     if l < 1:
         raise InputError(f"depth must be >= 1, got {l}")
     n = m.n_rows
-    if n > _DENSE_CAP:
-        raise ResourceError(
-            f"avg_nat uses dense matrix powers and supports n <= {_DENSE_CAP};"
-            f" got n = {n}"
-        )
     binary = _is_binary(m)
     if exact:
         if not binary:
             raise InputError("exact mode requires a binary matrix")
-        total = _exact_power_total(
-            np.rint(m.to_dense()).astype(np.int64), l
-        )
-        return float(Fraction(total, n))
+        return float(Fraction(_walk_total(m, l), n))
     if binary and (l + 2) * np.log2(max(n, 2)) > _WALK_COUNT_LIMIT_BITS:
         raise NumericError(
             f"walk counts for n = {n}, depth {l} can exceed 2**53 and lose"
             " exactness in float64; re-run with exact=True"
         )
-    power = np.linalg.matrix_power(m.to_dense(), l)
-    return float(power.sum() / n)
-
-
-def _row_block_size(n: int) -> int:
-    return max(1, min(n, 8_000_000 // max(n, 1)))
+    a, x = m.to_scipy(), np.ones(n)
+    for _ in range(l):
+        x = a @ x
+    return float(x.sum() / n)
 
 
 def sas(a: SparseMatrix | Propagator, k: int) -> float:
     """Mean diagonal mass fraction of the k-th matrix power.
 
-    Rows of M^k are computed by iterated sparse products in blocks, so the
-    full power is never materialized for large matrices.
+    The depth-k point of ``sas_trajectory``, with its cost and memory.
     """
-    m = a.matrix if isinstance(a, Propagator) else a
-    if m.n_rows != m.n_cols:
-        raise InputError("sas requires a square matrix")
-    if k < 1:
-        raise InputError(f"depth must be >= 1, got {k}")
-    n = m.n_rows
-    mt = m.transpose().to_scipy()
-    total = 0.0
-    block = _row_block_size(n)
-    for start in range(0, n, block):
-        idx = np.arange(start, min(start + block, n))
-        w = np.zeros((n, len(idx)))
-        w[idx, np.arange(len(idx))] = 1.0
-        for _ in range(k):
-            w = mt @ w
-        diag = w[idx, np.arange(len(idx))]
-        row_sums = w.sum(axis=0)
-        if not np.all(np.isfinite(row_sums)):
-            bad = int(idx[np.flatnonzero(~np.isfinite(row_sums))[0]])
-            raise NumericError(f"row {bad} of the depth-{k} power is non-finite")
-        if np.any(row_sums == 0):
-            bad = int(idx[np.flatnonzero(row_sums == 0)[0]])
-            raise NumericError(f"row {bad} of the depth-{k} power sums to zero")
-        total += float((diag / row_sums).sum())
-    return total / n
+    return sas_trajectory(a, k).sas_trajectory[-1][1]
 
 
 def sas_trajectory(
@@ -209,7 +176,10 @@ def sas_trajectory(
     """Self-attention scores at every depth 1..k_max plus the gap to 1/N.
 
     ``stop_tol`` ends the sweep early once the score is within that distance
-    of 1/N, recording the trajectory up to the entry point.
+    of 1/N, recording the trajectory up to the entry point.  The dense power
+    is tracked, so each depth is one sparse-times-dense product and the loop
+    holds 16 * n**2 bytes; ResourceError is raised before allocating when
+    that exceeds the machine's physical memory.
     """
     m = p.matrix if isinstance(p, Propagator) else p
     if m.n_rows != m.n_cols:
@@ -217,10 +187,12 @@ def sas_trajectory(
     if k_max < 1:
         raise InputError(f"k_max must be >= 1, got {k_max}")
     n = m.n_rows
-    if n > _DENSE_CAP:
+    need = 16 * n * n  # the dense power and its product, float64 each
+    limit = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > limit:
         raise ResourceError(
-            f"sas_trajectory tracks the dense power and supports n <="
-            f" {_DENSE_CAP}; got n = {n}"
+            f"sas_trajectory holds two dense {n} x {n} powers, about {need}"
+            f" bytes, but physical memory is {limit} bytes"
         )
     a = m.to_scipy()
     power = np.eye(n)
@@ -248,16 +220,14 @@ def sas_trajectory(
 def aggregation_bounds_check(g: SparseGraph) -> AggregationBoundsVerdict:
     """Check N-1 <= avg_nat(A, diameter) < 2**(N-2) with exact arithmetic.
 
-    Intended for brute-force scale (n <= 20 or so); walk totals are counted
-    in big integers, so the comparisons are exact.  The strict upper bound
-    does not hold for every connected graph (chains exceed it), and the
-    verdict reports each bound separately.
+    Walk totals are counted in Python integers, so the comparisons are
+    exact.  The strict upper bound does not hold for every connected graph
+    (chains exceed it), and the verdict reports each bound separately.
     """
     if not is_connected(g):
         raise InputError("aggregation_bounds_check requires a connected graph")
     diam = diameter(g)
-    dense = np.rint(adjacency_matrix(g).to_dense()).astype(np.int64)
-    total = _exact_power_total(dense, diam)
+    total = _walk_total(adjacency_matrix(g), diam)
     value = Fraction(total, g.n)
     upper = Fraction(2) ** (g.n - 2)
     return AggregationBoundsVerdict(

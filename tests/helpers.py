@@ -100,6 +100,15 @@ def dense_fused(g: SparseGraph, alpha: float) -> np.ndarray:
     return out
 
 
+def exact_walk_total(g: SparseGraph, l: int) -> int:
+    """Total of all entries of A^l by dense powers in Python integers."""
+    a = dense_adjacency(g).astype(np.int64).astype(object)
+    power = np.eye(g.n, dtype=object)
+    for _ in range(l):
+        power = power @ a
+    return int(power.sum())
+
+
 def reference_forward(params, x, fused_dense: np.ndarray) -> np.ndarray:
     """Independent dense forward pass (dropout off); returns probabilities."""
     z = np.maximum(x @ params.w1 + params.b1, 0.0)

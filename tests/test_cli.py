@@ -106,6 +106,31 @@ class TestMetricsCommand:
         first = payload["report"]["sas_trajectory"][0][1]
         assert 1 / 3 <= first <= 1.0
 
+    def test_sym_beyond_2000_nodes(self, runner, tmp_path):
+        edges = tmp_path / "path.tsv"
+        edges.write_text("".join(f"{i}\t{i + 1}\n" for i in range(2099)))
+        result = run(
+            runner,
+            ["metrics", "--data", edges, "--propagator", "sym", "--kmax", 2, "--out", tmp_path / "o"],
+        )
+        assert result.exit_code == 0
+        payload = json.loads(result.output)
+        assert payload["n"] == 2100
+        assert len(payload["report"]["sas_trajectory"]) == 2
+
+    def test_edgeless_fused_operator_exits_4(self, runner, tmp_path):
+        data = tmp_path / "edgeless"
+        data.mkdir()
+        (data / "features.tsv").write_text("1.0\n2.0\n3.0\n")
+        (data / "labels.tsv").write_text("0\n1\n0\n")
+        (data / "edges.tsv").write_text("")
+        result = runner.invoke(
+            main,
+            ["metrics", "--data", str(data), "--propagator", "fused", "--out", str(tmp_path / "o")],
+        )
+        assert result.exit_code == 4
+        assert "sums to zero" in result.output
+
 
 class TestTrainCommand:
     def test_writes_artifacts(self, runner, toy_dataset, tmp_path):

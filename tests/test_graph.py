@@ -186,6 +186,13 @@ class TestSpmm:
         with pytest.raises(InputError):
             spmm(SparseMatrix.identity(3), np.ones((4, 2)))
 
+    def test_scipy_twin_shares_index_arrays(self):
+        g = path_graph(4)
+        for own in (g, adjacency_matrix(g)):
+            twin = own.to_scipy()
+            assert np.shares_memory(twin.indices, own.col_indices)
+            assert np.shares_memory(twin.indptr, own.row_offsets)
+
 
 class TestEdgeListFormat:
     def test_round_trip_with_comments(self, tmp_path):

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -27,6 +29,7 @@ from helpers import (
     dense_adjacency,
     dense_fused,
     dense_sym_norm,
+    exact_walk_total,
     path_graph,
     random_connected_graph,
     random_tree,
@@ -128,9 +131,21 @@ class TestAvgNat:
             avg_nat(g, 59)
         assert avg_nat(g, 1, exact=True) > 0  # exact mode stays available
 
-    def test_dense_cap(self):
-        with pytest.raises(ResourceError):
-            avg_nat(SparseMatrix.identity(2001), 1)
+    def test_no_node_cap(self):
+        eye = SparseMatrix.identity(2001)
+        assert avg_nat(eye, 1) == 1.0
+        assert [v for _, v in sas_trajectory(eye, 3).sas_trajectory] == [1.0] * 3
+
+    def test_exact_mode_matches_dense_object_power(self):
+        for g in (random_connected_graph(7, 15, 0.4), random_tree(3, 60), path_graph(60)):
+            diam = diameter(g)
+            if g.n > 55:
+                with pytest.raises(NumericError):
+                    avg_nat(g, diam)
+            totals = {depth: exact_walk_total(g, depth) for depth in (1, 2, diam)}
+            for depth, total in totals.items():
+                assert avg_nat(g, depth, exact=True) == float(Fraction(total, g.n))
+            assert aggregation_bounds_check(g).walk_total == totals[diam]
 
     def test_exact_requires_binary(self):
         with pytest.raises(InputError):
@@ -169,8 +184,7 @@ class TestSas:
         with pytest.raises(NumericError, match="row 2"):
             sas(m, 1)
 
-    def test_row_blocked_path_beyond_dense_cap(self):
-        # n=3000 forces multiple row blocks; identity keeps the answer exact
+    def test_identity_beyond_2000_nodes(self):
         assert sas(SparseMatrix.identity(3000), 3) == 1.0
 
     def test_depth_validation(self):
@@ -201,6 +215,11 @@ class TestSasTrajectory:
     def test_kmax_validation(self):
         with pytest.raises(InputError):
             sas_trajectory(SparseMatrix.identity(3), 0)
+
+    def test_dense_power_past_physical_memory_raises(self):
+        # 16 * (10**6)**2 bytes is 16 TB; the identity itself takes 24 MB
+        with pytest.raises(ResourceError, match="16000000000000 bytes"):
+            sas_trajectory(SparseMatrix.identity(10**6), 1)
 
 
 class TestResidualRaisesSelfAttention:
