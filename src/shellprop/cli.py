@@ -18,13 +18,13 @@ import json
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import click
 
 from . import __version__
-from .data import Dataset, load_dataset, make_split
+from .data import load_dataset, make_split
 from .errors import ConfigError, InputError, ShellPropError
 from .graph import SparseGraph, build_graph, read_edge_list
 from .metrics import (
@@ -70,30 +70,35 @@ def _write_json(path: Path, payload) -> Path:
     return path
 
 
-def _write_manifest(
-    out_dir: Path,
-    command: str,
-    argv: list[str],
-    config: dict,
-    seed: int | None,
-    data: str | None,
-    started: float,
-    outputs: list[Path],
-) -> Path:
+def _write_manifest(out: Path, started: float, outputs: list[Path]) -> Path:
+    """Record the current command's resolved click parameters and digests.
+
+    ``argv`` lists every declared option with its resolved value, defaults
+    included, so replaying it reproduces the run whatever the defaults become.
+    """
+    ctx = click.get_current_context()
+    argv = [ctx.info_name]
+    for param in ctx.command.params:
+        value = ctx.params[param.name]
+        if value is None or value is False:
+            continue
+        argv.append(param.opts[0])
+        if value is not True:
+            argv.append(repr(value) if isinstance(value, float) else str(value))
     digests = {
         p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in outputs
     }
     manifest = {
-        "command": command,
+        "command": ctx.info_name,
         "argv": argv,
-        "config": config,
-        "seed": seed,
-        "data": data,
+        "config": {k: v for k, v in ctx.params.items() if k not in ("data", "out")},
+        "seed": ctx.params.get("seed"),
+        "data": str(ctx.params["data"]),
         "version": f"shellprop-{__version__}",
         "wall_time_s": time.perf_counter() - started,
         "output_digest": digests,
     }
-    return _write_json(out_dir / "manifest.json", manifest)
+    return _write_json(out / "manifest.json", manifest)
 
 
 def _load_graph(data_path: Path) -> SparseGraph:
@@ -107,11 +112,20 @@ def _load_graph(data_path: Path) -> SparseGraph:
     return build_graph(edges, n)
 
 
-def _with_split(dataset: Dataset, seed: int) -> Dataset:
-    if dataset.split is not None:
-        return dataset
-    split = make_split(dataset.labels, per_class=20, val=500, test=1000, seed=seed)
-    return replace(dataset, split=split)
+def _fit(data: Path, config: TrainConfig, split_seed: int):
+    """Load, split, decompose, fuse, train and test one configuration.
+
+    Returns the trained parameters, the history, and the test accuracy and
+    macro-F1.  A dataset without ``split.json`` is split from ``split_seed``.
+    """
+    dataset = load_dataset(data)
+    if dataset.split is None:
+        split = make_split(dataset.labels, per_class=20, val=500, test=1000, seed=split_seed)
+        dataset = replace(dataset, split=split)
+    propagator = fuse_shells(shell_decompose(dataset.graph, config.l_cap), config.alpha)
+    params, history = train(dataset, config, propagator=propagator)
+    test_acc, macro_f1 = evaluate(params, dataset, propagator, dataset.split.test)
+    return params, history, test_acc, macro_f1
 
 
 def _report_payload(report: MetricReport) -> dict:
@@ -120,6 +134,21 @@ def _report_payload(report: MetricReport) -> dict:
         "limit_gap": report.limit_gap,
         "sas_trajectory": [[k, v] for k, v in report.sas_trajectory],
     }
+
+
+_lcap_option = click.option(
+    "--lcap", "l_cap", type=click.IntRange(min=1), default=None,
+    help="Largest shell distance kept (default: the diameter).",
+)
+
+
+def _training_options(fn):
+    """The options `train` and `sweep` share, with TrainConfig's defaults."""
+    for f in reversed(fields(TrainConfig)):
+        if f.name not in ("alpha", "l_cap"):
+            flag = "--" + f.name.replace("_", "-")
+            fn = click.option(flag, type=type(f.default), default=f.default, show_default=True)(fn)
+    return fn
 
 
 @click.group()
@@ -131,35 +160,15 @@ def main() -> None:
 @main.command("train")
 @click.option("--data", required=True, type=click.Path(exists=True, file_okay=False, path_type=Path))
 @click.option("--alpha", type=float, default=2.0, show_default=True)
-@click.option("--lcap", type=int, default=None)
-@click.option("--hidden", type=int, default=64, show_default=True)
-@click.option("--dropout", type=float, default=0.5, show_default=True)
-@click.option("--lr", type=float, default=1e-2, show_default=True)
-@click.option("--weight-decay", type=float, default=5e-3, show_default=True)
-@click.option("--epochs", type=int, default=500, show_default=True)
-@click.option("--patience", type=int, default=100, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
+@_lcap_option
+@_training_options
 @click.option("--out", type=click.Path(path_type=Path), default=Path("runs/train"), show_default=True)
 @_guarded
-def cmd_train(data, alpha, lcap, hidden, dropout, lr, weight_decay, epochs, patience, seed, out):
+def cmd_train(data, out, **options):
     """Train the classifier; writes checkpoint, history CSV, and metrics JSON."""
     started = time.perf_counter()
-    config = TrainConfig(
-        alpha=alpha,
-        l_cap=lcap,
-        hidden=hidden,
-        dropout=dropout,
-        lr=lr,
-        weight_decay=weight_decay,
-        epochs=epochs,
-        patience=patience,
-        seed=seed,
-    )
-    dataset = _with_split(load_dataset(data), seed)
-    decomposition = shell_decompose(dataset.graph, config.l_cap)
-    propagator = fuse_shells(decomposition, config.alpha)
-    params, history = train(dataset, config, propagator=propagator)
-    test_acc, macro_f1 = evaluate(params, dataset, propagator, dataset.split.test)
+    config = TrainConfig(**options)
+    params, history, test_acc, macro_f1 = _fit(data, config, config.seed)
 
     out.mkdir(parents=True, exist_ok=True)
     checkpoint = out / "checkpoint.bin"
@@ -174,111 +183,63 @@ def cmd_train(data, alpha, lcap, hidden, dropout, lr, weight_decay, epochs, pati
     metrics_path = _write_json(
         out / "metrics.json", {"macro_f1": macro_f1, "test_acc": test_acc}
     )
-    argv = [
-        "train",
-        "--data", str(data),
-        "--alpha", repr(alpha),
-        "--hidden", str(hidden),
-        "--dropout", repr(dropout),
-        "--lr", repr(lr),
-        "--weight-decay", repr(weight_decay),
-        "--epochs", str(epochs),
-        "--patience", str(patience),
-        "--seed", str(seed),
-        "--out", str(out),
-    ]
-    if lcap is not None:
-        argv += ["--lcap", str(lcap)]
-    _write_manifest(
-        out,
-        "train",
-        argv,
-        {
-            "alpha": alpha, "l_cap": lcap, "hidden": hidden, "dropout": dropout,
-            "lr": lr, "weight_decay": weight_decay, "epochs": epochs,
-            "patience": patience, "seed": seed,
-        },
-        seed,
-        str(data),
-        started,
-        [checkpoint, history_path, metrics_path],
-    )
+    _write_manifest(out, started, [checkpoint, history_path, metrics_path])
     click.echo(_dumps({"macro_f1": macro_f1, "test_acc": test_acc}), nl=False)
 
 
 @main.command("shells")
 @click.option("--data", required=True, type=click.Path(exists=True, path_type=Path))
-@click.option("--lcap", type=int, default=None)
+@_lcap_option
 @click.option("--out", type=click.Path(path_type=Path), default=Path("runs/shells"), show_default=True)
 @_guarded
-def cmd_shells(data, lcap, out):
+def cmd_shells(data, l_cap, out):
     """Emit the shell decomposition report as JSON."""
     started = time.perf_counter()
-    graph = _load_graph(data)
-    report = shell_report(graph, lcap)
+    report = shell_report(_load_graph(data), l_cap)
     out.mkdir(parents=True, exist_ok=True)
-    report_path = _write_json(out / "shells.json", report)
-    argv = ["shells", "--data", str(data), "--out", str(out)]
-    if lcap is not None:
-        argv += ["--lcap", str(lcap)]
-    _write_manifest(
-        out, "shells", argv, {"l_cap": lcap}, None, str(data), started, [report_path]
-    )
+    _write_manifest(out, started, [_write_json(out / "shells.json", report)])
     click.echo(_dumps(report), nl=False)
 
 
 @main.command("metrics")
 @click.option("--data", required=True, type=click.Path(exists=True, path_type=Path))
-@click.option("--propagator", "kind", type=click.Choice(_KIND_FLAGS), default="sym", show_default=True)
+@click.option("--propagator", type=click.Choice(_KIND_FLAGS), default="sym", show_default=True)
 @click.option("--beta", type=float, default=0.5, show_default=True)
 @click.option("--alpha", type=float, default=2.0, show_default=True)
-@click.option("--lcap", type=int, default=None)
-@click.option("--kmax", type=int, default=100, show_default=True)
-@click.option("--csv", "write_csv", is_flag=True, default=False, help="Also write the trajectory as CSV.")
+@_lcap_option
+@click.option("--kmax", type=click.IntRange(min=1), default=100, show_default=True)
+@click.option("--csv", is_flag=True, default=False, help="Also write the trajectory as CSV.")
 @click.option("--out", type=click.Path(path_type=Path), default=Path("runs/metrics"), show_default=True)
 @_guarded
-def cmd_metrics(data, kind, beta, alpha, lcap, kmax, write_csv, out):
+def cmd_metrics(data, propagator, beta, alpha, l_cap, kmax, csv, out):
     """Self-attention trajectory of a propagator, as JSON (optionally CSV)."""
     started = time.perf_counter()
     graph = _load_graph(data)
-    payload: dict = {"propagator": kind, "n": graph.n, "kmax": kmax}
-    if kind == "sym":
+    payload: dict = {"propagator": propagator, "n": graph.n, "kmax": kmax}
+    if propagator == "sym":
         prop = sym_norm_propagator(graph)
-    elif kind == "rw":
+    elif propagator == "rw":
         prop = rw_norm_propagator(graph)
-    elif kind == "residual":
+    elif propagator == "residual":
         prop = residual_propagator(sym_norm_propagator(graph), beta)
         payload["beta"] = beta
     else:
-        prop = fused_shell_propagator(shell_decompose(graph, lcap), alpha)
+        prop = fused_shell_propagator(shell_decompose(graph, l_cap), alpha)
         payload["alpha"] = alpha
     report = sas_trajectory(prop, kmax)
     payload["report"] = _report_payload(report)
-    if kind == "residual":
+    if propagator == "residual":
         payload["baseline_report"] = _report_payload(
             sas_trajectory(sym_norm_propagator(graph), kmax)
         )
     out.mkdir(parents=True, exist_ok=True)
     outputs = [_write_json(out / "metrics.json", payload)]
-    if write_csv:
+    if csv:
         csv_path = out / "trajectory.csv"
         rows = ["k,sas"] + [f"{k},{repr(v)}" for k, v in report.sas_trajectory]
         csv_path.write_text("\n".join(rows) + "\n", encoding="utf-8")
         outputs.append(csv_path)
-    argv = [
-        "metrics", "--data", str(data), "--propagator", kind,
-        "--beta", repr(beta), "--alpha", repr(alpha), "--kmax", str(kmax),
-        "--out", str(out),
-    ]
-    if lcap is not None:
-        argv += ["--lcap", str(lcap)]
-    if write_csv:
-        argv += ["--csv"]
-    _write_manifest(
-        out, "metrics", argv,
-        {"propagator": kind, "beta": beta, "alpha": alpha, "l_cap": lcap, "kmax": kmax},
-        None, str(data), started, outputs,
-    )
+    _write_manifest(out, started, outputs)
     click.echo(_dumps(payload), nl=False)
 
 
@@ -287,24 +248,8 @@ def _sweep_seed(base_seed: int, layers: int, alpha: float) -> int:
     return int.from_bytes(digest[:4], "little")
 
 
-def _sweep_one(data_dir: str, layers: int, alpha: float, base: dict) -> tuple[int, float, float]:
-    config = TrainConfig(
-        alpha=alpha,
-        l_cap=layers,
-        hidden=base["hidden"],
-        dropout=base["dropout"],
-        lr=base["lr"],
-        weight_decay=base["weight_decay"],
-        epochs=base["epochs"],
-        patience=base["patience"],
-        seed=_sweep_seed(base["seed"], layers, alpha),
-    )
-    dataset = _with_split(load_dataset(Path(data_dir)), base["seed"])
-    decomposition = shell_decompose(dataset.graph, layers)
-    propagator = fuse_shells(decomposition, alpha)
-    params, _ = train(dataset, config, propagator=propagator)
-    test_acc, _ = evaluate(params, dataset, propagator, dataset.split.test)
-    return layers, alpha, test_acc
+def _sweep_one(data: Path, config: TrainConfig, split_seed: int) -> float:
+    return _fit(data, config, split_seed)[2]
 
 
 def _parse_number_list(text: str, cast, flag: str):
@@ -321,56 +266,36 @@ def _parse_number_list(text: str, cast, flag: str):
 @click.option("--data", required=True, type=click.Path(exists=True, file_okay=False, path_type=Path))
 @click.option("--layers", required=True, help="Comma-separated shell caps, e.g. 2,4,8.")
 @click.option("--alphas", required=True, help="Comma-separated alpha values, e.g. 2,5.")
-@click.option("--hidden", type=int, default=64, show_default=True)
-@click.option("--dropout", type=float, default=0.5, show_default=True)
-@click.option("--lr", type=float, default=1e-2, show_default=True)
-@click.option("--weight-decay", type=float, default=5e-3, show_default=True)
-@click.option("--epochs", type=int, default=500, show_default=True)
-@click.option("--patience", type=int, default=100, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
+@_training_options
 @click.option("--out", type=click.Path(path_type=Path), default=Path("runs/sweep"), show_default=True)
 @_guarded
-def cmd_sweep(data, layers, alphas, hidden, dropout, lr, weight_decay, epochs, patience, seed, out):
+def cmd_sweep(data, layers, alphas, out, **options):
     """One train/eval per (layers, alpha) combination; CSV for plotting."""
     started = time.perf_counter()
+    base = TrainConfig(**options)
     layer_values = _parse_number_list(layers, int, "--layers")
     alpha_values = _parse_number_list(alphas, float, "--alphas")
-    combos = sorted({(l, a) for l in layer_values for a in alpha_values})
-    base = {
-        "hidden": hidden, "dropout": dropout, "lr": lr,
-        "weight_decay": weight_decay, "epochs": epochs, "patience": patience,
-        "seed": seed,
-    }
+    configs = [
+        replace(base, l_cap=l, alpha=a, seed=_sweep_seed(base.seed, l, a))
+        for l, a in sorted({(l, a) for l in layer_values for a in alpha_values})
+    ]
     try:
         threads = int(os.environ.get("SHELLPROP_THREADS", "1"))
     except ValueError as err:
         raise ConfigError(f"SHELLPROP_THREADS must be an integer: {err}") from None
-    workers = min(threads, len(combos), os.cpu_count() or 1)
+    workers = min(threads, len(configs), os.cpu_count() or 1)
+    fit = functools.partial(_sweep_one, data, split_seed=base.seed)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(_sweep_one, str(data), l, a, base) for l, a in combos
-            ]
-            results = [f.result() for f in futures]
+            accuracies = list(pool.map(fit, configs))
     else:
-        results = [_sweep_one(str(data), l, a, base) for l, a in combos]
-    results.sort(key=lambda row: (row[0], row[1]))
+        accuracies = list(map(fit, configs))
     out.mkdir(parents=True, exist_ok=True)
     csv_path = out / "sweep.csv"
     rows = ["layers,alpha,accuracy"]
-    rows += [f"{l},{repr(a)},{repr(acc)}" for l, a, acc in results]
+    rows += [f"{c.l_cap},{repr(c.alpha)},{repr(acc)}" for c, acc in zip(configs, accuracies)]
     csv_path.write_text("\n".join(rows) + "\n", encoding="utf-8")
-    argv = [
-        "sweep", "--data", str(data), "--layers", layers, "--alphas", alphas,
-        "--hidden", str(hidden), "--dropout", repr(dropout), "--lr", repr(lr),
-        "--weight-decay", repr(weight_decay), "--epochs", str(epochs),
-        "--patience", str(patience), "--seed", str(seed), "--out", str(out),
-    ]
-    _write_manifest(
-        out, "sweep", argv,
-        {**base, "layers": layer_values, "alphas": alpha_values},
-        seed, str(data), started, [csv_path],
-    )
+    _write_manifest(out, started, [csv_path])
     click.echo(str(csv_path))
 
 

@@ -8,7 +8,6 @@ across threads and worker processes.
 """
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator
@@ -121,36 +120,28 @@ class SparseMatrix:
 
     @staticmethod
     def from_coo(
-        rows: np.ndarray,
-        cols: np.ndarray,
-        values: np.ndarray,
-        shape: tuple[int, int],
-        sum_duplicates: bool = False,
+        rows: np.ndarray, cols: np.ndarray, values: np.ndarray, shape: tuple[int, int]
     ) -> "SparseMatrix":
         """Build a CSR matrix from coordinate triplets.
 
-        Entries are sorted row-major; duplicates are summed when requested
-        and must not occur otherwise.
+        Entries are sorted row-major and duplicates are summed.
         """
-        rows = np.asarray(rows, dtype=np.int64)
-        cols = np.asarray(cols, dtype=np.int64)
-        values = np.asarray(values, dtype=np.float64)
-        if sum_duplicates:
-            m = sp.csr_matrix((values, (rows, cols)), shape=shape)
-            m.sum_duplicates()
-            m.sort_indices()
-            return SparseMatrix(
-                shape[0],
-                shape[1],
-                m.indptr.astype(np.int64),
-                m.indices.astype(np.int64),
-                m.data.copy(),
-            )
-        order = np.lexsort((cols, rows))
-        rows, cols, values = rows[order], cols[order], values[order]
-        offsets = np.zeros(shape[0] + 1, dtype=np.int64)
-        offsets[1:] = np.cumsum(np.bincount(rows, minlength=shape[0]))
-        return SparseMatrix(shape[0], shape[1], offsets, cols.copy(), values.copy())
+        m = sp.csr_matrix(
+            (
+                np.asarray(values, dtype=np.float64),
+                (np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64)),
+            ),
+            shape=shape,
+        )
+        m.sum_duplicates()
+        m.sort_indices()
+        return SparseMatrix(
+            shape[0],
+            shape[1],
+            m.indptr.astype(np.int64),
+            m.indices.astype(np.int64),
+            m.data.copy(),
+        )
 
     @staticmethod
     def identity(n: int) -> "SparseMatrix":
@@ -162,17 +153,6 @@ class SparseMatrix:
             idx,
             np.ones(n, dtype=np.float64),
         )
-
-
-@dataclass(frozen=True, eq=False)
-class DistanceField:
-    """Hop distances from a single source; unreachable nodes hold UNREACHABLE."""
-
-    source: int
-    dist: np.ndarray
-
-    def __post_init__(self) -> None:
-        _freeze(self.dist)
 
 
 def build_graph(edges, n: int) -> SparseGraph:
@@ -244,23 +224,6 @@ def read_edge_list(path) -> list[tuple[int, int]]:
                 raise InputError(f"{path}: line {lineno}: negative node id")
             edges.append((u, v))
     return edges
-
-
-def bfs_distances(g: SparseGraph, source: int) -> DistanceField:
-    """Exact unweighted shortest-path distances from one source node."""
-    if not 0 <= source < g.n:
-        raise InputError(f"source {source} out of range for n={g.n}")
-    dist = np.full(g.n, UNREACHABLE, dtype=np.int32)
-    dist[source] = 0
-    queue = deque([source])
-    while queue:
-        u = queue.popleft()
-        du = dist[u] + 1
-        for v in g.neighbors(u):
-            if dist[v] == UNREACHABLE:
-                dist[v] = du
-                queue.append(v)
-    return DistanceField(source, dist)
 
 
 def distance_blocks(

@@ -97,7 +97,7 @@ def residual_propagator(p: Propagator, beta: float) -> Propagator:
     rows = np.concatenate([m.row_entries(), diag])
     cols = np.concatenate([m.col_indices, diag])
     vals = np.concatenate([beta * m.values, np.full(n, 1.0 - beta)])
-    merged = SparseMatrix.from_coo(rows, cols, vals, (n, n), sum_duplicates=True)
+    merged = SparseMatrix.from_coo(rows, cols, vals, (n, n))
     return Propagator(merged, RESIDUAL, beta=beta)
 
 

@@ -275,3 +275,40 @@ class TestManifests:
             assert manifest["version"].startswith("shellprop-")
             assert manifest["argv"][0] == args[0]
             assert manifest["output_digest"]
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["shells", "--lcap", 1],
+            ["metrics", "--propagator", "residual", "--kmax", 5, "--csv"],
+            ["train", "--lcap", 2, "--epochs", 10, "--patience", 10],
+            ["sweep", "--layers", "1,2", "--alphas", 2, "--epochs", 10, "--patience", 10],
+        ],
+    )
+    def test_rerun_replays_every_command(self, runner, toy_dataset, tmp_path, args):
+        out = tmp_path / "out"
+        assert run(runner, [args[0], "--data", toy_dataset, *args[1:], "--out", out]).exit_code == 0
+        first = json.loads((out / "manifest.json").read_text())
+        assert run(runner, ["rerun", out / "manifest.json"]).exit_code == 0
+        again = json.loads((out / "manifest.json").read_text())
+        assert again["argv"] == first["argv"]
+        assert again["output_digest"] == first["output_digest"]
+
+
+class TestOptionRanges:
+    @pytest.mark.parametrize(
+        "args, flag",
+        [
+            (["shells", "--lcap", "0"], "--lcap"),
+            (["metrics", "--lcap", "0"], "--lcap"),
+            (["metrics", "--kmax", "0"], "--kmax"),
+            (["train", "--lcap", "0"], "--lcap"),
+        ],
+    )
+    def test_out_of_range_value_exits_2(self, runner, toy_dataset, tmp_path, args, flag):
+        result = runner.invoke(
+            main, [args[0], "--data", str(toy_dataset), *args[1:], "--out", str(tmp_path / "o")]
+        )
+        assert result.exit_code == 2
+        assert f"Invalid value for '{flag}'" in result.output
+

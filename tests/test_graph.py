@@ -8,7 +8,6 @@ from shellprop import (
     InputError,
     SparseMatrix,
     adjacency_matrix,
-    bfs_distances,
     build_graph,
     component_count,
     diameter,
@@ -17,6 +16,7 @@ from shellprop import (
     read_edge_list,
     spmm,
 )
+from shellprop.graph import distance_blocks
 
 from helpers import (
     BIG,
@@ -79,50 +79,56 @@ class TestBuildGraph:
             assert np.all(np.diff(row) > 0)  # sorted, no duplicates
 
 
+def oracle_distances(g, cap=None):
+    """Floyd-Warshall hop counts in the library's UNREACHABLE convention."""
+    d = floyd_warshall(g)
+    far = d >= BIG if cap is None else d > cap
+    return np.where(far, UNREACHABLE, d)
+
+
 class TestBfs:
     def test_path(self):
-        assert list(bfs_distances(path_graph(3), 0).dist) == [0, 1, 2]
+        assert list(distance_matrix(path_graph(3))[0]) == [0, 1, 2]
 
     def test_star_from_leaf(self):
-        assert list(bfs_distances(star_graph(3), 1).dist) == [1, 0, 2, 2]
+        assert list(distance_matrix(star_graph(3))[1]) == [1, 0, 2, 2]
 
     def test_disconnected(self):
-        d = bfs_distances(two_disjoint_edges(), 0).dist
+        d = distance_matrix(two_disjoint_edges())[0]
         assert list(d) == [0, 1, UNREACHABLE, UNREACHABLE]
-
-    def test_source_out_of_range(self):
-        with pytest.raises(InputError):
-            bfs_distances(path_graph(3), 3)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_matches_floyd_warshall(self, seed):
         rng = np.random.default_rng(seed)
         n = int(rng.integers(2, 61))
         g = random_graph(seed, n, float(rng.uniform(0.03, 0.4)))
-        oracle = floyd_warshall(g)
+        full = distance_matrix(g)
+        want = oracle_distances(g)
         for source in range(n):
-            got = bfs_distances(g, source).dist.astype(np.int64)
-            want = np.where(oracle[source] >= BIG, UNREACHABLE, oracle[source])
-            assert np.array_equal(got, want)
+            assert np.array_equal(full[source].astype(np.int64), want[source])
 
     @pytest.mark.parametrize("seed", range(6))
     def test_distance_matrix_matches_single_source(self, seed):
         g = random_graph(seed, 30, 0.1)
         full = distance_matrix(g)
-        for source in range(g.n):
-            assert np.array_equal(full[source], bfs_distances(g, source).dist)
+        for sources, block in distance_blocks(g, block_size=1):
+            assert np.array_equal(full[sources[0]], block[0])
 
     def test_distance_matrix_spans_source_blocks(self):
         # n=300 exceeds the vectorized BFS block width, so this crosses blocks
         g = random_graph(42, 300, 0.02)
         full = distance_matrix(g)
-        oracle = floyd_warshall(g)
-        want = np.where(oracle >= BIG, UNREACHABLE, oracle)
-        assert np.array_equal(full.astype(np.int64), want)
+        assert np.array_equal(full.astype(np.int64), oracle_distances(g))
+
+    @pytest.mark.parametrize("cap", [1, 2, 3, 5])
+    def test_capped_distance_matrix_matches_floyd_warshall(self, cap):
+        g = random_graph(11, 40, 0.06)
+        capped = distance_matrix(g, cap=cap)
+        assert np.array_equal(capped.astype(np.int64), oracle_distances(g, cap))
 
     def test_edge_lipschitz_invariant(self):
         g = random_graph(3, 25, 0.15)
-        d = bfs_distances(g, 0).dist.astype(np.int64)
+        d = distance_matrix(g)[0].astype(np.int64)
         for u in range(g.n):
             for v in g.neighbors(u):
                 if d[u] != UNREACHABLE and d[v] != UNREACHABLE:
@@ -145,12 +151,8 @@ class TestDiameter:
     @pytest.mark.parametrize("seed", range(6))
     def test_equals_max_finite_bfs(self, seed):
         g = random_graph(seed + 50, 35, 0.08)
-        best = 0
-        for s in range(g.n):
-            d = bfs_distances(g, s).dist
-            finite = d[d != UNREACHABLE]
-            best = max(best, int(finite.max()))
-        assert diameter(g) == best
+        oracle = floyd_warshall(g)
+        assert diameter(g) == int(oracle[oracle < BIG].max())
 
 
 class TestConnectivity:
