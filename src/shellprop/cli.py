@@ -24,7 +24,7 @@ from pathlib import Path
 import click
 
 from . import __version__
-from .data import load_dataset, make_split
+from .data import load_dataset, load_graph, make_split
 from .errors import ConfigError, InputError, ShellPropError
 from .graph import SparseGraph, build_graph, read_edge_list
 from .metrics import (
@@ -104,7 +104,7 @@ def _write_manifest(out: Path, started: float, outputs: list[Path]) -> Path:
 def _load_graph(data_path: Path) -> SparseGraph:
     """A dataset directory or a bare edge-list file both yield a graph."""
     if data_path.is_dir():
-        return load_dataset(data_path).graph
+        return load_graph(data_path)
     edges = read_edge_list(data_path)
     if not edges:
         raise InputError(f"{data_path}: no edges found")

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, InputError
-from .graph import SparseGraph, build_graph, component_count, read_edge_list
+from .graph import SparseGraph, build_graph, component_count, open_text, read_edge_list
 
 
 @dataclass(frozen=True, eq=False)
@@ -45,7 +45,7 @@ class Dataset:
 def _parse_features(path: Path) -> np.ndarray:
     rows = []
     width = None
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
             parts = line.split("\t")
@@ -72,7 +72,7 @@ def _parse_features(path: Path) -> np.ndarray:
 
 def _parse_labels(path: Path, n: int) -> np.ndarray:
     labels = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             text = line.strip()
             try:
@@ -81,7 +81,7 @@ def _parse_labels(path: Path, n: int) -> np.ndarray:
                 raise InputError(
                     f"{path}: line {lineno}: non-integer label {text!r}"
                 ) from None
-            if value < 0:
+            if not 0 <= value <= np.iinfo(np.int64).max:
                 raise InputError(f"{path}: line {lineno}: label out of range")
             labels.append(value)
     if len(labels) != n:
@@ -92,18 +92,24 @@ def _parse_labels(path: Path, n: int) -> np.ndarray:
 
 
 def _parse_split(path: Path, n: int) -> Split:
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_text(path) as fh:
         try:
             payload = json.load(fh)
-        except json.JSONDecodeError as err:
+        except (ValueError, RecursionError) as err:
+            # ValueError covers JSONDecodeError and over-long integer literals
             raise InputError(f"{path}: invalid JSON ({err})") from None
+    if not isinstance(payload, dict):
+        raise InputError(f"{path}: expected a JSON object of index lists")
     parts = {}
     for key in ("train", "val", "test"):
         if key not in payload:
             raise InputError(f"{path}: missing key {key!r}")
-        idx = np.asarray(payload[key], dtype=np.int64)
-        if idx.size and (idx.min() < 0 or idx.max() >= n):
+        values = payload[key]
+        if not isinstance(values, list) or not all(type(i) is int for i in values):
+            raise InputError(f"{path}: {key} must be a list of integer node ids")
+        if values and (min(values) < 0 or max(values) >= n):
             raise InputError(f"{path}: {key} index out of range for n={n}")
+        idx = np.asarray(values, dtype=np.int64)
         if len(np.unique(idx)) != len(idx):
             raise InputError(f"{path}: {key} contains duplicate indices")
         parts[key] = np.sort(idx)
@@ -115,26 +121,49 @@ def _parse_split(path: Path, n: int) -> Split:
     return Split(parts["train"], parts["val"], parts["test"])
 
 
-def load_dataset(directory) -> Dataset:
-    """Load and validate a TSV dataset directory."""
+def _dataset_dir(directory, names: tuple[str, ...]) -> Path:
+    """The dataset directory, once it and each named file are known to exist."""
     directory = Path(directory)
     if not directory.is_dir():
         raise InputError(f"dataset directory not found: {directory}")
-    for name in ("edges.tsv", "features.tsv", "labels.tsv"):
+    for name in names:
         if not (directory / name).is_file():
             raise InputError(f"missing dataset file: {directory / name}")
-    features = _parse_features(directory / "features.tsv")
-    n = features.shape[0]
-    labels = _parse_labels(directory / "labels.tsv", n)
-    edges = read_edge_list(directory / "edges.tsv")
+    return directory
+
+
+def _read_graph(path: Path, n: int) -> SparseGraph:
+    """The graph of an edge list whose node ids must lie below n."""
+    edges = read_edge_list(path)
     if edges:
         top = max(max(u, v) for u, v in edges)
         if top >= n:
             raise InputError(
-                f"{directory / 'edges.tsv'}: references node {top} but"
-                f" features.tsv defines only {n} rows"
+                f"{path}: references node {top} but features.tsv defines"
+                f" only {n} rows"
             )
-    graph = build_graph(edges, n)
+    return build_graph(edges, n)
+
+
+def load_graph(directory) -> SparseGraph:
+    """Load only the graph of a dataset directory.
+
+    Reads ``edges.tsv`` and counts the lines of ``features.tsv`` for n, so
+    the features and labels are neither parsed nor validated.
+    """
+    directory = _dataset_dir(directory, ("edges.tsv", "features.tsv"))
+    with open_text(directory / "features.tsv") as fh:
+        n = sum(1 for _ in fh)
+    return _read_graph(directory / "edges.tsv", n)
+
+
+def load_dataset(directory) -> Dataset:
+    """Load and validate a TSV dataset directory."""
+    directory = _dataset_dir(directory, ("edges.tsv", "features.tsv", "labels.tsv"))
+    features = _parse_features(directory / "features.tsv")
+    n = features.shape[0]
+    labels = _parse_labels(directory / "labels.tsv", n)
+    graph = _read_graph(directory / "edges.tsv", n)
     split_path = directory / "split.json"
     split = _parse_split(split_path, n) if split_path.is_file() else None
     return Dataset(

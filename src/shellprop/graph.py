@@ -1,15 +1,19 @@
-"""Immutable CSR graph types, BFS distance machinery, and sparse kernels.
+"""Immutable graph and matrix types, BFS distance machinery, and products.
 
 Graphs are undirected, unweighted and simple; every edge is stored in both
-directions with column indices sorted inside each row.  Dense matrices are
-plain 2-D float64 numpy arrays throughout the package.  All containers here
-are frozen and their buffers are marked read-only, so they are safe to share
-across threads and worker processes.
+directions with column indices sorted inside each row.  A real matrix is
+carried as a CSR ``SparseMatrix`` or, where that takes fewer bytes, a
+``DenseMatrix``; both hand their products to ``array``, a scipy CSR array or
+a plain 2-D float64 numpy array.  All containers here are frozen and their
+buffers are marked read-only, so they are safe to share across threads and
+worker processes.
 """
 from __future__ import annotations
 
+import io
 from dataclasses import dataclass
 from functools import cached_property
+from pathlib import Path
 from typing import Iterator
 
 import numpy as np
@@ -95,7 +99,8 @@ class SparseMatrix:
         return (self.n_rows, self.n_cols)
 
     @cached_property
-    def _scipy(self) -> sp.csr_array:
+    def array(self) -> sp.csr_array:
+        """The matrix as a scipy CSR array (shared, do not mutate)."""
         # csr_array keeps the int64 index arrays and shares them, where
         # csr_matrix makes int32 copies
         return sp.csr_array(
@@ -103,11 +108,8 @@ class SparseMatrix:
             shape=(self.n_rows, self.n_cols),
         )
 
-    def to_scipy(self) -> sp.csr_array:
-        return self._scipy
-
     def to_dense(self) -> np.ndarray:
-        return self._scipy.toarray()
+        return self.array.toarray()
 
     def row_entries(self) -> np.ndarray:
         """Row index of every stored entry (COO expansion of the pointers)."""
@@ -116,7 +118,7 @@ class SparseMatrix:
         )
 
     def diagonal(self) -> np.ndarray:
-        return self._scipy.diagonal()
+        return self.array.diagonal()
 
     @staticmethod
     def from_coo(
@@ -126,22 +128,9 @@ class SparseMatrix:
 
         Entries are sorted row-major and duplicates are summed.
         """
-        m = sp.csr_matrix(
-            (
-                np.asarray(values, dtype=np.float64),
-                (np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64)),
-            ),
-            shape=shape,
-        )
-        m.sum_duplicates()
-        m.sort_indices()
-        return SparseMatrix(
-            shape[0],
-            shape[1],
-            m.indptr.astype(np.int64),
-            m.indices.astype(np.int64),
-            m.data.copy(),
-        )
+        rows, cols = np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64)
+        values = np.asarray(values, dtype=np.float64)
+        return from_array(sp.csr_matrix((values, (rows, cols)), shape=shape))
 
     @staticmethod
     def identity(n: int) -> "SparseMatrix":
@@ -153,6 +142,72 @@ class SparseMatrix:
             idx,
             np.ones(n, dtype=np.float64),
         )
+
+
+@dataclass(frozen=True, eq=False)
+class DenseMatrix:
+    """Real-valued matrix held as one read-only 2-D float64 array.
+
+    The carrier of an operator whose stored entries would take more bytes
+    in CSR form (16 per entry) than the 8 per entry of the full array.
+    ``nnz`` counts the nonzero entries.
+    """
+
+    values: np.ndarray
+
+    def __post_init__(self) -> None:
+        _freeze(self.values)
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.values.shape
+
+    @property
+    def n_rows(self) -> int:
+        return self.values.shape[0]
+
+    @property
+    def n_cols(self) -> int:
+        return self.values.shape[1]
+
+    @cached_property
+    def nnz(self) -> int:
+        return int(np.count_nonzero(self.values))
+
+    @property
+    def array(self) -> np.ndarray:
+        """The read-only values themselves."""
+        return self.values
+
+    def to_dense(self) -> np.ndarray:
+        return self.values.copy()
+
+    def diagonal(self) -> np.ndarray:
+        return self.values.diagonal().copy()
+
+
+#: Either carrier of a real matrix; products go through its ``array``.
+Matrix = SparseMatrix | DenseMatrix
+
+
+def from_array(a) -> Matrix:
+    """The carrier of an ``array``: a scipy sparse array or a 2-D array.
+
+    A sparse input is put in canonical CSR form (duplicates summed, rows
+    sorted) with int64 indices; anything else is copied into a DenseMatrix.
+    """
+    if not sp.issparse(a):
+        return DenseMatrix(np.array(a, dtype=np.float64))
+    m = sp.csr_matrix(a)
+    m.sum_duplicates()
+    m.sort_indices()
+    return SparseMatrix(
+        m.shape[0],
+        m.shape[1],
+        m.indptr.astype(np.int64),
+        m.indices.astype(np.int64),
+        m.data.astype(np.float64),
+    )
 
 
 def build_graph(edges, n: int) -> SparseGraph:
@@ -197,6 +252,19 @@ def adjacency_matrix(g: SparseGraph) -> SparseMatrix:
     )
 
 
+def open_text(path) -> io.StringIO:
+    """A UTF-8 text file, decoded whole, to iterate by line as ``open`` would.
+
+    Raises InputError naming the file and the offending byte offset when it
+    is not valid UTF-8.
+    """
+    try:
+        text = Path(path).read_bytes().decode("utf-8")
+    except UnicodeDecodeError as err:
+        raise InputError(f"{path}: not UTF-8 text (byte {err.start})") from None
+    return io.StringIO(text, newline=None)
+
+
 def read_edge_list(path) -> list[tuple[int, int]]:
     """Parse the tab-separated edge-list format: ``u<TAB>v`` per line.
 
@@ -204,7 +272,7 @@ def read_edge_list(path) -> list[tuple[int, int]]:
     naming the file and line on malformed content.
     """
     edges: list[tuple[int, int]] = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line or line.startswith("#"):
@@ -285,19 +353,19 @@ def component_count(g: SparseGraph) -> int:
     return int(connected_components(g.to_scipy(), directed=False, return_labels=False))
 
 
-def spmm(m: SparseMatrix, x: np.ndarray) -> np.ndarray:
-    """Sparse-dense product m @ x with a fixed per-row summation order."""
+def spmm(m: Matrix, x: np.ndarray) -> np.ndarray:
+    """The product m @ x, by scipy for CSR and by BLAS for a dense m."""
     x = np.asarray(x)
     if x.shape[0] != m.n_cols:
         raise InputError(
             f"shape mismatch: matrix is {m.n_rows}x{m.n_cols}, operand has"
             f" {x.shape[0]} rows"
         )
-    return m.to_scipy() @ x
+    return m.array @ x
 
 
 def is_symmetric(m: SparseMatrix) -> bool:
     if m.n_rows != m.n_cols:
         return False
-    d = m.to_scipy() - m.to_scipy().T
+    d = m.array - m.array.T
     return (d != 0).nnz == 0

@@ -14,9 +14,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import ConfigError, InputError, NumericError, ResourceError
-from .graph import SparseGraph, SparseMatrix, adjacency_matrix, diameter, is_connected
+from .graph import (
+    Matrix, SparseGraph, SparseMatrix, adjacency_matrix, diameter, from_array, is_connected,
+)
 from .shells import ShellDecomposition, fuse_shells, normalize_shell
 
 #: float64 loses walk-count exactness past 2**53; n**(l+2) bounds every value
@@ -34,7 +37,7 @@ RAW_ADJACENCY = "raw_adjacency"
 class Propagator:
     """A named n x n non-negative propagation matrix."""
 
-    matrix: SparseMatrix
+    matrix: Matrix
     kind: str
     beta: float | None = None
 
@@ -92,13 +95,8 @@ def residual_propagator(p: Propagator, beta: float) -> Propagator:
     if not 0.0 < beta < 1.0:
         raise ConfigError(f"beta must be strictly inside (0, 1), got {beta}")
     m = p.matrix
-    n = m.n_rows
-    diag = np.arange(n, dtype=np.int64)
-    rows = np.concatenate([m.row_entries(), diag])
-    cols = np.concatenate([m.col_indices, diag])
-    vals = np.concatenate([beta * m.values, np.full(n, 1.0 - beta)])
-    merged = SparseMatrix.from_coo(rows, cols, vals, (n, n))
-    return Propagator(merged, RESIDUAL, beta=beta)
+    merged = beta * m.array + (1.0 - beta) * sp.eye_array(m.n_rows)
+    return Propagator(from_array(merged), RESIDUAL, beta=beta)
 
 
 def raw_adjacency_propagator(g: SparseGraph) -> Propagator:
@@ -112,29 +110,29 @@ def fused_shell_propagator(
     return Propagator(fuse_shells(decomposition, alpha).matrix, FUSED_SHELL)
 
 
-def _as_matrix(a: SparseGraph | SparseMatrix) -> SparseMatrix:
+def _as_matrix(a: SparseGraph | Matrix) -> Matrix:
     return adjacency_matrix(a) if isinstance(a, SparseGraph) else a
 
 
-def _is_binary(m: SparseMatrix) -> bool:
-    return m.nnz == 0 or bool(np.all(m.values == 1.0))
+def _is_binary(m: Matrix) -> bool:
+    return bool(np.all((m.values == 0.0) | (m.values == 1.0)))
 
 
-def _walk_total(m: SparseMatrix, l: int) -> int:
+def _walk_total(m: Matrix, l: int) -> int:
     """1^T M^l 1 of a binary matrix, by l products on a vector of Python ints."""
-    rows = m.row_entries()
+    rows, cols = m.array.nonzero()
     x = np.ones(m.n_rows, dtype=object)
     for _ in range(l):
         y = np.zeros(m.n_rows, dtype=object)
-        np.add.at(y, rows, x[m.col_indices])
+        np.add.at(y, rows, x[cols])
         x = y
     return int(x.sum())
 
 
-def avg_nat(a: SparseGraph | SparseMatrix, l: int, exact: bool = False) -> float:
+def avg_nat(a: SparseGraph | Matrix, l: int, exact: bool = False) -> float:
     """Mean total mass of the l-th matrix power: (1/N) * sum_ij M^l_ij.
 
-    Evaluated as 1^T M^l 1 by l sparse matrix-vector products, so it costs
+    Evaluated as 1^T M^l 1 by l matrix-vector products, so it costs
     l * nnz operations and O(n) memory and never forms the power.  Binary
     matrices count walks, and walk counts outgrow the 2**53 float64 integer
     range once n**(l+2) does (around 55 nodes at diameter-scale depths);
@@ -156,13 +154,13 @@ def avg_nat(a: SparseGraph | SparseMatrix, l: int, exact: bool = False) -> float
             f"walk counts for n = {n}, depth {l} can exceed 2**53 and lose"
             " exactness in float64; re-run with exact=True"
         )
-    a, x = m.to_scipy(), np.ones(n)
+    a, x = m.array, np.ones(n)
     for _ in range(l):
         x = a @ x
     return float(x.sum() / n)
 
 
-def sas(a: SparseMatrix | Propagator, k: int) -> float:
+def sas(a: Matrix | Propagator, k: int) -> float:
     """Mean diagonal mass fraction of the k-th matrix power.
 
     The depth-k point of ``sas_trajectory``, with its cost and memory.
@@ -171,15 +169,16 @@ def sas(a: SparseMatrix | Propagator, k: int) -> float:
 
 
 def sas_trajectory(
-    p: Propagator | SparseMatrix, k_max: int, stop_tol: float | None = None
+    p: Propagator | Matrix, k_max: int, stop_tol: float | None = None
 ) -> MetricReport:
     """Self-attention scores at every depth 1..k_max plus the gap to 1/N.
 
     ``stop_tol`` ends the sweep early once the score is within that distance
     of 1/N, recording the trajectory up to the entry point.  The dense power
-    is tracked, so each depth is one sparse-times-dense product and the loop
-    holds 16 * n**2 bytes; ResourceError is raised before allocating when
-    that exceeds the machine's physical memory.
+    is tracked, so each depth is one product of the matrix with a dense
+    array (a BLAS product when the matrix is dense) and the loop holds
+    16 * n**2 bytes; ResourceError is raised before allocating when that
+    exceeds the machine's physical memory.
     """
     m = p.matrix if isinstance(p, Propagator) else p
     if m.n_rows != m.n_cols:
@@ -194,7 +193,7 @@ def sas_trajectory(
             f"sas_trajectory holds two dense {n} x {n} powers, about {need}"
             f" bytes, but physical memory is {limit} bytes"
         )
-    a = m.to_scipy()
+    a = m.array
     power = np.eye(n)
     trajectory: list[tuple[int, float]] = []
     target = 1.0 / n

@@ -294,8 +294,12 @@ def _masked_accuracy(
 ) -> float:
     """Validation accuracy via P's rows sliced to the masked nodes.
 
-    Per-row arithmetic is identical to the full forward pass (row slicing
-    keeps each row's summation order), only the unused rows are skipped.
+    Only the masked rows of P @ z are formed.  For a CSR P they equal the
+    full forward pass's rows bit for bit, as slicing keeps each row's
+    summation order.  For a dense P the slice is a smaller BLAS product,
+    whose blocking can sum a row in another order, so they agree to
+    rounding.  Either way, runs with the same BLAS build and thread count
+    give the same value.
     """
     z = np.maximum(x @ params.w1 + params.b1, 0.0)
     logits = (rows @ z) @ params.w2 + params.b2
@@ -327,7 +331,7 @@ def train(
     if val_mask.size == 0:
         raise InputError("validation set must be non-empty for early stopping")
     val_truth = y[val_mask]
-    val_rows = propagator.matrix.to_scipy()[val_mask]
+    val_rows = propagator.matrix.array[val_mask]
 
     seeds = np.random.SeedSequence(config.seed).spawn(config.epochs + 1)
     params = init_params(x.shape[1], config.hidden, dataset.num_classes, np.random.default_rng(seeds[0]))

@@ -4,7 +4,7 @@ A graph's reachable ordered pairs are partitioned into disjoint hop shells:
 shell l holds exactly the pairs (i, j), i != j, at shortest-path distance l.
 Each shell is symmetrically normalized after adding self-loops, and the
 shells are combined with geometrically decaying coefficients into a single
-sparse propagation operator P, built once and applied as one product.
+propagation operator P, built once and applied as one product.
 """
 from __future__ import annotations
 
@@ -15,6 +15,8 @@ import numpy as np
 from .errors import ConfigError, InputError
 from .graph import (
     UNREACHABLE,
+    DenseMatrix,
+    Matrix,
     SparseGraph,
     SparseMatrix,
     diameter,
@@ -42,20 +44,21 @@ class ShellDecomposition:
 
 @dataclass(frozen=True, eq=False)
 class FusedPropagator:
-    """The fused operator P = sum_l theta_l * That_l, held as one CSR matrix.
+    """The fused operator P = sum_l theta_l * That_l, held as one matrix.
 
     ``normalized_shells`` are the That_l of a ``fuse_shells`` result, a view
     that normalizes each binary shell anew on every read, and
     ``coefficients[l-1]`` is the weight theta_l.  ``matrix`` is P, assembled
     on construction: symmetric and non-negative, with a positive diagonal
-    whenever there is a shell.
+    whenever there is a shell.  It is a DenseMatrix when the n x n array
+    takes no more bytes than CSR would, else a SparseMatrix.
     """
 
     n: int
     normalized_shells: _NormalizedShells
     coefficients: np.ndarray
     alpha: float
-    matrix: SparseMatrix = field(init=False)
+    matrix: Matrix = field(init=False)
 
     def __post_init__(self) -> None:
         theta = np.array(self.coefficients, dtype=np.float64)
@@ -181,32 +184,50 @@ def ppr_coefficients(alpha: float, l_max: int) -> np.ndarray:
     return base ** np.arange(1, l_max + 1, dtype=np.float64)
 
 
-def _fuse(n: int, theta: np.ndarray, binary: tuple[SparseMatrix, ...]) -> SparseMatrix:
+def _fuse(n: int, theta: np.ndarray, binary: tuple[SparseMatrix, ...]) -> Matrix:
     """P = sum_l theta_l * That_l, assembled in one pass from the binary T_l.
 
     With r = (k + 1)**-1/2, k each node's degree in T_l, That_l holds
     r[i] * r[j] at each entry (i, j) of T_l and r**2 on its diagonal, as
     ``normalize_shell`` gives.  A pair lies in one shell only, so each
     off-diagonal entry is written once; the diagonal sums every level up
-    to l_max, also past a node's own eccentricity.  Row i of P stores its
-    diagonal first, then its entries in shells 1, 2, ... in turn, which
-    fixes the per-row summation order of every product.
+    to l_max, also past a node's own eccentricity.
+
+    P stores its diagonal and every shell entry.  When the n x n float64
+    array takes no more bytes than those entries in CSR (16 bytes each plus
+    the n + 1 row pointers), P is dense, which a connected graph at full
+    diameter always is.  Otherwise row i of the CSR P stores its diagonal
+    first, then its entries in shells 1, 2, ... in turn, which fixes the
+    per-row summation order of every product.
     """
+    stored = n + sum(t.nnz for t in binary)
     degrees = [np.diff(t.row_offsets) for t in binary]
-    offsets = np.zeros(n + 1, dtype=np.int64)
-    offsets[1:] = np.cumsum(sum(degrees, np.ones(n, dtype=np.int64)))
-    cols = np.empty(offsets[-1], dtype=np.int64)
-    vals = np.empty(offsets[-1], dtype=np.float64)
-    cols[offsets[:-1]] = np.arange(n)
+    dense = 8 * n * n <= 16 * stored + 8 * (n + 1)
+    if dense:
+        p = np.zeros((n, n))
+    else:
+        offsets = np.zeros(n + 1, dtype=np.int64)
+        offsets[1:] = np.cumsum(sum(degrees, np.ones(n, dtype=np.int64)))
+        cols = np.empty(offsets[-1], dtype=np.int64)
+        vals = np.empty(offsets[-1], dtype=np.float64)
+        cols[offsets[:-1]] = np.arange(n)
+        cursor = offsets[:-1] + 1
     diag = np.zeros(n)
-    cursor = offsets[:-1] + 1
     for theta_l, t, k in zip(theta, binary, degrees):
         r = 1.0 / np.sqrt(k + 1.0)
         diag += theta_l * (r * r)
+        rows = t.row_entries()
+        shell_vals = theta_l * (r[rows] * r[t.col_indices])
+        if dense:
+            p[rows, t.col_indices] = shell_vals
+            continue
         dest = np.arange(t.nnz) + np.repeat(cursor - t.row_offsets[:-1], k)
         cols[dest] = t.col_indices
-        vals[dest] = theta_l * (r[t.row_entries()] * r[t.col_indices])
+        vals[dest] = shell_vals
         cursor += k
+    if dense:
+        np.fill_diagonal(p, diag)
+        return DenseMatrix(p)
     vals[offsets[:-1]] = diag
     return SparseMatrix(n, n, offsets, cols, vals)
 

@@ -92,10 +92,10 @@ def dense_shells(g: SparseGraph) -> list[np.ndarray]:
     return [(dist == level).astype(float) for level in range(1, top + 1)]
 
 
-def dense_fused(g: SparseGraph, alpha: float) -> np.ndarray:
-    """Dense fusion oracle: sum of decayed normalized shells."""
+def dense_fused(g: SparseGraph, alpha: float, l_cap: int | None = None) -> np.ndarray:
+    """Dense fusion oracle: sum of decayed normalized shells up to l_cap."""
     out = np.zeros((g.n, g.n))
-    for level, shell in enumerate(dense_shells(g), start=1):
+    for level, shell in enumerate(dense_shells(g)[:l_cap], start=1):
         out += (1.0 - 1.0 / alpha) ** level * dense_sym_norm(shell)
     return out
 

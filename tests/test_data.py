@@ -2,15 +2,19 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shellprop import (
     ConfigError,
     InputError,
     load_dataset,
     make_split,
+    read_edge_list,
     synth_planted_partition,
     write_dataset,
 )
+from shellprop.data import _parse_features, _parse_labels, _parse_split, load_graph
 
 
 def write_toy(directory, features, labels, edges, split=None):
@@ -186,3 +190,79 @@ class TestSyntheticPartition:
             synth_planted_partition(10, 2, 1.5, 0.1, seed=0)
         with pytest.raises(ConfigError):
             synth_planted_partition(0, 2, 0.5, 0.1, seed=0)
+
+
+class TestLoadGraph:
+    def test_matches_load_dataset(self, tmp_path):
+        ds = synth_planted_partition(6, 3, 0.8, 0.1, seed=5, labels_per_block=2)
+        write_dataset(tmp_path / "rt", ds)
+        g = load_graph(tmp_path / "rt")
+        assert g.n == ds.n
+        assert np.array_equal(g.row_offsets, ds.graph.row_offsets)
+        assert np.array_equal(g.col_indices, ds.graph.col_indices)
+
+    def test_reads_neither_labels_nor_feature_values(self, tmp_path):
+        d = tmp_path / "toy"
+        d.mkdir()
+        (d / "features.tsv").write_text("x\ny\nz\n")
+        (d / "edges.tsv").write_text("0\t2\n")
+        assert load_graph(d).n == 3
+
+    def test_edge_id_beyond_feature_rows(self, tmp_path):
+        d = tmp_path / "toy"
+        write_toy(d, [[1.0], [2.0]], [0, 1], [(0, 5)])
+        with pytest.raises(InputError, match="node 5"):
+            load_graph(d)
+
+    def test_missing_features_file(self, tmp_path):
+        d = tmp_path / "toy"
+        write_toy(d, [[1.0]], [0], [])
+        (d / "features.tsv").unlink()
+        with pytest.raises(InputError, match="features.tsv"):
+            load_graph(d)
+
+
+_PARSERS = {
+    "edges": read_edge_list,
+    "features": _parse_features,
+    "labels": lambda path: _parse_labels(path, 1),
+    "split": lambda path: _parse_split(path, 3),
+}
+
+# fragments the parsers give meaning to, so that generated files reach past
+# the first malformed line; bare random bytes rarely do
+_TOKENS = st.sampled_from(
+    [b"0", b"1", b"2", b"-1", b"7", b"1.5", b"e9", b"nan", b"inf", b"#", b" ",
+     b"\t", b"\n", b"\r", b"\xff", b"\xc3", b"\x00", b"9" * 25, b"1" * 5000]
+)
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=5),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(["train", "val", "test", "x"]), inner, max_size=4),
+    max_leaves=12,
+)
+_FILES = st.one_of(
+    st.binary(max_size=200),
+    st.lists(_TOKENS, max_size=30).map(b"".join),
+    _JSON.map(lambda v: json.dumps(v).encode()),
+)
+
+
+class TestParsersFuzz:
+    @pytest.mark.parametrize("kind", sorted(_PARSERS))
+    @given(raw=_FILES)
+    @settings(max_examples=150, deadline=None)
+    def test_only_input_errors_escape(self, kind, raw, tmp_path_factory):
+        path = tmp_path_factory.getbasetemp() / f"fuzz-{kind}"
+        path.write_bytes(raw)
+        try:
+            _PARSERS[kind](path)
+        except InputError:
+            pass
+
+    @pytest.mark.parametrize("kind", sorted(_PARSERS))
+    def test_non_utf8_byte_names_the_file(self, kind, tmp_path):
+        path = tmp_path / f"{kind}.tsv"
+        path.write_bytes(b"0\t1\n1\t\xff2\n")
+        with pytest.raises(InputError, match=f"{kind}.tsv: not UTF-8 text"):
+            _PARSERS[kind](path)

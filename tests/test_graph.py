@@ -190,8 +190,8 @@ class TestSpmm:
 
     def test_scipy_twin_shares_index_arrays(self):
         g = path_graph(4)
-        for own in (g, adjacency_matrix(g)):
-            twin = own.to_scipy()
+        m = adjacency_matrix(g)
+        for own, twin in ((g, g.to_scipy()), (m, m.array)):
             assert np.shares_memory(twin.indices, own.col_indices)
             assert np.shares_memory(twin.indptr, own.row_offsets)
 

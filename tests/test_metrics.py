@@ -5,6 +5,7 @@ import pytest
 
 from shellprop import (
     ConfigError,
+    DenseMatrix,
     InputError,
     NumericError,
     ResourceError,
@@ -93,6 +94,15 @@ class TestPropagators:
         merged = fused_shell_propagator(shell_decompose(g), 2.0).matrix.to_dense()
         assert np.max(np.abs(merged - dense_fused(g, 2.0))) < 1e-12
 
+    def test_residual_of_a_dense_fused_propagator(self):
+        g = random_connected_graph(3, 18, 0.2)
+        fused = fused_shell_propagator(shell_decompose(g), 2.0)
+        assert isinstance(fused.matrix, DenseMatrix)
+        m = residual_propagator(fused, 0.3).matrix
+        assert isinstance(m, DenseMatrix)
+        want = 0.3 * dense_fused(g, 2.0) + 0.7 * np.eye(g.n)
+        assert np.max(np.abs(m.to_dense() - want)) < 1e-15
+
 
 class TestAvgNat:
     @pytest.mark.parametrize("n", [2, 3, 5, 8])
@@ -150,6 +160,23 @@ class TestAvgNat:
     def test_exact_requires_binary(self):
         with pytest.raises(InputError):
             avg_nat(SparseMatrix.from_coo([0, 1], [1, 0], [0.5, 0.5], (2, 2)), 1, exact=True)
+
+    def test_dense_fused_operator(self):
+        g = random_connected_graph(9, 16, 0.25)
+        p = fused_shell_propagator(shell_decompose(g), 2.0).matrix
+        assert isinstance(p, DenseMatrix)
+        oracle = dense_fused(g, 2.0)
+        for depth in (1, 2, 5):
+            want = np.linalg.matrix_power(oracle, depth).sum() / g.n
+            assert avg_nat(p, depth) == pytest.approx(want, rel=1e-12)
+        with pytest.raises(InputError):
+            avg_nat(p, 2, exact=True)
+
+    def test_dense_binary_matrix_counts_walks(self):
+        g = random_connected_graph(6, 12, 0.3)
+        a = DenseMatrix(dense_adjacency(g))
+        assert avg_nat(a, 3, exact=True) == avg_nat(g, 3, exact=True)
+        assert avg_nat(a, 3) == avg_nat(g, 3)
 
 
 class TestSas:

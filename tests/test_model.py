@@ -3,6 +3,7 @@ import pytest
 
 from shellprop import (
     ConfigError,
+    DenseMatrix,
     FusedPropagator,
     InputError,
     ModelParams,
@@ -271,6 +272,29 @@ class TestTrainAndEvaluate:
         assert h1.best_epoch == h2.best_epoch
         for a, b in zip(p1.arrays(), p2.arrays()):
             assert np.array_equal(a, b)
+
+    def test_dense_operator_checkpoints_are_byte_identical(self, tmp_path):
+        ds = synth_planted_partition(60, 3, 0.1, 0.01, seed=4, labels_per_block=5)
+        assert isinstance(fuse_shells(shell_decompose(ds.graph), 2.0).matrix, DenseMatrix)
+        config = TrainConfig(alpha=2.0, epochs=15, patience=15, seed=2)
+        for name in ("a.bin", "b.bin"):
+            save_checkpoint(tmp_path / name, train(ds, config)[0])
+        assert (tmp_path / "a.bin").read_bytes() == (tmp_path / "b.bin").read_bytes()
+
+    @pytest.mark.parametrize("width", [7, 64])
+    def test_sliced_validation_rows_match_the_full_product(self, width):
+        # a CSR row slice keeps each row's summation order; a dense slice is
+        # a smaller BLAS product, whose blocking may change the order
+        ds = synth_planted_partition(100, 3, 0.05, 0.005, seed=3, labels_per_block=5)
+        val = ds.split.val
+        z = np.maximum(np.random.default_rng(width).standard_normal((ds.n, width)), 0.0)
+        dense = fuse_shells(shell_decompose(ds.graph), 2.0).matrix
+        csr = fuse_shells(shell_decompose(ds.graph, 1), 2.0).matrix
+        assert isinstance(dense, DenseMatrix) and isinstance(csr, SparseMatrix)
+        assert np.array_equal(csr.array[val] @ z, (csr.array @ z)[val])
+        full = (dense.array @ z)[val]
+        bound = 4 * np.finfo(float).eps * ((np.abs(dense.array) @ z)[val]).max()
+        assert np.max(np.abs(dense.array[val] @ z - full)) <= bound
 
     def test_loss_decreases_over_first_ten_epochs(self):
         ds = synth_planted_partition(10, 2, 0.8, 0.05, seed=0)

@@ -1,8 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from shellprop import (
     ConfigError,
+    DenseMatrix,
     FusedPropagator,
     InputError,
     SparseMatrix,
@@ -261,11 +264,14 @@ class TestFusedPropagate:
         assert np.max(np.abs(p.matrix.to_dense() - want)) < 1e-15
 
     def test_perturbed_coefficients_change_the_operator(self):
-        p = fuse_shells(shell_decompose(path_graph(4)), 2.0)
-        theta = p.coefficients * [1.0, 1.0, 2.0]
-        q = FusedPropagator(p.n, p.normalized_shells, theta, p.alpha)
-        want = p.matrix.to_dense() + theta[2] / 2 * p.normalized_shells[2].to_dense()
-        assert np.allclose(q.matrix.to_dense(), want, rtol=0, atol=1e-15)
+        # full diameter gives a dense P, a 3-hop cap on a 30-path a CSR one
+        for g, l_cap, backend in ((path_graph(4), None, DenseMatrix), (path_graph(30), 3, SparseMatrix)):
+            p = fuse_shells(shell_decompose(g, l_cap), 2.0)
+            theta = p.coefficients * [1.0, 1.0, 2.0]
+            q = FusedPropagator(p.n, p.normalized_shells, theta, p.alpha)
+            assert isinstance(p.matrix, backend) and isinstance(q.matrix, backend)
+            want = p.matrix.to_dense() + theta[2] / 2 * p.normalized_shells[2].to_dense()
+            assert np.allclose(q.matrix.to_dense(), want, rtol=0, atol=1e-15)
 
     def test_shells_must_come_from_fuse_shells_one_per_coefficient(self):
         p = fuse_shells(shell_decompose(path_graph(4)), 2.0)
@@ -321,6 +327,57 @@ class TestFusedPropagate:
         zp[perm] = z
         outp = fused_propagate(fuse_shells(shell_decompose(relabeled), 2.0), zp)
         assert np.max(np.abs(outp[perm] - out)) < 1e-12
+
+
+
+class TestOperatorBackend:
+    """P is dense when 8 n**2 <= 16 nnz + 8 (n + 1), else CSR."""
+
+    def test_connected_full_diameter_is_dense(self):
+        g = random_connected_graph(4, 40, 0.1)
+        p = fuse_shells(shell_decompose(g), 3.0).matrix
+        assert isinstance(p, DenseMatrix)
+        assert p.nnz == g.n * g.n
+        assert np.max(np.abs(p.to_dense() - dense_fused(g, 3.0))) < 1e-15
+        assert np.array_equal(p.diagonal(), np.diag(p.to_dense()))
+
+    def test_one_hop_cap_on_a_sparse_graph_is_csr(self):
+        g = path_graph(20)
+        p = fuse_shells(shell_decompose(g, 1), 2.0).matrix
+        assert isinstance(p, SparseMatrix)
+        assert p.nnz == g.n + 2 * g.edge_count
+        assert np.max(np.abs(p.to_dense() - dense_fused(g, 2.0, l_cap=1))) < 1e-15
+
+    @pytest.mark.parametrize(
+        "edges, backend",
+        [
+            # three 4-paths: 48 stored pairs of 144, CSR is smaller
+            ([(i, i + 1) for i in range(11) if i % 4 != 3], SparseMatrix),
+            # a 9-path and three isolated nodes: 84 of 144, dense is smaller
+            ([(i, i + 1) for i in range(8)], DenseMatrix),
+        ],
+    )
+    def test_disconnected_graph_is_decided_by_its_fill(self, edges, backend):
+        g = build_graph(edges, 12)
+        p = fuse_shells(shell_decompose(g), 2.0)
+        assert isinstance(p.matrix, backend)
+        want = dense_fused(g, 2.0)
+        assert np.max(np.abs(p.matrix.to_dense() - want)) < 1e-15
+        z = np.random.default_rng(5).standard_normal((12, 3))
+        assert np.max(np.abs(fused_propagate(p, z) - want @ z)) < 1e-14
+
+    def test_dense_values_are_read_only_and_replace_shows_through(self):
+        g = random_connected_graph(8, 15, 0.2)
+        p = fuse_shells(shell_decompose(g), 2.0).matrix
+        assert isinstance(p, DenseMatrix)
+        with pytest.raises(ValueError):
+            p.values[0, 0] = 1.0
+        copy = p.to_dense()
+        copy[0, 0] = -1.0
+        assert p.values[0, 0] > 0
+        scaled = dataclasses.replace(p, values=p.values * 2.0)
+        assert np.array_equal(scaled.to_dense(), 2.0 * p.to_dense())
+        assert not scaled.values.flags.writeable
 
 
 class TestShellSummaries:
