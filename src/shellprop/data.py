@@ -81,8 +81,13 @@ def _parse_labels(path: Path, n: int) -> np.ndarray:
                 raise InputError(
                     f"{path}: line {lineno}: non-integer label {text!r}"
                 ) from None
-            if not 0 <= value <= np.iinfo(np.int64).max:
-                raise InputError(f"{path}: line {lineno}: label out of range")
+            if not 0 <= value < n:
+                # the largest label sizes the model's output layer, and n
+                # nodes carry at most n classes
+                raise InputError(
+                    f"{path}: line {lineno}: label out of range: {text} is not"
+                    f" in [0, {n})"
+                )
             labels.append(value)
     if len(labels) != n:
         raise InputError(

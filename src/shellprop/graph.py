@@ -1,16 +1,18 @@
-"""Immutable graph and matrix types, BFS distance machinery, and products.
+"""Immutable graph type, BFS distance machinery, and matrix carriers.
 
 Graphs are undirected, unweighted and simple; every edge is stored in both
 directions with column indices sorted inside each row.  A real matrix is
-carried as a CSR ``SparseMatrix`` or, where that takes fewer bytes, a
-``DenseMatrix``; both hand their products to ``array``, a scipy CSR array or
-a plain 2-D float64 numpy array.  All containers here are frozen and their
-buffers are marked read-only, so they are safe to share across threads and
-worker processes.
+carried as a scipy ``csr_array`` with int64 indices or, where that takes
+fewer bytes, a ``DenseMatrix``; ``as_array`` hands a product either the
+``csr_array`` itself or the plain 2-D float64 values.  All containers here
+are frozen and their buffers (a ``csr_array``'s ``data``, ``indices`` and
+``indptr``) are marked read-only, so they are safe to share across threads
+and worker processes.
 """
 from __future__ import annotations
 
 import io
+import os
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -19,7 +21,7 @@ from typing import Iterator
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import InputError
+from .errors import InputError, ResourceError
 
 #: Sentinel distance, strictly greater than any valid hop count.
 UNREACHABLE = int(np.iinfo(np.int32).max)
@@ -30,6 +32,16 @@ _BFS_BLOCK = 256
 def _freeze(*arrays: np.ndarray) -> None:
     for a in arrays:
         a.flags.writeable = False
+
+
+def require_memory(need: int, what: str) -> None:
+    """Raise ResourceError, before allocating, when ``need`` bytes exceed
+    the machine's physical memory; ``what`` names the allocation."""
+    limit = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > limit:
+        raise ResourceError(
+            f"{what}, about {need} bytes, but physical memory is {limit} bytes"
+        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -66,82 +78,9 @@ class SparseGraph:
         return self.col_indices[self.row_offsets[i] : self.row_offsets[i + 1]]
 
     @cached_property
-    def _scipy(self) -> sp.csr_array:
-        data = np.ones(self.col_indices.shape[0], dtype=np.float64)
-        return sp.csr_array(
-            (data, self.col_indices, self.row_offsets), shape=(self.n, self.n)
-        )
-
-    def to_scipy(self) -> sp.csr_array:
-        """Binary adjacency as a scipy CSR array (shared, do not mutate)."""
-        return self._scipy
-
-
-@dataclass(frozen=True, eq=False)
-class SparseMatrix:
-    """Real-valued CSR matrix used as the carrier for shells and propagators."""
-
-    n_rows: int
-    n_cols: int
-    row_offsets: np.ndarray
-    col_indices: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        _freeze(self.row_offsets, self.col_indices, self.values)
-
-    @property
-    def nnz(self) -> int:
-        return int(self.col_indices.shape[0])
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return (self.n_rows, self.n_cols)
-
-    @cached_property
-    def array(self) -> sp.csr_array:
-        """The matrix as a scipy CSR array (shared, do not mutate)."""
-        # csr_array keeps the int64 index arrays and shares them, where
-        # csr_matrix makes int32 copies
-        return sp.csr_array(
-            (self.values, self.col_indices, self.row_offsets),
-            shape=(self.n_rows, self.n_cols),
-        )
-
-    def to_dense(self) -> np.ndarray:
-        return self.array.toarray()
-
-    def row_entries(self) -> np.ndarray:
-        """Row index of every stored entry (COO expansion of the pointers)."""
-        return np.repeat(
-            np.arange(self.n_rows, dtype=np.int64), np.diff(self.row_offsets)
-        )
-
-    def diagonal(self) -> np.ndarray:
-        return self.array.diagonal()
-
-    @staticmethod
-    def from_coo(
-        rows: np.ndarray, cols: np.ndarray, values: np.ndarray, shape: tuple[int, int]
-    ) -> "SparseMatrix":
-        """Build a CSR matrix from coordinate triplets.
-
-        Entries are sorted row-major and duplicates are summed.
-        """
-        rows, cols = np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64)
-        values = np.asarray(values, dtype=np.float64)
-        return from_array(sp.csr_matrix((values, (rows, cols)), shape=shape))
-
-    @staticmethod
-    def identity(n: int) -> "SparseMatrix":
-        idx = np.arange(n, dtype=np.int64)
-        return SparseMatrix(
-            n,
-            n,
-            np.arange(n + 1, dtype=np.int64),
-            idx,
-            np.ones(n, dtype=np.float64),
-        )
+    def _adjacency(self) -> sp.csr_array:
+        ones = np.ones(self.col_indices.shape[0], dtype=np.float64)
+        return frozen_csr(ones, self.col_indices, self.row_offsets)
 
 
 @dataclass(frozen=True, eq=False)
@@ -162,22 +101,9 @@ class DenseMatrix:
     def shape(self) -> tuple[int, int]:
         return self.values.shape
 
-    @property
-    def n_rows(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def n_cols(self) -> int:
-        return self.values.shape[1]
-
     @cached_property
     def nnz(self) -> int:
         return int(np.count_nonzero(self.values))
-
-    @property
-    def array(self) -> np.ndarray:
-        """The read-only values themselves."""
-        return self.values
 
     def to_dense(self) -> np.ndarray:
         return self.values.copy()
@@ -186,27 +112,40 @@ class DenseMatrix:
         return self.values.diagonal().copy()
 
 
-#: Either carrier of a real matrix; products go through its ``array``.
-Matrix = SparseMatrix | DenseMatrix
+#: Either carrier of a real matrix; products read it through ``as_array``.
+Matrix = sp.csr_array | DenseMatrix
+
+
+def as_array(m: Matrix) -> sp.csr_array | np.ndarray:
+    """What a product or row slice of ``m`` reads: the csr_array itself, or
+    the read-only values of a DenseMatrix."""
+    return m.values if isinstance(m, DenseMatrix) else m
+
+
+def frozen_csr(data: np.ndarray, indices: np.ndarray, indptr: np.ndarray) -> sp.csr_array:
+    """The square csr_array on these buffers as written, marked read-only.
+
+    Nothing is copied or reordered, so a row keeps the order of its stored
+    entries; ``indices`` and ``indptr`` are int64.
+    """
+    _freeze(data, indices, indptr)
+    n = indptr.shape[0] - 1
+    return sp.csr_array((data, indices, indptr), shape=(n, n))
 
 
 def from_array(a) -> Matrix:
-    """The carrier of an ``array``: a scipy sparse array or a 2-D array.
+    """The carrier of a scipy sparse result or a 2-D array.
 
-    A sparse input is put in canonical CSR form (duplicates summed, rows
-    sorted) with int64 indices; anything else is copied into a DenseMatrix.
+    A sparse input is copied into canonical CSR form (duplicates summed,
+    rows sorted) with float64 values and int64 indices; anything else is
+    copied into a DenseMatrix.
     """
     if not sp.issparse(a):
         return DenseMatrix(np.array(a, dtype=np.float64))
-    m = sp.csr_matrix(a)
+    m = sp.csr_array(a, dtype=np.float64, copy=True)
     m.sum_duplicates()
-    m.sort_indices()
-    return SparseMatrix(
-        m.shape[0],
-        m.shape[1],
-        m.indptr.astype(np.int64),
-        m.indices.astype(np.int64),
-        m.data.astype(np.float64),
+    return frozen_csr(
+        m.data, m.indices.astype(np.int64, copy=False), m.indptr.astype(np.int64, copy=False)
     )
 
 
@@ -215,6 +154,8 @@ def build_graph(edges, n: int) -> SparseGraph:
 
     The input may contain duplicates, self-loops, and single-direction
     entries; the result is symmetrized, deduplicated, and self-loop free.
+    ResourceError is raised before allocating when the row pointers and
+    degree counts, about 16 * (n + 1) bytes, exceed physical memory.
 
     Parameters
     ----------
@@ -225,6 +166,7 @@ def build_graph(edges, n: int) -> SparseGraph:
     """
     if n <= 0:
         raise InputError(f"node count must be positive, got {n}")
+    require_memory(16 * (n + 1), f"a graph of {n} nodes holds its row pointers and degrees")
     e = np.asarray(list(edges), dtype=np.int64).reshape(-1, 2)
     if e.size and (e.min() < 0 or e.max() >= n):
         bad = e[(e < 0).any(axis=1) | (e >= n).any(axis=1)][0]
@@ -241,15 +183,10 @@ def build_graph(edges, n: int) -> SparseGraph:
     return SparseGraph(n, offsets, cols.copy(), edge_count=len(cols) // 2)
 
 
-def adjacency_matrix(g: SparseGraph) -> SparseMatrix:
-    """The graph's binary adjacency as a SparseMatrix (values all 1.0)."""
-    return SparseMatrix(
-        g.n,
-        g.n,
-        g.row_offsets,
-        g.col_indices,
-        np.ones(g.col_indices.shape[0], dtype=np.float64),
-    )
+def adjacency_matrix(g: SparseGraph) -> sp.csr_array:
+    """The graph's binary adjacency (values all 1.0), built once per graph
+    on its own index arrays."""
+    return g._adjacency
 
 
 def open_text(path) -> io.StringIO:
@@ -305,7 +242,7 @@ def distance_blocks(
     yielded in ascending source order, so concatenated output is identical
     regardless of scheduling.
     """
-    a = g.to_scipy()
+    a = adjacency_matrix(g)
     for start in range(0, g.n, block_size):
         sources = np.arange(start, min(start + block_size, g.n), dtype=np.int64)
         b = len(sources)
@@ -350,22 +287,22 @@ def component_count(g: SparseGraph) -> int:
     # start-up, and no CLI command counts components
     from scipy.sparse.csgraph import connected_components
 
-    return int(connected_components(g.to_scipy(), directed=False, return_labels=False))
+    return int(connected_components(adjacency_matrix(g), directed=False, return_labels=False))
 
 
 def spmm(m: Matrix, x: np.ndarray) -> np.ndarray:
     """The product m @ x, by scipy for CSR and by BLAS for a dense m."""
     x = np.asarray(x)
-    if x.shape[0] != m.n_cols:
+    if x.shape[0] != m.shape[1]:
         raise InputError(
-            f"shape mismatch: matrix is {m.n_rows}x{m.n_cols}, operand has"
+            f"shape mismatch: matrix is {m.shape[0]}x{m.shape[1]}, operand has"
             f" {x.shape[0]} rows"
         )
-    return m.array @ x
+    return as_array(m) @ x
 
 
-def is_symmetric(m: SparseMatrix) -> bool:
-    if m.n_rows != m.n_cols:
+def is_symmetric(m: sp.csr_array) -> bool:
+    if m.shape[0] != m.shape[1]:
         return False
-    d = m.array - m.array.T
+    d = m - m.T
     return (d != 0).nnz == 0

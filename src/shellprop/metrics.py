@@ -9,16 +9,16 @@ what the trajectory helpers verify numerically.
 """
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import ConfigError, InputError, NumericError, ResourceError
+from .errors import ConfigError, InputError, NumericError
 from .graph import (
-    Matrix, SparseGraph, SparseMatrix, adjacency_matrix, diameter, from_array, is_connected,
+    Matrix, SparseGraph, adjacency_matrix, as_array, diameter, from_array, is_connected,
+    require_memory,
 )
 from .shells import ShellDecomposition, fuse_shells, normalize_shell
 
@@ -80,13 +80,8 @@ def sym_norm_propagator(g: SparseGraph) -> Propagator:
 
 def rw_norm_propagator(g: SparseGraph) -> Propagator:
     """Row-stochastic normalization of the self-looped adjacency."""
-    deg = g.degrees + 1.0
-    rows = np.repeat(np.arange(g.n, dtype=np.int64), g.degrees)
-    diag = np.arange(g.n, dtype=np.int64)
-    all_rows = np.concatenate([rows, diag])
-    all_cols = np.concatenate([g.col_indices, diag])
-    all_vals = 1.0 / deg[all_rows]
-    m = SparseMatrix.from_coo(all_rows, all_cols, all_vals, (g.n, g.n))
+    inv_deg = sp.diags_array(1.0 / (g.degrees + 1.0))
+    m = from_array(inv_deg @ (adjacency_matrix(g) + sp.eye_array(g.n)))
     return Propagator(m, RW_NORM)
 
 
@@ -95,7 +90,7 @@ def residual_propagator(p: Propagator, beta: float) -> Propagator:
     if not 0.0 < beta < 1.0:
         raise ConfigError(f"beta must be strictly inside (0, 1), got {beta}")
     m = p.matrix
-    merged = beta * m.array + (1.0 - beta) * sp.eye_array(m.n_rows)
+    merged = beta * as_array(m) + (1.0 - beta) * sp.eye_array(m.shape[0])
     return Propagator(from_array(merged), RESIDUAL, beta=beta)
 
 
@@ -115,15 +110,16 @@ def _as_matrix(a: SparseGraph | Matrix) -> Matrix:
 
 
 def _is_binary(m: Matrix) -> bool:
-    return bool(np.all((m.values == 0.0) | (m.values == 1.0)))
+    values = m.data if sp.issparse(m) else m.values
+    return bool(np.all((values == 0.0) | (values == 1.0)))
 
 
 def _walk_total(m: Matrix, l: int) -> int:
     """1^T M^l 1 of a binary matrix, by l products on a vector of Python ints."""
-    rows, cols = m.array.nonzero()
-    x = np.ones(m.n_rows, dtype=object)
+    rows, cols = as_array(m).nonzero()
+    x = np.ones(m.shape[0], dtype=object)
     for _ in range(l):
-        y = np.zeros(m.n_rows, dtype=object)
+        y = np.zeros(m.shape[0], dtype=object)
         np.add.at(y, rows, x[cols])
         x = y
     return int(x.sum())
@@ -139,11 +135,11 @@ def avg_nat(a: SparseGraph | Matrix, l: int, exact: bool = False) -> float:
     pass ``exact=True`` to count in Python integers there.
     """
     m = _as_matrix(a)
-    if m.n_rows != m.n_cols:
+    if m.shape[0] != m.shape[1]:
         raise InputError("avg_nat requires a square matrix")
     if l < 1:
         raise InputError(f"depth must be >= 1, got {l}")
-    n = m.n_rows
+    n = m.shape[0]
     binary = _is_binary(m)
     if exact:
         if not binary:
@@ -154,7 +150,7 @@ def avg_nat(a: SparseGraph | Matrix, l: int, exact: bool = False) -> float:
             f"walk counts for n = {n}, depth {l} can exceed 2**53 and lose"
             " exactness in float64; re-run with exact=True"
         )
-    a, x = m.array, np.ones(n)
+    a, x = as_array(m), np.ones(n)
     for _ in range(l):
         x = a @ x
     return float(x.sum() / n)
@@ -181,19 +177,14 @@ def sas_trajectory(
     exceeds the machine's physical memory.
     """
     m = p.matrix if isinstance(p, Propagator) else p
-    if m.n_rows != m.n_cols:
+    if m.shape[0] != m.shape[1]:
         raise InputError("sas_trajectory requires a square matrix")
     if k_max < 1:
         raise InputError(f"k_max must be >= 1, got {k_max}")
-    n = m.n_rows
-    need = 16 * n * n  # the dense power and its product, float64 each
-    limit = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    if need > limit:
-        raise ResourceError(
-            f"sas_trajectory holds two dense {n} x {n} powers, about {need}"
-            f" bytes, but physical memory is {limit} bytes"
-        )
-    a = m.array
+    n = m.shape[0]
+    # the dense power and its product, float64 each
+    require_memory(16 * n * n, f"sas_trajectory holds two dense {n} x {n} powers")
+    a = as_array(m)
     power = np.eye(n)
     trajectory: list[tuple[int, float]] = []
     target = 1.0 / n

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, InputError, NumericError
+from .graph import as_array
 from .shells import FusedPropagator, fuse_shells, fused_propagate, shell_decompose
 
 _CHECKPOINT_MAGIC = b"SHLP"
@@ -331,7 +332,7 @@ def train(
     if val_mask.size == 0:
         raise InputError("validation set must be non-empty for early stopping")
     val_truth = y[val_mask]
-    val_rows = propagator.matrix.array[val_mask]
+    val_rows = as_array(propagator.matrix)[val_mask]
 
     seeds = np.random.SeedSequence(config.seed).spawn(config.epochs + 1)
     params = init_params(x.shape[1], config.hidden, dataset.num_classes, np.random.default_rng(seeds[0]))

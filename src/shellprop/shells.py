@@ -4,13 +4,18 @@ A graph's reachable ordered pairs are partitioned into disjoint hop shells:
 shell l holds exactly the pairs (i, j), i != j, at shortest-path distance l.
 Each shell is symmetrically normalized after adding self-loops, and the
 shells are combined with geometrically decaying coefficients into a single
-propagation operator P, built once and applied as one product.
+propagation operator P, built once and applied as one product.  Shells,
+normalized shells and a sparse P are read-only scipy ``csr_array``s with
+int64 indices, built with scipy algebra and canonicalized by
+``graph.from_array``, except where a shell or P is written in order
+straight into its CSR buffers.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import ConfigError, InputError
 from .graph import (
@@ -18,9 +23,10 @@ from .graph import (
     DenseMatrix,
     Matrix,
     SparseGraph,
-    SparseMatrix,
     diameter,
     distance_blocks,
+    from_array,
+    frozen_csr,
     is_symmetric,
     spmm,
 )
@@ -30,14 +36,14 @@ from .graph import (
 class ShellDecomposition:
     """Ordered disjoint distance shells T_1..T_L of one graph.
 
-    ``shells[l-1]`` is the binary matrix of ordered pairs at distance exactly
-    l; the diagonal is empty in every shell.  For a connected graph the shell
-    sizes sum to n*(n-1).  Trailing levels past the largest realized distance
-    are never materialized.
+    ``shells[l-1]`` is the binary read-only csr_array of ordered pairs at
+    distance exactly l; the diagonal is empty in every shell.  For a
+    connected graph the shell sizes sum to n*(n-1).  Trailing levels past
+    the largest realized distance are never materialized.
     """
 
     n: int
-    shells: tuple[SparseMatrix, ...]
+    shells: tuple[sp.csr_array, ...]
     l_max: int
     shell_sizes: tuple[int, ...]
 
@@ -51,7 +57,7 @@ class FusedPropagator:
     ``coefficients[l-1]`` is the weight theta_l.  ``matrix`` is P, assembled
     on construction: symmetric and non-negative, with a positive diagonal
     whenever there is a shell.  It is a DenseMatrix when the n x n array
-    takes no more bytes than CSR would, else a SparseMatrix.
+    takes no more bytes than CSR would, else a read-only csr_array.
     """
 
     n: int
@@ -77,36 +83,25 @@ class FusedPropagator:
 class _NormalizedShells:
     """A sequence of the That_l of binary shells, normalized anew on each read."""
 
-    binary: tuple[SparseMatrix, ...]
+    binary: tuple[sp.csr_array, ...]
 
     def __len__(self) -> int:
         return len(self.binary)
 
-    def __getitem__(self, l: int) -> SparseMatrix:
+    def __getitem__(self, l: int) -> sp.csr_array:
         return normalize_shell(self.binary[l])
 
 
-def cumulative_matrix(g: SparseGraph, l: int) -> SparseMatrix:
+def cumulative_matrix(g: SparseGraph, l: int) -> sp.csr_array:
     """Binary reachability-within-l matrix: entry (i, j) iff dist(i, j) <= l.
 
-    Built by BFS truncated at depth l.  The diagonal is always present
-    (dist(i, i) = 0), and l = 0 yields the identity.
+    The identity plus the union of the shells up to l.  The diagonal is
+    always present (dist(i, i) = 0), and l = 0 yields the identity.
     """
     if l < 0:
         raise InputError(f"hop count must be non-negative, got {l}")
-    if l == 0:
-        return SparseMatrix.identity(g.n)
-    row_parts: list[np.ndarray] = []
-    col_parts: list[np.ndarray] = []
-    for sources, block in distance_blocks(g, cap=l):
-        local, cols = np.nonzero(block <= l)
-        row_parts.append(sources[local])
-        col_parts.append(cols.astype(np.int64))
-    rows = np.concatenate(row_parts)
-    cols = np.concatenate(col_parts)
-    offsets = np.zeros(g.n + 1, dtype=np.int64)
-    offsets[1:] = np.cumsum(np.bincount(rows, minlength=g.n))
-    return SparseMatrix(g.n, g.n, offsets, cols, np.ones(len(cols)))
+    union = shell_union(shell_decompose(g, l)) if l else sp.csr_array((g.n, g.n))
+    return from_array(sp.eye_array(g.n) + union)
 
 
 def shell_decompose(g: SparseGraph, l_cap: int | None = None) -> ShellDecomposition:
@@ -137,37 +132,28 @@ def shell_decompose(g: SparseGraph, l_cap: int | None = None) -> ShellDecomposit
         cols = np.concatenate(buckets_cols[level])
         offsets = np.zeros(g.n + 1, dtype=np.int64)
         offsets[1:] = np.cumsum(np.bincount(rows, minlength=g.n))
-        shells.append(SparseMatrix(g.n, g.n, offsets, cols, np.ones(len(cols))))
+        shells.append(frozen_csr(np.ones(len(cols)), cols, offsets))
         sizes.append(len(cols))
     return ShellDecomposition(g.n, tuple(shells), l_max, tuple(sizes))
 
 
-def normalize_shell(t: SparseMatrix) -> SparseMatrix:
+def normalize_shell(t: sp.csr_array) -> sp.csr_array:
     """Symmetric normalization of a binary shell with self-loops added.
 
     Returns D^{-1/2} (T + I) D^{-1/2} where D is the row-degree diagonal of
     T + I.  The output is symmetric and non-negative with spectral radius
     at most 1; there is no fixed row-sum contract.
     """
-    if t.n_rows != t.n_cols:
+    if t.shape[0] != t.shape[1]:
         raise InputError("shell matrix must be square")
     if not is_symmetric(t):
         raise InputError("shell matrix must be structurally symmetric")
-    if t.nnz and not np.all(t.values == 1.0):
+    if t.nnz and not np.all(t.data == 1.0):
         raise InputError("shell matrix must be binary")
     if np.any(t.diagonal() != 0):
         raise InputError("shell matrix must have an empty diagonal")
-    n = t.n_rows
-    deg = np.diff(t.row_offsets) + 1.0
-    inv_sqrt = 1.0 / np.sqrt(deg)
-    rows = t.row_entries()
-    diag = np.arange(n, dtype=np.int64)
-    all_rows = np.concatenate([rows, diag])
-    all_cols = np.concatenate([t.col_indices, diag])
-    all_vals = np.concatenate(
-        [inv_sqrt[rows] * inv_sqrt[t.col_indices], inv_sqrt * inv_sqrt]
-    )
-    return SparseMatrix.from_coo(all_rows, all_cols, all_vals, (n, n))
+    d = sp.diags_array(1.0 / np.sqrt(np.diff(t.indptr) + 1.0))
+    return from_array(d @ (t + sp.eye_array(t.shape[0])) @ d)
 
 
 def ppr_coefficients(alpha: float, l_max: int) -> np.ndarray:
@@ -184,7 +170,7 @@ def ppr_coefficients(alpha: float, l_max: int) -> np.ndarray:
     return base ** np.arange(1, l_max + 1, dtype=np.float64)
 
 
-def _fuse(n: int, theta: np.ndarray, binary: tuple[SparseMatrix, ...]) -> Matrix:
+def _fuse(n: int, theta: np.ndarray, binary: tuple[sp.csr_array, ...]) -> Matrix:
     """P = sum_l theta_l * That_l, assembled in one pass from the binary T_l.
 
     With r = (k + 1)**-1/2, k each node's degree in T_l, That_l holds
@@ -201,7 +187,7 @@ def _fuse(n: int, theta: np.ndarray, binary: tuple[SparseMatrix, ...]) -> Matrix
     per-row summation order of every product.
     """
     stored = n + sum(t.nnz for t in binary)
-    degrees = [np.diff(t.row_offsets) for t in binary]
+    degrees = [np.diff(t.indptr) for t in binary]
     dense = 8 * n * n <= 16 * stored + 8 * (n + 1)
     if dense:
         p = np.zeros((n, n))
@@ -216,20 +202,20 @@ def _fuse(n: int, theta: np.ndarray, binary: tuple[SparseMatrix, ...]) -> Matrix
     for theta_l, t, k in zip(theta, binary, degrees):
         r = 1.0 / np.sqrt(k + 1.0)
         diag += theta_l * (r * r)
-        rows = t.row_entries()
-        shell_vals = theta_l * (r[rows] * r[t.col_indices])
+        rows = np.repeat(np.arange(n), k)
+        shell_vals = theta_l * (r[rows] * r[t.indices])
         if dense:
-            p[rows, t.col_indices] = shell_vals
+            p[rows, t.indices] = shell_vals
             continue
-        dest = np.arange(t.nnz) + np.repeat(cursor - t.row_offsets[:-1], k)
-        cols[dest] = t.col_indices
+        dest = np.arange(t.nnz) + np.repeat(cursor - t.indptr[:-1], k)
+        cols[dest] = t.indices
         vals[dest] = shell_vals
         cursor += k
     if dense:
         np.fill_diagonal(p, diag)
         return DenseMatrix(p)
     vals[offsets[:-1]] = diag
-    return SparseMatrix(n, n, offsets, cols, vals)
+    return frozen_csr(vals, cols, offsets)
 
 
 def fuse_shells(decomposition: ShellDecomposition, alpha: float) -> FusedPropagator:
@@ -249,14 +235,9 @@ def shell_degree_profile(d: ShellDecomposition) -> list[float]:
     return [size / d.n for size in d.shell_sizes]
 
 
-def shell_union(d: ShellDecomposition) -> SparseMatrix:
+def shell_union(d: ShellDecomposition) -> sp.csr_array:
     """Binary union of all shells: every reachable ordered pair, i != j."""
-    if not d.shells:
-        rows = cols = np.empty(0, dtype=np.int64)
-    else:
-        rows = np.concatenate([t.row_entries() for t in d.shells])
-        cols = np.concatenate([t.col_indices for t in d.shells])
-    return SparseMatrix.from_coo(rows, cols, np.ones(len(cols)), (d.n, d.n))
+    return from_array(sum(d.shells, sp.csr_array((d.n, d.n))))
 
 
 def shell_report(g: SparseGraph, l_cap: int | None = None) -> dict:

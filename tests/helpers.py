@@ -8,6 +8,7 @@ from dense hand arithmetic.
 from __future__ import annotations
 
 import numpy as np
+import scipy.sparse as sp
 
 from shellprop import SparseGraph, build_graph, is_connected
 
@@ -67,6 +68,12 @@ def floyd_warshall(g: SparseGraph) -> np.ndarray:
     for k in range(n):
         dist = np.minimum(dist, dist[:, [k]] + dist[[k], :])
     return dist
+
+
+def to_dense(m) -> np.ndarray:
+    """Either matrix carrier, a scipy sparse array or a DenseMatrix, as a
+    plain 2-D array."""
+    return m.toarray() if sp.issparse(m) else m.to_dense()
 
 
 def dense_adjacency(g: SparseGraph) -> np.ndarray:

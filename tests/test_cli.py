@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -48,6 +52,15 @@ class TestShellsCommand:
         assert report["l_max"] == 1
         assert len(report["shell_sizes"]) == 1
         assert report["diameter"] == 2
+
+    def test_node_id_beyond_memory_exits_4(self, runner, tmp_path):
+        # n = 10**11 nodes need about 1.6 TB of row pointers and degrees
+        edges = tmp_path / "big.tsv"
+        edges.write_text("0\t99999999999\n")
+        result = run(runner, ["shells", "--data", edges, "--out", tmp_path / "o"])
+        assert result.exit_code == 4
+        assert "about 1600000000016 bytes, but physical memory is" in result.output
+        assert "Traceback" not in result.output
 
 
 class TestMetricsCommand:
@@ -176,6 +189,14 @@ class TestTrainCommand:
             main, ["train", "--data", str(d), "--out", str(tmp_path / "o")]
         )
         assert result.exit_code == 3
+
+    def test_label_beyond_node_count_exits_3(self, runner, toy_dataset, tmp_path):
+        labels = toy_dataset / "labels.tsv"
+        labels.write_text("999999999999\n" + labels.read_text().split("\n", 1)[1])
+        result = run(runner, ["train", "--data", toy_dataset, "--out", tmp_path / "o"])
+        assert result.exit_code == 3
+        assert "labels.tsv: line 1: label out of range" in result.output
+        assert "Traceback" not in result.output
 
     def test_byte_identical_reruns(self, runner, toy_dataset, tmp_path):
         args = ["train", "--data", toy_dataset, "--alpha", 2, "--epochs", 60,
@@ -312,3 +333,13 @@ class TestOptionRanges:
         assert result.exit_code == 2
         assert f"Invalid value for '{flag}'" in result.output
 
+
+def test_cli_start_up_leaves_csgraph_unimported():
+    # csgraph costs about 75 ms and 11 MB at import, and no command needs it
+    code = "import sys, shellprop.cli; print('scipy.sparse.csgraph' in sys.modules)"
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": src}, check=True,
+    )
+    assert proc.stdout.strip() == "False"

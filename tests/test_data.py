@@ -76,6 +76,13 @@ class TestLoadDataset:
         with pytest.raises(InputError, match="label out of range"):
             load_dataset(d)
 
+    @pytest.mark.parametrize("label", [2, 999999999999])
+    def test_label_at_or_above_node_count_rejected(self, tmp_path, label):
+        d = tmp_path / "toy"
+        write_toy(d, [[1.0], [2.0]], [0, label], [(0, 1)])
+        with pytest.raises(InputError, match="labels.tsv: line 2: label out of range"):
+            load_dataset(d)
+
     def test_label_count_mismatch(self, tmp_path):
         d = tmp_path / "toy"
         write_toy(d, [[1.0], [2.0]], [0], [(0, 1)])

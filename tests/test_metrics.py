@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from shellprop import (
     ConfigError,
@@ -9,7 +10,7 @@ from shellprop import (
     InputError,
     NumericError,
     ResourceError,
-    SparseMatrix,
+    SparseGraph,
     aggregation_bounds_check,
     avg_nat,
     build_graph,
@@ -35,53 +36,54 @@ from helpers import (
     random_connected_graph,
     random_tree,
     star_graph,
+    to_dense,
 )
 
 
-def isolated_plus_edge() -> "SparseMatrix":
+def isolated_plus_edge() -> SparseGraph:
     return build_graph([(0, 1)], 3)
 
 
 class TestPropagators:
     def test_sym_norm_pair(self):
-        m = sym_norm_propagator(complete_graph(2)).matrix.to_dense()
+        m = sym_norm_propagator(complete_graph(2)).matrix.toarray()
         assert np.allclose(m, np.full((2, 2), 0.5))
 
     def test_sym_norm_isolated_node(self):
-        m = sym_norm_propagator(isolated_plus_edge()).matrix.to_dense()
+        m = sym_norm_propagator(isolated_plus_edge()).matrix.toarray()
         assert m[2, 2] == 1.0
 
     def test_sym_norm_path_hand_values(self):
-        got = sym_norm_propagator(path_graph(3)).matrix.to_dense()
+        got = sym_norm_propagator(path_graph(3)).matrix.toarray()
         want = dense_sym_norm(dense_adjacency(path_graph(3)))
         assert np.max(np.abs(got - want)) < 1e-15
 
     def test_rw_norm_pair(self):
-        m = rw_norm_propagator(complete_graph(2)).matrix.to_dense()
+        m = rw_norm_propagator(complete_graph(2)).matrix.toarray()
         assert np.allclose(m, np.full((2, 2), 0.5))
 
     def test_rw_norm_star_center_row(self):
-        m = rw_norm_propagator(star_graph(3)).matrix.to_dense()
+        m = rw_norm_propagator(star_graph(3)).matrix.toarray()
         assert np.allclose(m[0], [0.25, 0.25, 0.25, 0.25])
 
     @pytest.mark.parametrize("seed", range(4))
     def test_rw_norm_rows_stochastic(self, seed):
         g = random_connected_graph(seed, 25, 0.15)
-        m = rw_norm_propagator(g).matrix.to_dense()
+        m = rw_norm_propagator(g).matrix.toarray()
         assert np.max(np.abs(m.sum(axis=1) - 1.0)) < 1e-12
 
     def test_residual_pair(self):
         p = residual_propagator(sym_norm_propagator(complete_graph(2)), 0.5)
-        assert np.allclose(p.matrix.to_dense(), [[0.75, 0.25], [0.25, 0.75]])
+        assert np.allclose(p.matrix.toarray(), [[0.75, 0.25], [0.25, 0.75]])
 
     def test_residual_preserves_symmetry(self):
         g = random_connected_graph(1, 15, 0.2)
-        m = residual_propagator(sym_norm_propagator(g), 0.9).matrix.to_dense()
+        m = residual_propagator(sym_norm_propagator(g), 0.9).matrix.toarray()
         assert np.max(np.abs(m - m.T)) < 1e-15
 
     def test_residual_preserves_stochasticity(self):
         g = random_connected_graph(2, 15, 0.2)
-        m = residual_propagator(rw_norm_propagator(g), 0.3).matrix.to_dense()
+        m = residual_propagator(rw_norm_propagator(g), 0.3).matrix.toarray()
         assert np.max(np.abs(m.sum(axis=1) - 1.0)) < 1e-12
 
     @pytest.mark.parametrize("beta", [0.0, 1.0, -0.1, 1.5])
@@ -91,7 +93,7 @@ class TestPropagators:
 
     def test_fused_propagator_matches_dense_oracle(self):
         g = random_connected_graph(3, 18, 0.2)
-        merged = fused_shell_propagator(shell_decompose(g), 2.0).matrix.to_dense()
+        merged = to_dense(fused_shell_propagator(shell_decompose(g), 2.0).matrix)
         assert np.max(np.abs(merged - dense_fused(g, 2.0))) < 1e-12
 
     def test_residual_of_a_dense_fused_propagator(self):
@@ -142,7 +144,7 @@ class TestAvgNat:
         assert avg_nat(g, 1, exact=True) > 0  # exact mode stays available
 
     def test_no_node_cap(self):
-        eye = SparseMatrix.identity(2001)
+        eye = sp.eye_array(2001, format="csr")
         assert avg_nat(eye, 1) == 1.0
         assert [v for _, v in sas_trajectory(eye, 3).sas_trajectory] == [1.0] * 3
 
@@ -159,7 +161,7 @@ class TestAvgNat:
 
     def test_exact_requires_binary(self):
         with pytest.raises(InputError):
-            avg_nat(SparseMatrix.from_coo([0, 1], [1, 0], [0.5, 0.5], (2, 2)), 1, exact=True)
+            avg_nat(sp.csr_array(([0.5, 0.5], ([0, 1], [1, 0])), shape=(2, 2)), 1, exact=True)
 
     def test_dense_fused_operator(self):
         g = random_connected_graph(9, 16, 0.25)
@@ -182,7 +184,7 @@ class TestAvgNat:
 class TestSas:
     def test_identity(self):
         for k in (1, 3, 10):
-            assert sas(SparseMatrix.identity(4), k) == 1.0
+            assert sas(sp.eye_array(4, format="csr"), k) == 1.0
 
     def test_k2_rw_fixed_point(self):
         m = rw_norm_propagator(complete_graph(2)).matrix
@@ -199,7 +201,7 @@ class TestSas:
         n = int(rng.integers(5, 41))
         g = random_connected_graph(seed + 300, n, 0.2)
         m = sym_norm_propagator(g).matrix
-        dense = m.to_dense()
+        dense = m.toarray()
         for k in (1, 3, 7):
             power = np.linalg.matrix_power(dense, k)
             want = float(np.mean(np.diag(power) / power.sum(axis=1)))
@@ -212,16 +214,16 @@ class TestSas:
             sas(m, 1)
 
     def test_identity_beyond_2000_nodes(self):
-        assert sas(SparseMatrix.identity(3000), 3) == 1.0
+        assert sas(sp.eye_array(3000, format="csr"), 3) == 1.0
 
     def test_depth_validation(self):
         with pytest.raises(InputError):
-            sas(SparseMatrix.identity(3), 0)
+            sas(sp.eye_array(3, format="csr"), 0)
 
 
 class TestSasTrajectory:
     def test_identity_constant(self):
-        report = sas_trajectory(SparseMatrix.identity(5), 10)
+        report = sas_trajectory(sp.eye_array(5, format="csr"), 10)
         assert [v for _, v in report.sas_trajectory] == [1.0] * 10
         assert report.limit_gap == pytest.approx(1.0 - 0.2)
 
@@ -241,12 +243,12 @@ class TestSasTrajectory:
 
     def test_kmax_validation(self):
         with pytest.raises(InputError):
-            sas_trajectory(SparseMatrix.identity(3), 0)
+            sas_trajectory(sp.eye_array(3, format="csr"), 0)
 
     def test_dense_power_past_physical_memory_raises(self):
         # 16 * (10**6)**2 bytes is 16 TB; the identity itself takes 24 MB
         with pytest.raises(ResourceError, match="16000000000000 bytes"):
-            sas_trajectory(SparseMatrix.identity(10**6), 1)
+            sas_trajectory(sp.eye_array(10**6, format="csr"), 1)
 
 
 class TestResidualRaisesSelfAttention:

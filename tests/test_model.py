@@ -1,5 +1,10 @@
+import struct
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shellprop import (
     ConfigError,
@@ -8,7 +13,6 @@ from shellprop import (
     InputError,
     ModelParams,
     ShellDecomposition,
-    SparseMatrix,
     TrainConfig,
     adam_step,
     backward,
@@ -32,7 +36,7 @@ from helpers import dense_fused, random_connected_graph, reference_forward
 
 def identity_propagator(n: int) -> FusedPropagator:
     """Single empty shell normalized to I with unit coefficient."""
-    empty = SparseMatrix.from_coo([], [], [], (n, n))
+    empty = sp.csr_array(([], ([], [])), shape=(n, n))
     shells = fuse_shells(ShellDecomposition(n, (empty,), 1, (0,)), 2.0).normalized_shells
     return FusedPropagator(n, shells, np.array([1.0]), 2.0)
 
@@ -290,11 +294,11 @@ class TestTrainAndEvaluate:
         z = np.maximum(np.random.default_rng(width).standard_normal((ds.n, width)), 0.0)
         dense = fuse_shells(shell_decompose(ds.graph), 2.0).matrix
         csr = fuse_shells(shell_decompose(ds.graph, 1), 2.0).matrix
-        assert isinstance(dense, DenseMatrix) and isinstance(csr, SparseMatrix)
-        assert np.array_equal(csr.array[val] @ z, (csr.array @ z)[val])
-        full = (dense.array @ z)[val]
-        bound = 4 * np.finfo(float).eps * ((np.abs(dense.array) @ z)[val]).max()
-        assert np.max(np.abs(dense.array[val] @ z - full)) <= bound
+        assert isinstance(dense, DenseMatrix) and isinstance(csr, sp.csr_array)
+        assert np.array_equal(csr[val] @ z, (csr @ z)[val])
+        full = (dense.values @ z)[val]
+        bound = 4 * np.finfo(float).eps * ((np.abs(dense.values) @ z)[val]).max()
+        assert np.max(np.abs(dense.values[val] @ z - full)) <= bound
 
     def test_loss_decreases_over_first_ten_epochs(self):
         ds = synth_planted_partition(10, 2, 0.8, 0.05, seed=0)
@@ -406,3 +410,35 @@ class TestCheckpoint:
         path.write_bytes(path.read_bytes()[:-8])
         with pytest.raises(InputError, match="size"):
             load_checkpoint(path)
+
+
+def _checkpoint_bytes(d: int, h: int, c: int) -> bytes:
+    params = init_params(d, h, c, np.random.default_rng(d + h + c))
+    return struct.pack("<4sIIII", b"SHLP", 1, d, h, c) + b"".join(
+        a.astype("<f8").tobytes() for a in params.arrays()
+    )
+
+
+_DIM = st.sampled_from([0, 1, 2, 3, 2**16, 2**31, 2**32 - 1])
+_CHECKPOINTS = st.one_of(
+    st.binary(max_size=200),
+    # a valid checkpoint cut short at any byte
+    st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(1, 3), st.integers(0, 300))
+    .map(lambda t: _checkpoint_bytes(*t[:3])[: t[3]]),
+    # the valid magic and version with any dimensions, huge or zero
+    st.tuples(_DIM, _DIM, _DIM, st.binary(max_size=100))
+    .map(lambda t: struct.pack("<4sIIII", b"SHLP", 1, *t[:3]) + t[3]),
+)
+
+
+class TestCheckpointFuzz:
+    @given(raw=_CHECKPOINTS)
+    @settings(max_examples=300, deadline=None)
+    def test_only_input_errors_escape(self, raw, tmp_path_factory):
+        path = tmp_path_factory.getbasetemp() / "fuzz-checkpoint.bin"
+        path.write_bytes(raw)
+        try:
+            params = load_checkpoint(path)
+        except InputError:
+            return
+        assert len(raw) == 20 + 8 * sum(a.size for a in params.arrays())

@@ -2,13 +2,14 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from shellprop import (
     ConfigError,
     DenseMatrix,
     FusedPropagator,
     InputError,
-    SparseMatrix,
+    adjacency_matrix,
     build_graph,
     cumulative_matrix,
     fuse_shells,
@@ -16,10 +17,13 @@ from shellprop import (
     fused_shell_propagator,
     normalize_shell,
     ppr_coefficients,
+    residual_propagator,
+    rw_norm_propagator,
     shell_decompose,
     shell_degree_profile,
     shell_report,
     shell_union,
+    sym_norm_propagator,
 )
 
 from helpers import (
@@ -33,11 +37,13 @@ from helpers import (
     random_connected_graph,
     random_graph,
     star_graph,
+    to_dense,
 )
 
 
-def entries(m: SparseMatrix) -> set[tuple[int, int]]:
-    return set(zip(m.row_entries().tolist(), m.col_indices.tolist()))
+def entries(m: sp.csr_array) -> set[tuple[int, int]]:
+    rows, cols = m.nonzero()
+    return set(zip(rows.tolist(), cols.tolist()))
 
 
 class TestCumulativeMatrix:
@@ -51,7 +57,7 @@ class TestCumulativeMatrix:
 
     def test_zero_hops_is_identity(self):
         c0 = cumulative_matrix(path_graph(3), 0)
-        assert np.array_equal(c0.to_dense(), np.eye(3))
+        assert np.array_equal(c0.toarray(), np.eye(3))
 
     def test_negative_hops(self):
         with pytest.raises(InputError):
@@ -68,7 +74,7 @@ class TestCumulativeMatrix:
         for level in range(1, 6):
             power = power @ a
             running += power
-            got = cumulative_matrix(g, level).to_dense()
+            got = cumulative_matrix(g, level).toarray()
             np.fill_diagonal(got, 0)
             want = (running > 0).astype(float)
             np.fill_diagonal(want, 0)
@@ -157,32 +163,32 @@ class TestShellDecompose:
 
 class TestNormalizeShell:
     def test_empty_shell_becomes_identity(self):
-        empty = SparseMatrix.from_coo([], [], [], (2, 2))
-        assert np.array_equal(normalize_shell(empty).to_dense(), np.eye(2))
+        empty = sp.csr_array(([], ([], [])), shape=(2, 2))
+        assert np.array_equal(normalize_shell(empty).toarray(), np.eye(2))
 
     def test_single_edge_shell(self):
         t = shell_decompose(complete_graph(2)).shells[0]
-        assert np.allclose(normalize_shell(t).to_dense(), np.full((2, 2), 0.5))
+        assert np.allclose(normalize_shell(t).toarray(), np.full((2, 2), 0.5))
 
     def test_path_first_shell_hand_values(self):
         t1 = shell_decompose(path_graph(3)).shells[0]
-        got = normalize_shell(t1).to_dense()
+        got = normalize_shell(t1).toarray()
         assert got[0, 1] == pytest.approx(1.0 / np.sqrt(6.0), abs=1e-15)
         assert np.allclose(np.diag(got), [0.5, 1.0 / 3.0, 0.5])
 
     def test_asymmetric_input_rejected(self):
         with pytest.raises(InputError):
-            normalize_shell(SparseMatrix.from_coo([0], [1], [1.0], (2, 2)))
+            normalize_shell(sp.csr_array(([1.0], ([0], [1])), shape=(2, 2)))
 
     def test_nonzero_diagonal_rejected(self):
         with pytest.raises(InputError):
-            normalize_shell(SparseMatrix.identity(2))
+            normalize_shell(sp.eye_array(2, format="csr"))
 
     @pytest.mark.parametrize("seed", range(5))
     def test_symmetric_and_spectral_radius_bounded(self, seed):
         g = random_connected_graph(seed + 20, 20, 0.2)
         for shell in shell_decompose(g).shells:
-            dense = normalize_shell(shell).to_dense()
+            dense = normalize_shell(shell).toarray()
             assert np.max(np.abs(dense - dense.T)) < 1e-12
             # power iteration for the dominant eigenvalue
             v = np.random.default_rng(0).standard_normal(g.n)
@@ -196,7 +202,7 @@ class TestNormalizeShell:
     def test_matches_dense_oracle(self, seed):
         g = random_connected_graph(seed + 40, 15, 0.25)
         for shell, oracle_shell in zip(shell_decompose(g).shells, dense_shells(g)):
-            got = normalize_shell(shell).to_dense()
+            got = normalize_shell(shell).toarray()
             assert np.max(np.abs(got - dense_sym_norm(oracle_shell))) < 1e-12
 
 
@@ -233,7 +239,7 @@ class TestFusedPropagate:
         that = normalize_shell(d.shells[0])
         shells = fuse_shells(d, 2.0).normalized_shells
         p = FusedPropagator(2, shells, np.array([1.0]), 2.0)
-        assert np.allclose(fused_propagate(p, np.eye(2)), that.to_dense())
+        assert np.allclose(fused_propagate(p, np.eye(2)), that.toarray())
 
     def test_path_alpha_two_matches_dense_oracle(self):
         g = path_graph(3)
@@ -250,7 +256,7 @@ class TestFusedPropagate:
         z = np.random.default_rng(3).standard_normal((7, 4))
         got = fused_propagate(fuse_shells(shell_decompose(g), alpha), z)
         assert np.max(np.abs(got - want @ z)) < 1e-10
-        merged = fused_shell_propagator(shell_decompose(g), alpha).matrix.to_dense()
+        merged = to_dense(fused_shell_propagator(shell_decompose(g), alpha).matrix)
         assert np.max(np.abs(merged - want)) < 1e-12
 
     @pytest.mark.parametrize("seed", range(3))
@@ -260,18 +266,18 @@ class TestFusedPropagate:
         p = fuse_shells(d, 3.0)
         want = np.zeros((g.n, g.n))
         for theta, t in zip(p.coefficients, d.shells):
-            want += theta * normalize_shell(t).to_dense()
-        assert np.max(np.abs(p.matrix.to_dense() - want)) < 1e-15
+            want += theta * normalize_shell(t).toarray()
+        assert np.max(np.abs(to_dense(p.matrix) - want)) < 1e-15
 
     def test_perturbed_coefficients_change_the_operator(self):
         # full diameter gives a dense P, a 3-hop cap on a 30-path a CSR one
-        for g, l_cap, backend in ((path_graph(4), None, DenseMatrix), (path_graph(30), 3, SparseMatrix)):
+        for g, l_cap, backend in ((path_graph(4), None, DenseMatrix), (path_graph(30), 3, sp.csr_array)):
             p = fuse_shells(shell_decompose(g, l_cap), 2.0)
             theta = p.coefficients * [1.0, 1.0, 2.0]
             q = FusedPropagator(p.n, p.normalized_shells, theta, p.alpha)
             assert isinstance(p.matrix, backend) and isinstance(q.matrix, backend)
-            want = p.matrix.to_dense() + theta[2] / 2 * p.normalized_shells[2].to_dense()
-            assert np.allclose(q.matrix.to_dense(), want, rtol=0, atol=1e-15)
+            want = to_dense(p.matrix) + theta[2] / 2 * p.normalized_shells[2].toarray()
+            assert np.allclose(to_dense(q.matrix), want, rtol=0, atol=1e-15)
 
     def test_shells_must_come_from_fuse_shells_one_per_coefficient(self):
         p = fuse_shells(shell_decompose(path_graph(4)), 2.0)
@@ -282,7 +288,7 @@ class TestFusedPropagate:
 
     def test_edgeless_graph_fuses_to_zero(self):
         d = shell_decompose(build_graph([], 4))
-        assert not fuse_shells(d, 2.0).matrix.to_dense().any()
+        assert not to_dense(fuse_shells(d, 2.0).matrix).any()
         with pytest.raises(ConfigError):
             fuse_shells(d, 1.0)
 
@@ -344,25 +350,27 @@ class TestOperatorBackend:
     def test_one_hop_cap_on_a_sparse_graph_is_csr(self):
         g = path_graph(20)
         p = fuse_shells(shell_decompose(g, 1), 2.0).matrix
-        assert isinstance(p, SparseMatrix)
+        assert isinstance(p, sp.csr_array)
         assert p.nnz == g.n + 2 * g.edge_count
-        assert np.max(np.abs(p.to_dense() - dense_fused(g, 2.0, l_cap=1))) < 1e-15
+        assert np.max(np.abs(p.toarray() - dense_fused(g, 2.0, l_cap=1))) < 1e-15
 
     @pytest.mark.parametrize(
         "edges, backend",
         [
             # three 4-paths: 48 stored pairs of 144, CSR is smaller
-            ([(i, i + 1) for i in range(11) if i % 4 != 3], SparseMatrix),
+            ([(i, i + 1) for i in range(11) if i % 4 != 3], sp.csr_array),
             # a 9-path and three isolated nodes: 84 of 144, dense is smaller
             ([(i, i + 1) for i in range(8)], DenseMatrix),
         ],
+        # stable case ids, from when the CSR carrier was a SparseMatrix class
+        ids=["edges0-SparseMatrix", "edges1-DenseMatrix"],
     )
     def test_disconnected_graph_is_decided_by_its_fill(self, edges, backend):
         g = build_graph(edges, 12)
         p = fuse_shells(shell_decompose(g), 2.0)
         assert isinstance(p.matrix, backend)
         want = dense_fused(g, 2.0)
-        assert np.max(np.abs(p.matrix.to_dense() - want)) < 1e-15
+        assert np.max(np.abs(to_dense(p.matrix) - want)) < 1e-15
         z = np.random.default_rng(5).standard_normal((12, 3))
         assert np.max(np.abs(fused_propagate(p, z) - want @ z)) < 1e-14
 
@@ -380,6 +388,33 @@ class TestOperatorBackend:
         assert not scaled.values.flags.writeable
 
 
+class TestReadOnlyCsr:
+    """Every sparse builder returns a csr_array with int64, read-only buffers."""
+
+    def test_every_sparse_builder(self):
+        g = path_graph(30)
+        d = shell_decompose(g)
+        sym = sym_norm_propagator(g)
+        built = {
+            "binary shell": d.shells[1],
+            "adjacency_matrix": adjacency_matrix(g),
+            "normalize_shell": normalize_shell(d.shells[1]),
+            "sym": sym.matrix,
+            "rw": rw_norm_propagator(g).matrix,
+            "residual": residual_propagator(sym, 0.5).matrix,
+            "capped fused": fuse_shells(shell_decompose(g, 3), 2.0).matrix,
+            "shell_union": shell_union(d),
+            "cumulative_matrix": cumulative_matrix(g, 2),
+        }
+        for name, m in built.items():
+            assert type(m) is sp.csr_array, name
+            assert m.indices.dtype == np.int64 and m.indptr.dtype == np.int64, name
+            for buffer in (m.data, m.indices, m.indptr):
+                assert not buffer.flags.writeable, name
+                with pytest.raises(ValueError):
+                    buffer[0] = buffer[0]
+
+
 class TestShellSummaries:
     def test_profile_path(self):
         d = shell_decompose(path_graph(3))
@@ -395,7 +430,7 @@ class TestShellSummaries:
         g = random_connected_graph(80, 30, 0.15)
         union = shell_union(shell_decompose(g))
         assert union.nnz == g.n * (g.n - 1)
-        assert float(union.values.sum()) == g.n * (g.n - 1)
+        assert float(union.data.sum()) == g.n * (g.n - 1)
 
     def test_report_fields(self):
         report = shell_report(path_graph(3))
