@@ -2,7 +2,8 @@
 
 Every command resolves its configuration, runs, writes its artifacts into
 ``--out``, and finishes with a ``manifest.json`` recording the resolved
-argv, seed, version, wall time, and a digest of every output file.
+argv, seed, version, wall time, BLAS thread settings, and a digest of every
+output file.
 Re-running the recorded argv (or ``shellprop rerun manifest.json``)
 reproduces the outputs byte for byte; the manifest itself is excluded from
 the digest because it records wall time.
@@ -39,6 +40,7 @@ from .model import TrainConfig, evaluate, save_checkpoint, train
 from .shells import fuse_shells, shell_decompose, shell_report
 
 _KIND_FLAGS = ("sym", "rw", "residual", "fused")
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def _exit_code(err: ShellPropError) -> int:
@@ -96,6 +98,8 @@ def _write_manifest(out: Path, started: float, outputs: list[Path]) -> Path:
         "data": str(ctx.params["data"]),
         "version": f"shellprop-{__version__}",
         "wall_time_s": time.perf_counter() - started,
+        # BLAS may order a dense product's sums by its thread count
+        "blas_threads": {var: os.environ.get(var) for var in _BLAS_THREAD_VARS},
         "output_digest": digests,
     }
     return _write_json(out / "manifest.json", manifest)

@@ -231,37 +231,77 @@ def read_edge_list(path) -> list[tuple[int, int]]:
     return edges
 
 
+def _level_mask(words: np.ndarray, b: int) -> np.ndarray:
+    """The contiguous (b, n) bool mask whose entry (s, i) is bit s of node
+    i's (n, w) uint64 words."""
+    # in little-endian order, byte j of a node's words holds bits 8j .. 8j + 7
+    by_byte = np.ascontiguousarray(words.astype("<u8", copy=False).view(np.uint8).T)
+    mask = np.empty((8 * by_byte.shape[0], by_byte.shape[1]), dtype=np.uint8)
+    for k in range(8):
+        np.right_shift(by_byte, k, out=mask[k::8])
+    mask &= 1
+    return mask[:b].view(bool)
+
+
+def _bfs_levels(
+    g: SparseGraph, cap: int | None, block_size: int = _BFS_BLOCK, pair_bytes: int = 0
+) -> Iterator[tuple[np.ndarray, int, np.ndarray]]:
+    """Stream BFS levels as (sources, level, new), blocks in ascending order.
+
+    The BFS of a block of b sources runs bit-parallel: each node holds
+    w = ceil(b/64) uint64 words of ``seen`` and ``frontier`` bits, bit s for
+    ``sources[s]``, and a level ORs each node's neighbours' frontier words.
+    ``new`` is the (b, n) bool mask of the pairs first reached at ``level``.
+    Level 0 is the sources themselves; a block ends at its deepest level.
+    ResourceError is raised before the first block when its working set,
+    plus ``pair_bytes`` per (source, node) pair a consumer holds, exceeds
+    physical memory.
+    """
+    b = min(block_size, g.n)
+    w = -(-b // 64)
+    # six (n, w) word arrays while a level forms, the words gathered per edge
+    # entry, and a level's byte-transposed words and mask
+    need = 8 * w * (6 * g.n + len(g.col_indices)) + 72 * w * g.n + pair_bytes * b * g.n
+    require_memory(need, f"a BFS block of {b} sources over {g.n} nodes holds its bit frontier")
+    has = np.diff(g.row_offsets) > 0
+    starts = g.row_offsets[:-1][has]
+    for start in range(0, g.n, block_size):
+        sources = np.arange(start, min(start + block_size, g.n), dtype=np.int64)
+        b = len(sources)
+        bit = np.arange(b, dtype=np.uint64)
+        frontier = np.zeros((g.n, -(-b // 64)), dtype=np.uint64)
+        frontier[sources, bit // 64] = np.uint64(1) << bit % 64
+        seen, reached = frontier.copy(), np.zeros_like(frontier)
+        yield sources, 0, _level_mask(frontier, b)
+        for level in range(1, g.n if cap is None else cap + 1):
+            reached[has] = np.bitwise_or.reduceat(frontier[g.col_indices], starts)
+            frontier = reached & ~seen
+            if not frontier.any():
+                break
+            seen |= frontier
+            yield sources, level, _level_mask(frontier, b)
+
+
 def distance_blocks(
     g: SparseGraph, cap: int | None = None, block_size: int = _BFS_BLOCK
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Stream all-pairs hop distances as (sources, dist_block) chunks.
 
-    Runs one BFS per source, vectorized across a block of sources via sparse
-    frontier products.  ``dist_block`` has shape (len(sources), n) with
-    UNREACHABLE beyond ``cap`` levels or outside the component.  Blocks are
-    yielded in ascending source order, so concatenated output is identical
-    regardless of scheduling.
+    Runs one BFS per source, bit-parallel across a block of sources.
+    ``dist_block`` is int32 with shape (len(sources), n) and UNREACHABLE
+    beyond ``cap`` levels or outside the component.  Blocks are yielded in
+    ascending source order, so concatenated output is identical regardless
+    of scheduling.
     """
-    a = adjacency_matrix(g)
-    for start in range(0, g.n, block_size):
-        sources = np.arange(start, min(start + block_size, g.n), dtype=np.int64)
-        b = len(sources)
-        dist = np.full((b, g.n), UNREACHABLE, dtype=np.int32)
-        dist[np.arange(b), sources] = 0
-        frontier = np.zeros((g.n, b), dtype=np.float64)
-        frontier[sources, np.arange(b)] = 1.0
-        unseen = dist.T == UNREACHABLE
-        level = 0
-        while cap is None or level < cap:
-            level += 1
-            reached = a @ frontier
-            new = (reached > 0) & unseen
-            if not new.any():
-                break
-            dist.T[new] = level
-            unseen &= ~new
-            frontier = new.astype(np.float64)
-        yield sources, dist
+    sources = block = None
+    for level_sources, level, new in _bfs_levels(g, cap, block_size, pair_bytes=4):
+        if level == 0:
+            if block is not None:
+                yield sources, block
+            sources = level_sources
+            block = np.full(new.shape, UNREACHABLE, dtype=np.int32)
+        block.reshape(-1)[np.flatnonzero(new)] = level
+    yield sources, block
 
 
 def distance_matrix(g: SparseGraph, cap: int | None = None) -> np.ndarray:
@@ -271,11 +311,7 @@ def distance_matrix(g: SparseGraph, cap: int | None = None) -> np.ndarray:
 
 def diameter(g: SparseGraph) -> int:
     """Largest finite pairwise distance (per-component maximum eccentricity)."""
-    best = 0
-    for _, block in distance_blocks(g):
-        finite = np.where(block == UNREACHABLE, -1, block)
-        best = max(best, int(finite.max()))
-    return best
+    return max(level for _, level, _ in _bfs_levels(g, None))
 
 
 def is_connected(g: SparseGraph) -> bool:

@@ -12,6 +12,7 @@ straight into its CSR buffers.
 """
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,12 +20,11 @@ import scipy.sparse as sp
 
 from .errors import ConfigError, InputError
 from .graph import (
-    UNREACHABLE,
     DenseMatrix,
     Matrix,
     SparseGraph,
+    _bfs_levels,
     diameter,
-    distance_blocks,
     from_array,
     frozen_csr,
     is_symmetric,
@@ -107,34 +107,27 @@ def cumulative_matrix(g: SparseGraph, l: int) -> sp.csr_array:
 def shell_decompose(g: SparseGraph, l_cap: int | None = None) -> ShellDecomposition:
     """Partition all reachable ordered pairs into exact-distance shells.
 
-    One BFS per source (vectorized in blocks), bucketed by level; per-source
-    buckets are merged in ascending source order so the result is
-    deterministic.  ``l_cap`` truncates the decomposition at that depth.
+    One bit-parallel BFS per source, in blocks of sources; each level's new
+    pairs go to its shell in row-major order and blocks come in ascending
+    source order, so the result is deterministic.  ``l_cap`` truncates the
+    decomposition at that depth.
     """
     if l_cap is not None and l_cap < 1:
         raise InputError(f"l_cap must be >= 1 when given, got {l_cap}")
-    buckets_rows: dict[int, list[np.ndarray]] = {}
-    buckets_cols: dict[int, list[np.ndarray]] = {}
-    for sources, block in distance_blocks(g, cap=l_cap):
-        finite = np.where(block == UNREACHABLE, -1, block)
-        top = int(finite.max())
-        for level in range(1, top + 1):
-            local, cols = np.nonzero(block == level)
-            if len(local) == 0:
-                continue
-            buckets_rows.setdefault(level, []).append(sources[local])
-            buckets_cols.setdefault(level, []).append(cols.astype(np.int64))
-    l_max = max(buckets_rows, default=0)
+    row_counts = defaultdict(lambda: np.zeros(g.n, dtype=np.int64))
+    buckets = defaultdict(list)
+    for sources, level, new in _bfs_levels(g, l_cap):
+        if level:
+            row_counts[level][sources] = np.count_nonzero(new, axis=1)
+            buckets[level].append(np.flatnonzero(new) % g.n)
     shells = []
-    sizes = []
-    for level in range(1, l_max + 1):
-        rows = np.concatenate(buckets_rows[level])
-        cols = np.concatenate(buckets_cols[level])
+    for level in sorted(buckets):
         offsets = np.zeros(g.n + 1, dtype=np.int64)
-        offsets[1:] = np.cumsum(np.bincount(rows, minlength=g.n))
+        np.cumsum(row_counts[level], out=offsets[1:])
+        cols = np.concatenate(buckets[level])
         shells.append(frozen_csr(np.ones(len(cols)), cols, offsets))
-        sizes.append(len(cols))
-    return ShellDecomposition(g.n, tuple(shells), l_max, tuple(sizes))
+    sizes = tuple(t.nnz for t in shells)
+    return ShellDecomposition(g.n, tuple(shells), len(shells), sizes)
 
 
 def normalize_shell(t: sp.csr_array) -> sp.csr_array:

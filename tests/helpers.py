@@ -7,6 +7,8 @@ from dense hand arithmetic.
 """
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import scipy.sparse as sp
 
@@ -55,6 +57,14 @@ def random_tree(seed: int, n: int) -> SparseGraph:
     rng = np.random.default_rng(seed)
     edges = [(int(rng.integers(0, i)), i) for i in range(1, n)]
     return build_graph(edges, n)
+
+
+def fake_physical_memory(monkeypatch, nbytes: int) -> None:
+    """Make the physical-memory reading return ``nbytes``, in 4096-byte pages
+    (``nbytes`` a multiple of 4096)."""
+    real = os.sysconf
+    pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": nbytes // 4096}
+    monkeypatch.setattr(os, "sysconf", lambda name: pages.get(name) or real(name))
 
 
 def floyd_warshall(g: SparseGraph) -> np.ndarray:

@@ -10,6 +10,8 @@ from click.testing import CliRunner
 from shellprop import synth_planted_partition, write_dataset
 from shellprop.cli import main
 
+from helpers import fake_physical_memory
+
 
 @pytest.fixture()
 def runner():
@@ -60,6 +62,17 @@ class TestShellsCommand:
         result = run(runner, ["shells", "--data", edges, "--out", tmp_path / "o"])
         assert result.exit_code == 4
         assert "about 1600000000016 bytes, but physical memory is" in result.output
+        assert "Traceback" not in result.output
+
+
+    def test_bfs_working_set_beyond_memory_exits_4(self, runner, tmp_path, monkeypatch):
+        # the 1000-node graph's 16016 bytes fit, its 480064-byte BFS block does not
+        fake_physical_memory(monkeypatch, 50 * 4096)
+        edges = tmp_path / "mid.tsv"
+        edges.write_text("0\t999\n")
+        result = run(runner, ["shells", "--data", edges, "--out", tmp_path / "o"])
+        assert result.exit_code == 4
+        assert "about 480064 bytes, but physical memory is 204800 bytes" in result.output
         assert "Traceback" not in result.output
 
 
@@ -296,6 +309,18 @@ class TestManifests:
             assert manifest["version"].startswith("shellprop-")
             assert manifest["argv"][0] == args[0]
             assert manifest["output_digest"]
+
+    def test_blas_thread_settings_recorded(self, runner, p3_edges, tmp_path, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+        out = tmp_path / "out"
+        assert run(runner, ["shells", "--data", p3_edges, "--out", out]).exit_code == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["blas_threads"] == {
+            "OPENBLAS_NUM_THREADS": "3", "OMP_NUM_THREADS": None, "MKL_NUM_THREADS": None
+        }
+        assert "3" not in manifest["argv"]
 
     @pytest.mark.parametrize(
         "args",

@@ -15,6 +15,7 @@ from shellprop import (
     distance_matrix,
     is_connected,
     read_edge_list,
+    shell_decompose,
     spmm,
 )
 from shellprop.graph import distance_blocks
@@ -22,6 +23,7 @@ from shellprop.graph import distance_blocks
 from helpers import (
     BIG,
     complete_graph,
+    fake_physical_memory,
     floyd_warshall,
     path_graph,
     random_graph,
@@ -138,6 +140,69 @@ class TestBfs:
             for v in g.neighbors(u):
                 if d[u] != UNREACHABLE and d[v] != UNREACHABLE:
                     assert abs(d[u] - d[v]) <= 1
+
+
+@st.composite
+def sparse_graphs(draw):
+    """Graphs of 1 to 300 nodes, about a tenth of them isolated and the rest
+    often in several components; n is drawn near a 64-bit word or 256-source
+    block edge as often as uniformly."""
+    n = draw(st.one_of(
+        st.integers(1, 300), st.sampled_from([1, 2, 63, 64, 65, 128, 255, 256, 257, 300])
+    ))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    ends = rng.integers(0, n, size=(int(draw(st.sampled_from([0.0, 0.5, 1, 2, 4])) * n / 2), 2))
+    kept = rng.random(n) >= 0.1
+    return build_graph(ends[kept[ends].all(axis=1)], n)
+
+
+class TestBlockEdges:
+    """The bit-parallel BFS across word and block edges, empty neighbour
+    lists and disconnected components, against Floyd-Warshall."""
+
+    @given(
+        g=sparse_graphs(),
+        block_size=st.sampled_from([1, 63, 64, 65, 256]),
+        cap=st.one_of(st.none(), st.integers(1, 5)),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_distance_blocks_match_floyd_warshall(self, g, block_size, cap):
+        want = oracle_distances(g, cap)
+        starts = []
+        for sources, block in distance_blocks(g, cap=cap, block_size=block_size):
+            starts.append(int(sources[0]))
+            assert block.dtype == np.int32
+            assert np.array_equal(block, want[sources])
+        assert starts == list(range(0, g.n, block_size))
+
+    @given(g=sparse_graphs(), cap=st.one_of(st.none(), st.integers(1, 5)))
+    @settings(max_examples=60, deadline=None)
+    def test_shells_are_the_oracle_buckets_in_row_major_order(self, g, cap):
+        want = oracle_distances(g, cap)
+        d = shell_decompose(g, cap)
+        assert d.l_max == int(want[want != UNREACHABLE].max())
+        for level, shell in enumerate(d.shells, start=1):
+            at = want == level
+            assert np.array_equal(shell.indptr, np.concatenate([[0], np.cumsum(at.sum(axis=1))]))
+            assert np.array_equal(shell.indices, np.nonzero(at)[1])
+
+
+class TestBfsWorkingSet:
+    # one edge on 1000 nodes: a block of 256 sources holds 4 words a node,
+    # 8 * 4 * (6 * 1000 + 2) + 72 * 4 * 1000 = 480064 bytes, and the distance
+    # block 4 * 256 * 1000 more
+    def test_distance_block_counted_only_where_it_is_held(self, monkeypatch):
+        g = build_graph([(0, 999)], 1000)
+        fake_physical_memory(monkeypatch, 200 * 4096)
+        assert shell_decompose(g).shell_sizes == (2,)
+        assert diameter(g) == 1
+        with pytest.raises(ResourceError, match=r"about 1504064 bytes, but physical memory is 819200 "):
+            distance_matrix(g)
+
+    def test_refused_before_the_first_block(self, monkeypatch):
+        fake_physical_memory(monkeypatch, 50 * 4096)
+        with pytest.raises(ResourceError, match=r"256 sources over 1000 nodes .* about 480064 bytes"):
+            shell_decompose(build_graph([(0, 999)], 1000))
 
 
 class TestDiameter:
