@@ -59,6 +59,11 @@ def _guarded(fn):
         except ShellPropError as err:
             click.echo(f"error: {err}", err=True)
             raise SystemExit(_exit_code(err))
+        except MemoryError as err:
+            # an allocation that no byte check foresaw, such as numpy's
+            # "Unable to allocate" under an address-space or cgroup limit
+            click.echo(f"error: out of memory: {err}", err=True)
+            raise SystemExit(4)
 
     return wrapper
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import io
 import os
+import resource
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -36,12 +37,15 @@ def _freeze(*arrays: np.ndarray) -> None:
 
 def require_memory(need: int, what: str) -> None:
     """Raise ResourceError, before allocating, when ``need`` bytes exceed
-    the machine's physical memory; ``what`` names the allocation."""
+    the machine's physical memory or, when lower, the process's address-space
+    limit (``ulimit -v``); ``what`` names the allocation."""
     limit = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    bound = "physical memory"
+    soft, _ = resource.getrlimit(resource.RLIMIT_AS)
+    if soft != resource.RLIM_INFINITY and soft < limit:
+        limit, bound = soft, "the address-space limit"
     if need > limit:
-        raise ResourceError(
-            f"{what}, about {need} bytes, but physical memory is {limit} bytes"
-        )
+        raise ResourceError(f"{what}, about {need} bytes, but {bound} is {limit} bytes")
 
 
 @dataclass(frozen=True, eq=False)
@@ -155,7 +159,7 @@ def build_graph(edges, n: int) -> SparseGraph:
     The input may contain duplicates, self-loops, and single-direction
     entries; the result is symmetrized, deduplicated, and self-loop free.
     ResourceError is raised before allocating when the row pointers and
-    degree counts, about 16 * (n + 1) bytes, exceed physical memory.
+    degree counts, about 16 * (n + 1) bytes, exceed ``require_memory``'s bound.
 
     Parameters
     ----------
@@ -255,7 +259,7 @@ def _bfs_levels(
     Level 0 is the sources themselves; a block ends at its deepest level.
     ResourceError is raised before the first block when its working set,
     plus ``pair_bytes`` per (source, node) pair a consumer holds, exceeds
-    physical memory.
+    ``require_memory``'s bound.
     """
     b = min(block_size, g.n)
     w = -(-b // 64)

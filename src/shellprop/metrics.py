@@ -6,6 +6,12 @@ The self-attention score at depth k is the mean fraction of each row's mass
 sitting on the diagonal of M^k; for the classical symmetric and random-walk
 propagators of a connected graph it converges to 1/N as k grows, which is
 what the trajectory helpers verify numerically.
+
+The aggregation count takes l sparse matrix-vector products.  The
+trajectory decomposes one symmetric matrix once, M itself or the symmetric
+S that a diagonal similarity carries M to, and reads the diagonal of every
+power from the eigenpairs; only its row sums are tracked, again by one
+matrix-vector product per depth.
 """
 from __future__ import annotations
 
@@ -17,8 +23,8 @@ import scipy.sparse as sp
 
 from .errors import ConfigError, InputError, NumericError
 from .graph import (
-    Matrix, SparseGraph, adjacency_matrix, as_array, diameter, from_array, is_connected,
-    require_memory,
+    DenseMatrix, Matrix, SparseGraph, adjacency_matrix, as_array, diameter, from_array,
+    is_connected, require_memory,
 )
 from .shells import ShellDecomposition, fuse_shells, normalize_shell
 
@@ -159,9 +165,96 @@ def avg_nat(a: SparseGraph | Matrix, l: int, exact: bool = False) -> float:
 def sas(a: Matrix | Propagator, k: int) -> float:
     """Mean diagonal mass fraction of the k-th matrix power.
 
-    The depth-k point of ``sas_trajectory``, with its cost and memory.
+    The depth-k point of ``sas_trajectory``, with its cost, memory and
+    accepted matrices.
     """
     return sas_trajectory(a, k).sas_trajectory[-1][1]
+
+
+def _row_sums(sums: np.ndarray, k: int) -> np.ndarray:
+    """``sums``, the row sums of the depth-k power, once each is finite and nonzero."""
+    if not np.all(np.isfinite(sums)):
+        bad = int(np.flatnonzero(~np.isfinite(sums))[0])
+        raise NumericError(f"row {bad} of the depth-{k} power is non-finite")
+    if np.any(sums == 0):
+        bad = int(np.flatnonzero(sums == 0)[0])
+        raise NumericError(f"row {bad} of the depth-{k} power sums to zero")
+    return sums
+
+
+def _not_similar(why: str) -> InputError:
+    return InputError(
+        "sas_trajectory needs a symmetric matrix or a diagonal similarity"
+        f" diag(1/a) S diag(a) of one, but {why}"
+    )
+
+
+def _forest_log_scale(m: sp.csr_array, step: np.ndarray) -> np.ndarray:
+    """g with g[j] - g[i] = step[e] on each edge e = (i, j) of a BFS forest
+    of m's pattern, and g = 0 at the first node of each component."""
+    # imported on first use: csgraph adds about 75 ms and 11 MB to every CLI start-up
+    from scipy.sparse.csgraph import connected_components
+
+    n = m.shape[0]
+    _, labels = connected_components(m, directed=False)
+    frontier = np.unique(labels, return_index=True)[1]
+    g = np.full(n, np.nan)
+    g[frontier] = 0.0
+    counts = np.diff(m.indptr)
+    while frontier.size:
+        # the stored entries of the frontier's rows, row by row
+        taken = counts[frontier]
+        skip = m.indptr[frontier] - (np.cumsum(taken) - taken)
+        entries = np.arange(taken.sum()) + np.repeat(skip, taken)
+        tails = np.repeat(frontier, taken)
+        heads = m.indices[entries]
+        fresh = np.isnan(g[heads])
+        frontier, first = np.unique(heads[fresh], return_index=True)
+        g[frontier] = g[tails[fresh][first]] + step[entries[fresh][first]]
+    return g
+
+
+def _symmetric_form(m: Matrix) -> np.ndarray:
+    """A fresh dense copy of a symmetric S with diag(S^k) = diag(M^k).
+
+    S is M itself when M is symmetric.  Otherwise M must be diag(1/a) S
+    diag(a), so its pattern is symmetric and S_ij = +-sqrt(M_ij * M_ji);
+    a is read off the ratios M_ij / M_ji = a_j**2 / a_i**2 along a
+    spanning forest of the pattern and checked on every stored entry to a
+    relative 1e-10.  InputError says which condition fails.
+    """
+    if isinstance(m, DenseMatrix) and np.array_equal(m.values, m.values.T):
+        return m.to_dense()
+    m = sp.csr_array(as_array(m), dtype=np.float64, copy=True)
+    m.sum_duplicates()
+    m.eliminate_zeros()
+    mt = m.T.tocsr()
+    mt.sort_indices()
+    if not (np.array_equal(m.indptr, mt.indptr) and np.array_equal(m.indices, mt.indices)):
+        raise _not_similar("its pattern is not symmetric")
+    if np.array_equal(m.data, mt.data):
+        return m.toarray()
+    if np.any(m.data * mt.data < 0):
+        raise _not_similar("an entry and its mirror differ in sign")
+    s_data = np.sign(m.data) * np.sqrt(m.data * mt.data)
+    s = sp.csr_array((s_data, m.indices, m.indptr), shape=m.shape)
+    g = _forest_log_scale(m, 0.5 * np.log(m.data / mt.data))
+    rows = np.repeat(np.arange(m.shape[0]), np.diff(m.indptr))
+    if not np.allclose(m.data, s_data * np.exp(g[m.indices] - g[rows]), rtol=1e-10, atol=0):
+        raise _not_similar("its ratios M_ij / M_ji are inconsistent around a cycle")
+    return s.toarray()
+
+
+#: Depths whose diagonals one matrix product computes.
+_DEPTH_BLOCK = 128
+
+
+def _power_diagonals(eigenvalues: np.ndarray, squares: np.ndarray, k_max: int):
+    """diag(S^k) for k = 1..k_max, with S = V diag(eigenvalues) V^T and
+    ``squares`` = V * V, one product per block of depths."""
+    for first in range(1, k_max + 1, _DEPTH_BLOCK):
+        depths = np.arange(first, min(first + _DEPTH_BLOCK, k_max + 1))
+        yield from (eigenvalues ** depths[:, None]) @ squares.T
 
 
 def sas_trajectory(
@@ -170,11 +263,21 @@ def sas_trajectory(
     """Self-attention scores at every depth 1..k_max plus the gap to 1/N.
 
     ``stop_tol`` ends the sweep early once the score is within that distance
-    of 1/N, recording the trajectory up to the entry point.  The dense power
-    is tracked, so each depth is one product of the matrix with a dense
-    array (a BLAS product when the matrix is dense) and the loop holds
-    16 * n**2 bytes; ResourceError is raised before allocating when that
-    exceeds the machine's physical memory.
+    of 1/N, recording the trajectory up to the entry point.
+
+    The matrix M must be symmetric, as ``sym_norm``, ``residual``,
+    ``fused_shell`` and raw adjacency are, or a diagonal similarity
+    diag(1/a) S diag(a) of a symmetric S, as ``rw_norm`` is; any other
+    matrix raises InputError.  S is decomposed once, S = V diag(lam) V^T,
+    and diag(M^k) = diag(S^k) = (V * V) lam**k, a block of depths per
+    matrix product.  The row sums are M^k 1, one matrix-vector product per
+    depth, so an empty row sums to exactly 0 and raises NumericError
+    naming the row and depth.  The absolute error of a diagonal entry is
+    about n * eps * max|lam|**k, so the scores of the normalized
+    propagators, whose spectral radius is at most 1, are exact to rounding.
+    A dense S and its eigenvectors take 16 * n**2 bytes, checked by
+    ``require_memory`` before allocating (ResourceError); a nonsymmetric
+    dense M is first copied to CSR.
     """
     m = p.matrix if isinstance(p, Propagator) else p
     if m.shape[0] != m.shape[1]:
@@ -182,29 +285,32 @@ def sas_trajectory(
     if k_max < 1:
         raise InputError(f"k_max must be >= 1, got {k_max}")
     n = m.shape[0]
-    # the dense power and its product, float64 each
-    require_memory(16 * n * n, f"sas_trajectory holds two dense {n} x {n} powers")
+    require_memory(
+        16 * n * n, f"sas_trajectory holds a dense {n} x {n} matrix and its eigenvectors"
+    )
     a = as_array(m)
-    power = np.eye(n)
+    # a non-finite entry makes its row sum non-finite, so this also vets M
+    sums = _row_sums(a @ np.ones(n), 1)
+    s = _symmetric_form(m)
+    # imported on first use: scipy.linalg adds 80-155 ms to every CLI start-up
+    from scipy.linalg import eigh
+
+    # s is symmetric, so its transpose is the same matrix in the Fortran
+    # order LAPACK overwrites in place
+    eigenvalues, v = eigh(s.T, driver="evr", overwrite_a=True, check_finite=False)
+    del s
+    squares = np.square(v, out=v)
     trajectory: list[tuple[int, float]] = []
     target = 1.0 / n
-    for k in range(1, k_max + 1):
-        power = a @ power
-        row_sums = power.sum(axis=1)
-        if not np.all(np.isfinite(row_sums)):
-            bad = int(np.flatnonzero(~np.isfinite(row_sums))[0])
-            raise NumericError(f"row {bad} of the depth-{k} power is non-finite")
-        if np.any(row_sums == 0):
-            bad = int(np.flatnonzero(row_sums == 0)[0])
-            raise NumericError(f"row {bad} of the depth-{k} power sums to zero")
-        score = float(np.mean(np.einsum("ii->i", power) / row_sums))
+    for k, diagonal in enumerate(_power_diagonals(eigenvalues, squares, k_max), start=1):
+        if k > 1:
+            sums = _row_sums(a @ sums, k)
+        score = float(np.mean(diagonal / sums))
         trajectory.append((k, score))
         if stop_tol is not None and abs(score - target) < stop_tol:
             break
     gap = abs(trajectory[-1][1] - target)
-    return MetricReport(
-        avg_nat=float(power.sum() / n), sas_trajectory=trajectory, limit_gap=gap
-    )
+    return MetricReport(avg_nat=float(sums.sum() / n), sas_trajectory=trajectory, limit_gap=gap)
 
 
 def aggregation_bounds_check(g: SparseGraph) -> AggregationBoundsVerdict:

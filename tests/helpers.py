@@ -8,11 +8,13 @@ from dense hand arithmetic.
 from __future__ import annotations
 
 import os
+import resource
 
 import numpy as np
 import scipy.sparse as sp
 
-from shellprop import SparseGraph, build_graph, is_connected
+from shellprop import MetricReport, NumericError, SparseGraph, build_graph, is_connected
+from shellprop.graph import as_array
 
 BIG = 10**9  # oracle-side unreachable marker
 
@@ -65,6 +67,17 @@ def fake_physical_memory(monkeypatch, nbytes: int) -> None:
     real = os.sysconf
     pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": nbytes // 4096}
     monkeypatch.setattr(os, "sysconf", lambda name: pages.get(name) or real(name))
+
+
+def fake_address_space_limit(monkeypatch, soft) -> None:
+    """Make the process's address-space soft limit read ``soft`` (bytes, or
+    ``resource.RLIM_INFINITY``)."""
+    real = resource.getrlimit
+
+    def getrlimit(which):
+        return (soft, resource.RLIM_INFINITY) if which == resource.RLIMIT_AS else real(which)
+
+    monkeypatch.setattr(resource, "getrlimit", getrlimit)
 
 
 def floyd_warshall(g: SparseGraph) -> np.ndarray:
@@ -133,3 +146,30 @@ def reference_forward(params, x, fused_dense: np.ndarray) -> np.ndarray:
     logits = s @ params.w2 + params.b2
     e = np.exp(logits)
     return e / e.sum(axis=1, keepdims=True)
+
+
+def power_trajectory(m, k_max: int) -> MetricReport:
+    """Self-attention scores at depths 1..k_max from the tracked dense power.
+
+    Each depth is one product of the matrix with the dense power; the
+    checks and their NumericError wording are those of ``sas_trajectory``.
+    """
+    n = m.shape[0]
+    a = as_array(m)
+    power = np.eye(n)
+    trajectory: list[tuple[int, float]] = []
+    for k in range(1, k_max + 1):
+        power = a @ power
+        row_sums = power.sum(axis=1)
+        if not np.all(np.isfinite(row_sums)):
+            bad = int(np.flatnonzero(~np.isfinite(row_sums))[0])
+            raise NumericError(f"row {bad} of the depth-{k} power is non-finite")
+        if np.any(row_sums == 0):
+            bad = int(np.flatnonzero(row_sums == 0)[0])
+            raise NumericError(f"row {bad} of the depth-{k} power sums to zero")
+        score = float(np.mean(np.einsum("ii->i", power) / row_sums))
+        trajectory.append((k, score))
+    gap = abs(trajectory[-1][1] - 1.0 / n)
+    return MetricReport(
+        avg_nat=float(power.sum() / n), sas_trajectory=trajectory, limit_gap=gap
+    )

@@ -4,13 +4,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
 from shellprop import synth_planted_partition, write_dataset
 from shellprop.cli import main
 
-from helpers import fake_physical_memory
+from helpers import fake_address_space_limit, fake_physical_memory
 
 
 @pytest.fixture()
@@ -74,6 +75,27 @@ class TestShellsCommand:
         assert result.exit_code == 4
         assert "about 480064 bytes, but physical memory is 204800 bytes" in result.output
         assert "Traceback" not in result.output
+
+    def test_bfs_block_beyond_address_space_limit_exits_4(self, runner, tmp_path, monkeypatch):
+        # as under `ulimit -v 200`: the limit, not physical memory, refuses the block
+        fake_address_space_limit(monkeypatch, 50 * 4096)
+        edges = tmp_path / "mid.tsv"
+        edges.write_text("0\t999\n")
+        result = run(runner, ["shells", "--data", edges, "--out", tmp_path / "o"])
+        assert result.exit_code == 4
+        assert "about 480064 bytes, but the address-space limit is 204800 bytes" in result.output
+
+    def test_failed_allocation_exits_4_without_traceback(
+        self, runner, p3_edges, tmp_path, monkeypatch
+    ):
+        def exhausted(*args):
+            return np.empty((2**31, 2**31), dtype=np.uint8)  # 4 EiB: refused at once
+
+        monkeypatch.setattr("shellprop.cli.shell_report", exhausted)
+        result = run(runner, ["shells", "--data", p3_edges, "--out", tmp_path / "o"])
+        assert result.exit_code == 4
+        assert "error: out of memory: Unable to allocate 4.00 EiB" in result.stderr
+        assert "Traceback" not in result.stderr
 
 
 class TestMetricsCommand:
@@ -360,11 +382,15 @@ class TestOptionRanges:
 
 
 def test_cli_start_up_leaves_csgraph_unimported():
-    # csgraph costs about 75 ms and 11 MB at import, and no command needs it
-    code = "import sys, shellprop.cli; print('scipy.sparse.csgraph' in sys.modules)"
+    # csgraph costs about 75 ms and 11 MB at import and scipy.linalg 80-155 ms;
+    # only the diagnostics use them, so every other command starts without them
+    code = (
+        "import sys, shellprop.cli;"
+        " print([m in sys.modules for m in ('scipy.sparse.csgraph', 'scipy.linalg')])"
+    )
     src = str(Path(__file__).resolve().parents[1] / "src")
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
         env={**os.environ, "PYTHONPATH": src}, check=True,
     )
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "[False, False]"

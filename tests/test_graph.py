@@ -1,3 +1,5 @@
+import resource
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -23,6 +25,7 @@ from shellprop.graph import distance_blocks
 from helpers import (
     BIG,
     complete_graph,
+    fake_address_space_limit,
     fake_physical_memory,
     floyd_warshall,
     path_graph,
@@ -203,6 +206,17 @@ class TestBfsWorkingSet:
         fake_physical_memory(monkeypatch, 50 * 4096)
         with pytest.raises(ResourceError, match=r"256 sources over 1000 nodes .* about 480064 bytes"):
             shell_decompose(build_graph([(0, 999)], 1000))
+
+    @pytest.mark.parametrize("soft, bound", [
+        (100 * 4096, "the address-space limit is 409600 bytes"),
+        (300 * 4096, "physical memory is 819200 bytes"),
+        (resource.RLIM_INFINITY, "physical memory is 819200 bytes"),
+    ])
+    def test_address_space_limit_bounds_when_lower(self, monkeypatch, soft, bound):
+        fake_physical_memory(monkeypatch, 200 * 4096)
+        fake_address_space_limit(monkeypatch, soft)
+        with pytest.raises(ResourceError, match=f"about 1504064 bytes, but {bound}"):
+            distance_matrix(build_graph([(0, 999)], 1000))
 
 
 class TestDiameter:

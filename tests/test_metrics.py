@@ -3,6 +3,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shellprop import (
     ConfigError,
@@ -33,6 +35,7 @@ from helpers import (
     dense_sym_norm,
     exact_walk_total,
     path_graph,
+    power_trajectory,
     random_connected_graph,
     random_tree,
     star_graph,
@@ -249,6 +252,89 @@ class TestSasTrajectory:
         # 16 * (10**6)**2 bytes is 16 TB; the identity itself takes 24 MB
         with pytest.raises(ResourceError, match="16000000000000 bytes"):
             sas_trajectory(sp.eye_array(10**6, format="csr"), 1)
+
+
+@st.composite
+def propagators(draw):
+    """Every propagator kind on graphs of 1 to 60 nodes, about a tenth of
+    them isolated and the rest often in several components."""
+    n = draw(st.integers(1, 60))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    ends = rng.integers(0, n, size=(int(draw(st.sampled_from([0.0, 0.5, 1, 2, 4])) * n / 2), 2))
+    kept = rng.random(n) >= 0.1
+    g = build_graph(ends[kept[ends].all(axis=1)], n)
+    kind = draw(st.sampled_from(["sym", "rw", "residual", "fused", "raw_adjacency"]))
+    if kind == "sym":
+        return sym_norm_propagator(g)
+    if kind == "rw":
+        return rw_norm_propagator(g)
+    if kind == "residual":
+        base = draw(st.sampled_from([sym_norm_propagator, rw_norm_propagator]))(g)
+        return residual_propagator(base, draw(st.sampled_from([0.1, 0.5, 0.9])))
+    if kind == "fused":
+        l_cap = draw(st.sampled_from([None, 1, 2, 3]))
+        return fused_shell_propagator(shell_decompose(g, l_cap), draw(st.sampled_from([2.0, 5.0])))
+    return raw_adjacency_propagator(g)
+
+
+class TestEigenTrajectory:
+    """The closed-form trajectory against the dense power loop it replaced."""
+
+    @given(prop=propagators())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_the_power_loop_at_every_depth(self, prop):
+        try:
+            want = power_trajectory(prop.matrix, 30)
+        except NumericError as err:
+            # raw adjacency with an isolated node, or an edgeless fused
+            # operator: both name the same row and depth
+            with pytest.raises(NumericError) as got:
+                sas_trajectory(prop, 30)
+            assert str(got.value) == str(err)
+            return
+        got = sas_trajectory(prop, 30)
+        assert [k for k, _ in got.sas_trajectory] == list(range(1, 31))
+        for (k, score), (_, oracle) in zip(got.sas_trajectory, want.sas_trajectory):
+            assert abs(score - oracle) <= 1e-10, f"{prop.kind} at depth {k}"
+        assert got.avg_nat == pytest.approx(want.avg_nat, rel=1e-10)
+
+    @pytest.mark.parametrize(
+        "make", [sym_norm_propagator, rw_norm_propagator, raw_adjacency_propagator]
+    )
+    def test_depth_blocks_join_without_a_gap(self, make):
+        # 300 depths span three blocks of diagonals
+        prop = make(random_connected_graph(12, 20, 0.2))
+        got = sas_trajectory(prop, 300).sas_trajectory
+        want = power_trajectory(prop.matrix, 300).sas_trajectory
+        assert [k for k, _ in got] == list(range(1, 301))
+        assert max(abs(x - y) for (_, x), (_, y) in zip(got, want)) <= 1e-10
+
+    @pytest.mark.parametrize("carrier", ["csr", "dense"])
+    def test_bare_rw_matrix_of_a_non_regular_graph(self, carrier):
+        g = random_connected_graph(11, 30, 0.15)
+        assert len(set(g.degrees.tolist())) > 1
+        m = rw_norm_propagator(g).matrix
+        if carrier == "dense":
+            m = DenseMatrix(m.toarray())
+        got = sas_trajectory(m, 30).sas_trajectory
+        want = power_trajectory(m, 30).sas_trajectory
+        assert max(abs(x - y) for (_, x), (_, y) in zip(got, want)) <= 1e-10
+
+    @pytest.mark.parametrize("rows, match", [
+        # M_01 / M_10 and M_12 / M_21 are 1, so M_02 / M_20 would have to be 1 too
+        ([[0, 1, 2], [1, 0, 1], [1, 1, 0]], "inconsistent around a cycle"),
+        ([[1, 1], [0, 1]], "pattern is not symmetric"),
+        ([[1, 1], [-1, 3]], "differ in sign"),
+    ])
+    def test_no_symmetric_form_raises(self, rows, match):
+        with pytest.raises(InputError, match=match):
+            sas_trajectory(sp.csr_array(np.array(rows, dtype=float)), 3)
+
+    def test_nan_entry_names_its_row(self):
+        m = sym_norm_propagator(path_graph(4)).matrix.toarray()
+        m[1, 2] = m[2, 1] = np.nan
+        with pytest.raises(NumericError, match="row 1 of the depth-1 power is non-finite"):
+            sas_trajectory(sp.csr_array(m), 3)
 
 
 class TestResidualRaisesSelfAttention:
