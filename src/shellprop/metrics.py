@@ -8,10 +8,10 @@ propagators of a connected graph it converges to 1/N as k grows, which is
 what the trajectory helpers verify numerically.
 
 The aggregation count takes l sparse matrix-vector products.  The
-trajectory decomposes one symmetric matrix once, M itself or the symmetric
-S that a diagonal similarity carries M to, and reads the diagonal of every
-power from the eigenpairs; only its row sums are tracked, again by one
-matrix-vector product per depth.
+trajectory decomposes a symmetric matrix once per connected component, M
+itself or the symmetric S that a diagonal similarity carries M to, and
+reads the diagonal of every power from the eigenpairs; only its row sums
+are tracked, again by one matrix-vector product per depth.
 """
 from __future__ import annotations
 
@@ -23,7 +23,7 @@ import scipy.sparse as sp
 
 from .errors import ConfigError, InputError, NumericError
 from .graph import (
-    DenseMatrix, Matrix, SparseGraph, adjacency_matrix, as_array, diameter, from_array,
+    Matrix, SparseGraph, adjacency_matrix, as_array, diameter, from_array,
     is_connected, require_memory,
 )
 from .shells import ShellDecomposition, fuse_shells, normalize_shell
@@ -189,72 +189,121 @@ def _not_similar(why: str) -> InputError:
     )
 
 
-def _forest_log_scale(m: sp.csr_array, step: np.ndarray) -> np.ndarray:
-    """g with g[j] - g[i] = step[e] on each edge e = (i, j) of a BFS forest
-    of m's pattern, and g = 0 at the first node of each component."""
-    # imported on first use: csgraph adds about 75 ms and 11 MB to every CLI start-up
-    from scipy.sparse.csgraph import connected_components
-
-    n = m.shape[0]
-    _, labels = connected_components(m, directed=False)
-    frontier = np.unique(labels, return_index=True)[1]
-    g = np.full(n, np.nan)
-    g[frontier] = 0.0
-    counts = np.diff(m.indptr)
-    while frontier.size:
-        # the stored entries of the frontier's rows, row by row
-        taken = counts[frontier]
-        skip = m.indptr[frontier] - (np.cumsum(taken) - taken)
-        entries = np.arange(taken.sum()) + np.repeat(skip, taken)
-        tails = np.repeat(frontier, taken)
-        heads = m.indices[entries]
-        fresh = np.isnan(g[heads])
-        frontier, first = np.unique(heads[fresh], return_index=True)
-        g[frontier] = g[tails[fresh][first]] + step[entries[fresh][first]]
-    return g
+def _first(mask: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> tuple[int, int]:
+    """The (row, column) of the first True entry of a block's mask, as the
+    node ids ``rows`` and ``cols`` give them."""
+    i, j = np.unravel_index(np.argmax(mask), mask.shape)
+    return int(rows[i]), int(cols[j])
 
 
-def _symmetric_form(m: Matrix) -> np.ndarray:
-    """A fresh dense copy of a symmetric S with diag(S^k) = diag(M^k).
+#: Frontier rows one step of ``_bfs_forest`` reads at a time.
+_BFS_ROWS = 256
 
-    S is M itself when M is symmetric.  Otherwise M must be diag(1/a) S
-    diag(a), so its pattern is symmetric and S_ij = +-sqrt(M_ij * M_ji);
-    a is read off the ratios M_ij / M_ji = a_j**2 / a_i**2 along a
-    spanning forest of the pattern and checked on every stored entry to a
-    relative 1e-10.  InputError says which condition fails.
+
+def _bfs_forest(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each node's component root and BFS parent in the pattern of the dense
+    a + a^T, a root being its own parent."""
+    n = a.shape[0]
+    root, parent = np.full(n, -1), np.arange(n)
+    for r in range(n):
+        if root[r] >= 0:
+            continue
+        root[r] = r
+        frontier = np.array([r])
+        while frontier.size:
+            found = []
+            for rows in np.array_split(frontier, -(-frontier.size // _BFS_ROWS)):
+                linked = (a[rows] != 0) | (a[:, rows].T != 0)
+                new = np.flatnonzero(linked.any(axis=0) & (root < 0))
+                root[new] = r
+                parent[new] = rows[linked[:, new].argmax(axis=0)]
+                found.append(new)
+            frontier = np.concatenate(found)
+    return root, parent
+
+
+def _components(a: sp.csr_array | np.ndarray) -> list[np.ndarray]:
+    """The nodes, ascending, of each connected component of the nonzero
+    pattern of a + a^T."""
+    if sp.issparse(a):
+        # imported on first use: csgraph adds about 75 ms and 11 MB to every CLI start-up
+        from scipy.sparse.csgraph import connected_components
+
+        pattern = a.copy()
+        pattern.eliminate_zeros()
+        labels = connected_components(pattern, directed=False)[1]
+    else:
+        labels = _bfs_forest(a)[0]
+    order = np.argsort(labels, kind="stable")
+    return np.split(order, np.flatnonzero(np.diff(labels[order])) + 1)
+
+
+def _dense_block(a: sp.csr_array | np.ndarray, nodes: np.ndarray) -> np.ndarray:
+    """A fresh dense copy of a's rows and columns ``nodes``."""
+    if nodes.size == a.shape[0]:
+        return a.toarray() if sp.issparse(a) else a.copy()
+    return a[nodes][:, nodes].toarray() if sp.issparse(a) else a[np.ix_(nodes, nodes)]
+
+
+def _symmetric_block(m: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+    """A new symmetric S with m = diag(1/a) S diag(a), for the dense block
+    of one connected component's ``nodes``.
+
+    m's pattern must be symmetric, m_ij and m_ji of one sign, and then
+    S_ij = +-sqrt(m_ij * m_ji); a is read off the ratios
+    m_ij / m_ji = a_j**2 / a_i**2 along a BFS tree of the pattern and
+    checked on every entry to a relative 1e-10.  InputError names the first
+    entry where a condition fails.
     """
-    if isinstance(m, DenseMatrix) and np.array_equal(m.values, m.values.T):
-        return m.to_dense()
-    m = sp.csr_array(as_array(m), dtype=np.float64, copy=True)
-    m.sum_duplicates()
-    m.eliminate_zeros()
-    mt = m.T.tocsr()
-    mt.sort_indices()
-    if not (np.array_equal(m.indptr, mt.indptr) and np.array_equal(m.indices, mt.indices)):
-        raise _not_similar("its pattern is not symmetric")
-    if np.array_equal(m.data, mt.data):
-        return m.toarray()
-    if np.any(m.data * mt.data < 0):
-        raise _not_similar("an entry and its mirror differ in sign")
-    s_data = np.sign(m.data) * np.sqrt(m.data * mt.data)
-    s = sp.csr_array((s_data, m.indices, m.indptr), shape=m.shape)
-    g = _forest_log_scale(m, 0.5 * np.log(m.data / mt.data))
-    rows = np.repeat(np.arange(m.shape[0]), np.diff(m.indptr))
-    if not np.allclose(m.data, s_data * np.exp(g[m.indices] - g[rows]), rtol=1e-10, atol=0):
-        raise _not_similar("its ratios M_ij / M_ji are inconsistent around a cycle")
-    return s.toarray()
+    nonzero = m != 0
+    lopsided = nonzero != nonzero.T
+    if lopsided.any():
+        i, j = _first(lopsided & nonzero, nodes, nodes)
+        raise _not_similar(f"its pattern is not symmetric: ({i}, {j}) is nonzero, ({j}, {i}) is 0")
+    del nonzero, lopsided
+    crossed = (m < 0) != (m.T < 0)
+    if crossed.any():
+        i, j = _first(crossed, nodes, nodes)
+        raise _not_similar(f"entries ({i}, {j}) and ({j}, {i}) differ in sign")
+    del crossed
+    s = m * m.T
+    np.copysign(np.sqrt(s, out=s), m, out=s)
+    # log a by pointer jumping: step[j] is log a_j - log a_up[j] until every
+    # up[j] is the root, where log a is 0
+    up = _bfs_forest(m)[1]
+    step = np.zeros(len(m))
+    child = np.flatnonzero(up != np.arange(len(m)))
+    step[child] = 0.5 * np.log(m[up[child], child] / m[child, up[child]])
+    while np.any(up != up[up]):
+        step += step[up]
+        up = up[up]
+    scale = np.exp(step)
+    for rows in np.array_split(np.arange(len(m)), -(-len(m) // _BFS_ROWS)):
+        wrong = ~np.isclose(m[rows], s[rows] * scale / scale[rows, None], rtol=1e-10, atol=0)
+        if wrong.any():
+            i, j = _first(wrong, nodes[rows], nodes)
+            raise _not_similar(
+                f"its ratios M_ij / M_ji are inconsistent around a cycle through ({i}, {j})"
+            )
+    return s
 
 
 #: Depths whose diagonals one matrix product computes.
 _DEPTH_BLOCK = 128
 
 
-def _power_diagonals(eigenvalues: np.ndarray, squares: np.ndarray, k_max: int):
-    """diag(S^k) for k = 1..k_max, with S = V diag(eigenvalues) V^T and
-    ``squares`` = V * V, one product per block of depths."""
+def _power_diagonals(spectra, n: int, k_max: int):
+    """diag(S^k) for k = 1..k_max, with S block diagonal and each block
+    (nodes, eigenvalues, V * V) of ``spectra``, one product per block of
+    depths and of S; V * V is None for a block of lone nodes, whose
+    eigenvectors are the unit vectors."""
     for first in range(1, k_max + 1, _DEPTH_BLOCK):
         depths = np.arange(first, min(first + _DEPTH_BLOCK, k_max + 1))
-        yield from (eigenvalues ** depths[:, None]) @ squares.T
+        diagonals = np.empty((depths.size, n))
+        for nodes, eigenvalues, squares in spectra:
+            powers = eigenvalues ** depths[:, None]
+            diagonals[:, nodes] = powers if squares is None else powers @ squares.T
+        yield from diagonals
 
 
 def sas_trajectory(
@@ -268,16 +317,17 @@ def sas_trajectory(
     The matrix M must be symmetric, as ``sym_norm``, ``residual``,
     ``fused_shell`` and raw adjacency are, or a diagonal similarity
     diag(1/a) S diag(a) of a symmetric S, as ``rw_norm`` is; any other
-    matrix raises InputError.  S is decomposed once, S = V diag(lam) V^T,
-    and diag(M^k) = diag(S^k) = (V * V) lam**k, a block of depths per
+    matrix raises InputError naming an entry.  Each connected component of
+    M's pattern is decomposed apart, S_C = V diag(lam) V^T, and on its
+    nodes diag(M^k) = diag(S^k) = (V * V) lam**k, a block of depths per
     matrix product.  The row sums are M^k 1, one matrix-vector product per
     depth, so an empty row sums to exactly 0 and raises NumericError
-    naming the row and depth.  The absolute error of a diagonal entry is
-    about n * eps * max|lam|**k, so the scores of the normalized
-    propagators, whose spectral radius is at most 1, are exact to rounding.
-    A dense S and its eigenvectors take 16 * n**2 bytes, checked by
-    ``require_memory`` before allocating (ResourceError); a nonsymmetric
-    dense M is first copied to CSR.
+    naming the row and depth.  A diagonal entry is off by about
+    n * eps * max|lam|**k of its own component, whose row sums of a
+    non-negative M grow at that rate too, so rounding in a component with a
+    large spectral radius never reaches the scores of another.  The dense
+    blocks and their eigenvectors take at most 16 * n**2 bytes, checked by
+    ``require_memory`` before allocating (ResourceError).
     """
     m = p.matrix if isinstance(p, Propagator) else p
     if m.shape[0] != m.shape[1]:
@@ -286,23 +336,31 @@ def sas_trajectory(
         raise InputError(f"k_max must be >= 1, got {k_max}")
     n = m.shape[0]
     require_memory(
-        16 * n * n, f"sas_trajectory holds a dense {n} x {n} matrix and its eigenvectors"
+        16 * n * n,
+        f"sas_trajectory holds dense blocks of a {n} x {n} matrix and their eigenvectors",
     )
     a = as_array(m)
     # a non-finite entry makes its row sum non-finite, so this also vets M
     sums = _row_sums(a @ np.ones(n), 1)
-    s = _symmetric_form(m)
     # imported on first use: scipy.linalg adds 80-155 ms to every CLI start-up
     from scipy.linalg import eigh
 
-    # s is symmetric, so its transpose is the same matrix in the Fortran
-    # order LAPACK overwrites in place
-    eigenvalues, v = eigh(s.T, driver="evr", overwrite_a=True, check_finite=False)
-    del s
-    squares = np.square(v, out=v)
+    components = _components(a)
+    # a lone node is its own eigenpair, eigenvalue M_ii and eigenvector 1
+    lone = np.array([nodes[0] for nodes in components if nodes.size == 1], dtype=np.int64)
+    spectra = [(lone, a.diagonal()[lone], None)]
+    for nodes in (nodes for nodes in components if nodes.size > 1):
+        s = _dense_block(a, nodes)
+        if not np.array_equal(s, s.T):
+            s = _symmetric_block(s, nodes)
+        # s is symmetric, so its transpose is the same matrix in the Fortran
+        # order LAPACK overwrites in place
+        eigenvalues, v = eigh(s.T, driver="evr", overwrite_a=True, check_finite=False)
+        del s
+        spectra.append((nodes, eigenvalues, np.square(v, out=v)))
     trajectory: list[tuple[int, float]] = []
     target = 1.0 / n
-    for k, diagonal in enumerate(_power_diagonals(eigenvalues, squares, k_max), start=1):
+    for k, diagonal in enumerate(_power_diagonals(spectra, n, k_max), start=1):
         if k > 1:
             sums = _row_sums(a @ sums, k)
         score = float(np.mean(diagonal / sums))

@@ -11,6 +11,7 @@ from shellprop import (
     DenseMatrix,
     InputError,
     NumericError,
+    Propagator,
     ResourceError,
     SparseGraph,
     aggregation_bounds_check,
@@ -257,7 +258,16 @@ class TestSasTrajectory:
 @st.composite
 def propagators(draw):
     """Every propagator kind on graphs of 1 to 60 nodes, about a tenth of
-    them isolated and the rest often in several components."""
+    them isolated and the rest often in several components, in either
+    matrix carrier."""
+    prop = draw(propagators_as_built())
+    if draw(st.booleans()):
+        return Propagator(DenseMatrix(to_dense(prop.matrix)), prop.kind, prop.beta)
+    return prop
+
+
+@st.composite
+def propagators_as_built(draw):
     n = draw(st.integers(1, 60))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     ends = rng.integers(0, n, size=(int(draw(st.sampled_from([0.0, 0.5, 1, 2, 4])) * n / 2), 2))
@@ -320,15 +330,43 @@ class TestEigenTrajectory:
         want = power_trajectory(m, 30).sas_trajectory
         assert max(abs(x - y) for (_, x), (_, y) in zip(got, want)) <= 1e-10
 
+    @pytest.mark.parametrize("carrier", [sp.csr_array, DenseMatrix])
     @pytest.mark.parametrize("rows, match", [
         # M_01 / M_10 and M_12 / M_21 are 1, so M_02 / M_20 would have to be 1 too
-        ([[0, 1, 2], [1, 0, 1], [1, 1, 0]], "inconsistent around a cycle"),
-        ([[1, 1], [0, 1]], "pattern is not symmetric"),
-        ([[1, 1], [-1, 3]], "differ in sign"),
-    ])
-    def test_no_symmetric_form_raises(self, rows, match):
+        ([[0, 1, 2], [1, 0, 1], [1, 1, 0]], r"inconsistent around a cycle through \(1, 2\)"),
+        ([[1, 1], [0, 1]], r"pattern is not symmetric: \(0, 1\) is nonzero, \(1, 0\) is 0"),
+        ([[1, 0], [1, 1]], r"pattern is not symmetric: \(1, 0\) is nonzero, \(0, 1\) is 0"),
+        ([[1, 1], [-1, 3]], r"entries \(0, 1\) and \(1, 0\) differ in sign"),
+        # the same faults inside the second component name its own nodes
+        ([[1, 0, 0], [0, 1, 2], [0, 0, 1]], r"\(1, 2\) is nonzero, \(2, 1\) is 0"),
+        ([[2, 0, 0], [0, 2, -1], [0, 1, 3]], r"entries \(1, 2\) and \(2, 1\) differ in sign"),
+    ], ids=["cycle", "one-sided", "one-sided-below", "sign", "one-sided-later", "sign-later"])
+    def test_no_symmetric_form_raises(self, rows, match, carrier):
         with pytest.raises(InputError, match=match):
-            sas_trajectory(sp.csr_array(np.array(rows, dtype=float)), 3)
+            sas_trajectory(carrier(np.array(rows, dtype=float)), 3)
+
+    @pytest.mark.parametrize("carrier", ["csr", "csr with a stored 0", "dense"])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_rounding_stays_in_its_component(self, seed, carrier):
+        # raw adjacency of K_40 and a disjoint K_2, nodes shuffled: one
+        # decomposition of the whole matrix let the clique's eigenvalue 39
+        # reach the K_2 rows as about eps**2 * 39**k (1e15 at depth 30, seed 2),
+        # and a 0 stored between the two must not join them
+        edges = np.array([*zip(*np.triu_indices(40, 1)), (40, 41)])
+        perm = np.random.default_rng(seed).permutation(42)
+        m = raw_adjacency_propagator(build_graph(perm[edges], 42)).matrix
+        if carrier == "dense":
+            m = DenseMatrix(m.toarray())
+        elif carrier == "csr with a stored 0":
+            a, ends = m.tocoo(), perm[[0, 40]]
+            m = sp.csr_array(
+                (np.r_[a.data, 0.0, 0.0], (np.r_[a.row, ends], np.r_[a.col, ends[::-1]])),
+                shape=a.shape,
+            )
+            assert m.nnz == a.nnz + 2
+        got = sas_trajectory(m, 30).sas_trajectory
+        want = power_trajectory(m, 30).sas_trajectory
+        assert max(abs(x - y) for (_, x), (_, y) in zip(got, want)) <= 1e-10
 
     def test_nan_entry_names_its_row(self):
         m = sym_norm_propagator(path_graph(4)).matrix.toarray()
