@@ -9,13 +9,17 @@ to node i.
 from __future__ import annotations
 
 import json
+import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigError, InputError
-from .graph import SparseGraph, build_graph, component_count, open_text, read_edge_list
+from .graph import (
+    Matrix, SparseGraph, build_graph, by_bytes, component_count, open_text, read_edge_list,
+)
 
 
 @dataclass(frozen=True, eq=False)
@@ -41,33 +45,56 @@ class Dataset:
     def n(self) -> int:
         return self.graph.n
 
+    @cached_property
+    def feature_matrix(self) -> Matrix:
+        """A read-only copy of ``features`` in the carrier P's byte rule
+        picks, ``graph.by_bytes``; built once per dataset."""
+        return by_bytes(self.features)
+
 
 def _parse_features(path: Path) -> np.ndarray:
-    rows = []
-    width = None
+    """The rows of tab-separated reals, one per line, parsed in one
+    ``np.loadtxt`` pass; a file it refuses is scanned line by line for the
+    first faulty line."""
     with open_text(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            parts = line.split("\t")
-            if width is None:
-                width = len(parts)
-            elif len(parts) != width:
-                raise InputError(
-                    f"{path}: line {lineno}: expected {width} values, got"
-                    f" {len(parts)}"
-                )
-            try:
-                row = [float(v) for v in parts]
-            except ValueError:
-                raise InputError(
-                    f"{path}: line {lineno}: non-numeric feature value"
-                ) from None
-            if not all(np.isfinite(row)):
-                raise InputError(f"{path}: line {lineno}: non-finite feature value")
-            rows.append(row)
-    if not rows:
+        lines = fh.read().split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    if not lines:
         raise InputError(f"{path}: file is empty")
-    return np.asarray(rows, dtype=np.float64)
+    values = _loadtxt(lines)
+    # loadtxt skips blank lines, so a row count short of the line count marks one
+    if values is None or len(values) != len(lines) or not np.isfinite(values).all():
+        raise _feature_fault(path, lines)
+    return values
+
+
+def _loadtxt(lines: list[str]) -> np.ndarray | None:
+    """The float64 rows of tab-separated lines, or None where loadtxt
+    refuses them."""
+    try:
+        with warnings.catch_warnings():
+            # a blank line alone is "no data", which the caller counts as a fault
+            warnings.simplefilter("ignore", UserWarning)
+            return np.loadtxt(lines, delimiter="\t", comments=None, ndmin=2)
+    except ValueError:
+        return None
+
+
+def _feature_fault(path: Path, lines: list[str]) -> InputError:
+    """The InputError of the first line that is ragged, holds a value that
+    is not a number, or holds one that is not finite."""
+    width = lines[0].count("\t") + 1
+    for lineno, line in enumerate(lines, start=1):
+        parts = line.count("\t") + 1
+        if parts != width:
+            return InputError(f"{path}: line {lineno}: expected {width} values, got {parts}")
+        row = _loadtxt([line])
+        if row is None or len(row) != 1:
+            return InputError(f"{path}: line {lineno}: non-numeric feature value")
+        if not np.isfinite(row).all():
+            return InputError(f"{path}: line {lineno}: non-finite feature value")
+    return InputError(f"{path}: unreadable feature rows")
 
 
 def _parse_labels(path: Path, n: int) -> np.ndarray:

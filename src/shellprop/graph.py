@@ -3,11 +3,11 @@
 Graphs are undirected, unweighted and simple; every edge is stored in both
 directions with column indices sorted inside each row.  A real matrix is
 carried as a scipy ``csr_array`` with int64 indices or, where that takes
-fewer bytes, a ``DenseMatrix``; ``as_array`` hands a product either the
-``csr_array`` itself or the plain 2-D float64 values.  All containers here
-are frozen and their buffers (a ``csr_array``'s ``data``, ``indices`` and
-``indptr``) are marked read-only, so they are safe to share across threads
-and worker processes.
+no more bytes (``stores_dense``), a ``DenseMatrix``; ``as_array`` hands a
+product either the ``csr_array`` itself or the plain 2-D float64 values.
+All containers here are frozen and their buffers (a ``csr_array``'s
+``data``, ``indices`` and ``indptr``) are marked read-only, so they are
+safe to share across threads and worker processes.
 """
 from __future__ import annotations
 
@@ -126,15 +126,33 @@ def as_array(m: Matrix) -> sp.csr_array | np.ndarray:
     return m.values if isinstance(m, DenseMatrix) else m
 
 
-def frozen_csr(data: np.ndarray, indices: np.ndarray, indptr: np.ndarray) -> sp.csr_array:
-    """The square csr_array on these buffers as written, marked read-only.
+def frozen_csr(
+    data: np.ndarray, indices: np.ndarray, indptr: np.ndarray, shape: tuple[int, int] | None = None
+) -> sp.csr_array:
+    """The csr_array on these buffers as written, marked read-only; square
+    unless ``shape`` is given.
 
     Nothing is copied or reordered, so a row keeps the order of its stored
     entries; ``indices`` and ``indptr`` are int64.
     """
     _freeze(data, indices, indptr)
     n = indptr.shape[0] - 1
-    return sp.csr_array((data, indices, indptr), shape=(n, n))
+    return sp.csr_array((data, indices, indptr), shape=shape or (n, n))
+
+
+def stores_dense(shape: tuple[int, int], nnz: int) -> bool:
+    """Whether a matrix of ``shape`` with ``nnz`` stored entries is carried
+    dense: when its full float64 array takes no more bytes than CSR, 16 per
+    entry (a float64 value and an int64 index) plus the row pointers."""
+    rows, cols = shape
+    return 8 * rows * cols <= 16 * nnz + 8 * (rows + 1)
+
+
+def by_bytes(a) -> Matrix:
+    """A copy of the 2-D array ``a`` in the carrier ``stores_dense`` picks for
+    its nonzero entries."""
+    a = np.asarray(a, dtype=np.float64)
+    return from_array(a if stores_dense(a.shape, np.count_nonzero(a)) else sp.csr_array(a))
 
 
 def from_array(a) -> Matrix:
@@ -149,7 +167,10 @@ def from_array(a) -> Matrix:
     m = sp.csr_array(a, dtype=np.float64, copy=True)
     m.sum_duplicates()
     return frozen_csr(
-        m.data, m.indices.astype(np.int64, copy=False), m.indptr.astype(np.int64, copy=False)
+        m.data,
+        m.indices.astype(np.int64, copy=False),
+        m.indptr.astype(np.int64, copy=False),
+        m.shape,
     )
 
 

@@ -325,9 +325,15 @@ def sas_trajectory(
     naming the row and depth.  A diagonal entry is off by about
     n * eps * max|lam|**k of its own component, whose row sums of a
     non-negative M grow at that rate too, so rounding in a component with a
-    large spectral radius never reaches the scores of another.  The dense
-    blocks and their eigenvectors take at most 16 * n**2 bytes, checked by
-    ``require_memory`` before allocating (ResourceError).
+    large spectral radius never reaches the scores of another.
+
+    Memory is checked by ``require_memory`` once the components are known,
+    before any dense block (ResourceError).  Each component C of two or
+    more nodes keeps its squared eigenvectors, 8 |C|**2 bytes, and the one
+    being decomposed holds 8 |C|**2 more beside them: its dense copy, or
+    for ``rw`` the copy and then S.  A block of D = min(k_max, 128) depths
+    holds diagonals, powers and their product, at most 24 D n bytes.  So
+    the check is 8 (sum |C|**2 + max |C|**2) + 24 D n bytes.
     """
     m = p.matrix if isinstance(p, Propagator) else p
     if m.shape[0] != m.shape[1]:
@@ -335,10 +341,6 @@ def sas_trajectory(
     if k_max < 1:
         raise InputError(f"k_max must be >= 1, got {k_max}")
     n = m.shape[0]
-    require_memory(
-        16 * n * n,
-        f"sas_trajectory holds dense blocks of a {n} x {n} matrix and their eigenvectors",
-    )
     a = as_array(m)
     # a non-finite entry makes its row sum non-finite, so this also vets M
     sums = _row_sums(a @ np.ones(n), 1)
@@ -346,6 +348,13 @@ def sas_trajectory(
     from scipy.linalg import eigh
 
     components = _components(a)
+    sizes = [nodes.size for nodes in components if nodes.size > 1]
+    require_memory(
+        8 * (sum(c * c for c in sizes) + max(sizes, default=0) ** 2)
+        + 24 * min(k_max, _DEPTH_BLOCK) * n,
+        f"sas_trajectory holds the dense blocks of the {len(sizes)} connected"
+        f" components of a {n} x {n} matrix and their eigenvectors",
+    )
     # a lone node is its own eigenpair, eigenvalue M_ii and eigenvector 1
     lone = np.array([nodes[0] for nodes in components if nodes.size == 1], dtype=np.int64)
     spectra = [(lone, a.diagonal()[lone], None)]

@@ -7,6 +7,12 @@ log-likelihoods over the labeled set, so the learning rate is interpreted
 against the summed (not averaged) loss.  Dropout uses the inverted-scaling
 convention on the input of each affine stage and is active only in training
 mode.
+
+The features X are an ndarray or a matrix carrier; ``train`` and
+``evaluate`` use the dataset's ``feature_matrix``, which P's byte rule
+stores as CSR for sparse bag-of-words rows and dense otherwise.  Input
+dropout draws one uniform per stored entry of X, so a CSR X keeps its
+pattern and a dense X draws all n * d values in C order.
 """
 from __future__ import annotations
 
@@ -15,9 +21,10 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import ConfigError, InputError, NumericError
-from .graph import as_array
+from .graph import DenseMatrix, Matrix, as_array
 from .shells import FusedPropagator, fuse_shells, fused_propagate, shell_decompose
 
 _CHECKPOINT_MAGIC = b"SHLP"
@@ -119,14 +126,31 @@ def _dropout_mask(rng, shape, rate: float) -> np.ndarray:
     return (rng.random(shape) < keep).astype(np.float64) / keep
 
 
+def _features(x: np.ndarray | Matrix) -> np.ndarray | sp.csr_array:
+    """The array or csr_array that the first stage multiplies."""
+    if isinstance(x, (DenseMatrix, sp.csr_array)):
+        return as_array(x)
+    return np.asarray(x, dtype=np.float64)
+
+
+def _dropped(x: np.ndarray | sp.csr_array, rng, rate: float) -> np.ndarray | sp.csr_array:
+    """x after inverted dropout of its stored entries: one uniform per entry
+    of a CSR x's ``data``, in place in its pattern, or per entry of a dense x
+    in C order."""
+    if sp.issparse(x):
+        kept = x.data * _dropout_mask(rng, x.data.shape, rate)
+        return sp.csr_array((kept, x.indices, x.indptr), shape=x.shape)
+    return x * _dropout_mask(rng, x.shape, rate)
+
+
 def _forward_cache(
     params: ModelParams,
-    x: np.ndarray,
+    x: np.ndarray | Matrix,
     p: FusedPropagator,
     dropout: float,
     rng,
 ) -> dict:
-    x = np.asarray(x, dtype=np.float64)
+    x = _features(x)
     if x.ndim != 2 or x.shape[1] != params.w1.shape[0]:
         raise InputError(
             f"feature matrix must be 2-D with {params.w1.shape[0]} columns,"
@@ -135,10 +159,8 @@ def _forward_cache(
     if dropout > 0.0:
         if rng is None:
             raise InputError("dropout requires a seeded rng")
-        mask1 = _dropout_mask(rng, x.shape, dropout)
-        x_in = x * mask1
+        x_in = _dropped(x, rng, dropout)
     else:
-        mask1 = None
         x_in = x
     a1 = x_in @ params.w1 + params.b1
     z = np.maximum(a1, 0.0)
@@ -165,7 +187,7 @@ def _forward_cache(
 
 def forward(
     params: ModelParams,
-    x: np.ndarray,
+    x: np.ndarray | Matrix,
     p: FusedPropagator,
     train_mode: bool = False,
     rng=None,
@@ -173,9 +195,10 @@ def forward(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Run the model; returns (logits, probabilities).
 
-    Dropout is applied to the input of both affine stages, only when
-    ``train_mode`` is set, with inverted scaling so evaluation needs no
-    rescale.
+    ``x`` is an ndarray, a DenseMatrix or a csr_array.  Dropout is applied
+    to the input of both affine stages, only when ``train_mode`` is set,
+    with inverted scaling so evaluation needs no rescale; on a CSR x it
+    drops stored entries only.
     """
     rate = dropout if train_mode else 0.0
     cache = _forward_cache(params, x, p, rate, rng)
@@ -221,7 +244,7 @@ def _grads_from_cache(
 
 def backward(
     params: ModelParams,
-    x: np.ndarray,
+    x: np.ndarray | Matrix,
     p: FusedPropagator,
     y: np.ndarray,
     mask: np.ndarray,
@@ -277,7 +300,7 @@ def evaluate(params: ModelParams, dataset, p: FusedPropagator, mask) -> tuple[fl
     mask = np.asarray(mask, dtype=np.int64)
     if mask.size == 0:
         raise InputError("evaluation mask must be non-empty")
-    _, probs = forward(params, dataset.features, p, train_mode=False)
+    _, probs = forward(params, dataset.feature_matrix, p, train_mode=False)
     preds = probs[mask].argmax(axis=1)
     truth = np.asarray(dataset.labels, dtype=np.int64)[mask]
     accuracy = float((preds == truth).mean())
@@ -291,7 +314,7 @@ def evaluate(params: ModelParams, dataset, p: FusedPropagator, mask) -> tuple[fl
 
 
 def _masked_accuracy(
-    params: ModelParams, x: np.ndarray, rows, truth: np.ndarray
+    params: ModelParams, x: np.ndarray | sp.csr_array, rows, truth: np.ndarray
 ) -> float:
     """Validation accuracy via P's rows sliced to the masked nodes.
 
@@ -325,7 +348,7 @@ def train(
     if propagator is None:
         decomposition = shell_decompose(dataset.graph, config.l_cap)
         propagator = fuse_shells(decomposition, config.alpha)
-    x = np.asarray(dataset.features, dtype=np.float64)
+    x = as_array(dataset.feature_matrix)
     y = np.asarray(dataset.labels, dtype=np.int64)
     train_mask = np.asarray(split.train, dtype=np.int64)
     val_mask = np.asarray(split.val, dtype=np.int64)

@@ -29,6 +29,7 @@ from .graph import (
     frozen_csr,
     is_symmetric,
     spmm,
+    stores_dense,
 )
 
 
@@ -172,16 +173,16 @@ def _fuse(n: int, theta: np.ndarray, binary: tuple[sp.csr_array, ...]) -> Matrix
     off-diagonal entry is written once; the diagonal sums every level up
     to l_max, also past a node's own eccentricity.
 
-    P stores its diagonal and every shell entry.  When the n x n float64
-    array takes no more bytes than those entries in CSR (16 bytes each plus
-    the n + 1 row pointers), P is dense, which a connected graph at full
-    diameter always is.  Otherwise row i of the CSR P stores its diagonal
-    first, then its entries in shells 1, 2, ... in turn, which fixes the
-    per-row summation order of every product.
+    P stores its diagonal and every shell entry, and ``graph.stores_dense``
+    carries it dense when the n x n float64 array takes no more bytes than
+    those entries in CSR, as a connected graph at full diameter always does.
+    Otherwise row i of the CSR P stores its diagonal first, then its entries
+    in shells 1, 2, ... in turn, which fixes the per-row summation order of
+    every product.
     """
     stored = n + sum(t.nnz for t in binary)
     degrees = [np.diff(t.indptr) for t in binary]
-    dense = 8 * n * n <= 16 * stored + 8 * (n + 1)
+    dense = stores_dense((n, n), stored)
     if dense:
         p = np.zeros((n, n))
     else:

@@ -9,12 +9,16 @@ from __future__ import annotations
 
 import os
 import resource
+from dataclasses import replace
 
 import numpy as np
 import scipy.sparse as sp
 
-from shellprop import MetricReport, NumericError, SparseGraph, build_graph, is_connected
-from shellprop.graph import as_array
+from shellprop import (
+    Dataset, InputError, MetricReport, NumericError, SparseGraph, build_graph, is_connected,
+    synth_planted_partition,
+)
+from shellprop.graph import as_array, open_text
 
 BIG = 10**9  # oracle-side unreachable marker
 
@@ -59,6 +63,61 @@ def random_tree(seed: int, n: int) -> SparseGraph:
     rng = np.random.default_rng(seed)
     edges = [(int(rng.integers(0, i)), i) for i in range(1, n)]
     return build_graph(edges, n)
+
+
+def bag_of_words(
+    seed: int,
+    n_per_class: int = 10,
+    classes: int = 3,
+    features: int = 60,
+    words: int = 2,
+    labels_per_class: int = 4,
+) -> Dataset:
+    """``synth_planted_partition``'s graph, labels and split with sparse
+    binary bag-of-words features: each node turns on up to ``words``
+    columns, each drawn from its class's block of ``features // classes``
+    columns with chance 0.7 and from all columns otherwise."""
+    ds = synth_planted_partition(
+        n_per_class, classes, 0.5, 0.05, seed=seed, labels_per_block=labels_per_class
+    )
+    rng = np.random.default_rng(seed)
+    topic = features // classes
+    rows = np.repeat(np.arange(ds.n), words)
+    on_topic = rng.random(rows.size) < 0.7
+    cols = np.where(
+        on_topic,
+        ds.labels[rows] * topic + rng.integers(0, topic, rows.size),
+        rng.integers(0, features, rows.size),
+    )
+    x = np.zeros((ds.n, features))
+    x[rows, cols] = 1.0
+    return replace(ds, features=x)
+
+
+def parse_features_by_line(path) -> np.ndarray:
+    """The feature parser as it read one line at a time, converting each
+    value with ``float``: the oracle of ``data._parse_features``."""
+    rows = []
+    width = None
+    with open_text(path) as fh:
+        for lineno, line in enumerate(fh, start=1):
+            parts = line.rstrip("\n").split("\t")
+            if width is None:
+                width = len(parts)
+            elif len(parts) != width:
+                raise InputError(
+                    f"{path}: line {lineno}: expected {width} values, got {len(parts)}"
+                )
+            try:
+                row = [float(v) for v in parts]
+            except ValueError:
+                raise InputError(f"{path}: line {lineno}: non-numeric feature value") from None
+            if not all(np.isfinite(row)):
+                raise InputError(f"{path}: line {lineno}: non-finite feature value")
+            rows.append(row)
+    if not rows:
+        raise InputError(f"{path}: file is empty")
+    return np.asarray(rows, dtype=np.float64)
 
 
 def fake_physical_memory(monkeypatch, nbytes: int) -> None:

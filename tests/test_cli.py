@@ -11,7 +11,7 @@ from click.testing import CliRunner
 from shellprop import synth_planted_partition, write_dataset
 from shellprop.cli import main
 
-from helpers import fake_address_space_limit, fake_physical_memory
+from helpers import bag_of_words, fake_address_space_limit, fake_physical_memory
 
 
 @pytest.fixture()
@@ -24,6 +24,14 @@ def toy_dataset(tmp_path):
     ds = synth_planted_partition(10, 2, 0.8, 0.05, seed=1)
     path = tmp_path / "toy"
     write_dataset(path, ds)
+    return path
+
+
+@pytest.fixture()
+def sparse_dataset(tmp_path):
+    """A dataset whose bag-of-words features load into a CSR carrier."""
+    path = tmp_path / "sparse"
+    write_dataset(path, bag_of_words(1, n_per_class=12, labels_per_class=3))
     return path
 
 
@@ -233,13 +241,15 @@ class TestTrainCommand:
         assert "labels.tsv: line 1: label out of range" in result.output
         assert "Traceback" not in result.output
 
-    def test_byte_identical_reruns(self, runner, toy_dataset, tmp_path):
-        args = ["train", "--data", toy_dataset, "--alpha", 2, "--epochs", 60,
-                "--patience", 60, "--seed", 7]
-        run(runner, args + ["--out", tmp_path / "a"])
-        run(runner, args + ["--out", tmp_path / "b"])
-        for name in ("metrics.json", "checkpoint.bin", "history.csv"):
-            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+    def test_byte_identical_reruns(self, runner, toy_dataset, sparse_dataset, tmp_path):
+        for data in (toy_dataset, sparse_dataset):
+            args = ["train", "--data", data, "--alpha", 2, "--epochs", 60,
+                    "--patience", 60, "--seed", 7]
+            a, b = tmp_path / data.name / "a", tmp_path / data.name / "b"
+            assert run(runner, args + ["--out", a]).exit_code == 0
+            assert run(runner, args + ["--out", b]).exit_code == 0
+            for name in ("metrics.json", "checkpoint.bin", "history.csv"):
+                assert (a / name).read_bytes() == (b / name).read_bytes()
 
     def test_rerun_from_manifest(self, runner, toy_dataset, tmp_path):
         out = tmp_path / "a"

@@ -16,6 +16,8 @@ from shellprop import (
 )
 from shellprop.data import _parse_features, _parse_labels, _parse_split, load_graph
 
+from helpers import parse_features_by_line
+
 
 def write_toy(directory, features, labels, edges, split=None):
     directory.mkdir(parents=True, exist_ok=True)
@@ -227,6 +229,71 @@ class TestLoadGraph:
         (d / "features.tsv").unlink()
         with pytest.raises(InputError, match="features.tsv"):
             load_graph(d)
+
+
+def _parse_both(path):
+    """(outcome of _parse_features, outcome of the line-by-line oracle): the
+    array, or the InputError message."""
+    outcomes = []
+    for parse in (_parse_features, parse_features_by_line):
+        try:
+            outcomes.append(parse(path))
+        except InputError as err:
+            outcomes.append(str(err))
+    return outcomes
+
+
+# ASCII numerals in the forms float() and np.loadtxt both read, and values
+# neither does
+_CELLS = st.one_of(
+    st.floats().map(repr),
+    st.integers(-(10**20), 10**20).map(str),
+    st.from_regex(r"[+-]?([0-9]{1,25}\.?[0-9]{0,25}|\.[0-9]{1,25})([eE][+-]?[0-9]{1,3})?",
+                  fullmatch=True),
+    st.sampled_from(["inf", "-Infinity", "NaN", "1e999", " 7 ", "", " ", "x", "1.2.3", "--1", "e5"]),
+)
+
+
+@st.composite
+def _feature_files(draw):
+    width = draw(st.integers(1, 4))
+    lengths = st.one_of(st.just(width), st.integers(0, 5))
+    rows = draw(st.lists(lengths.flatmap(lambda k: st.lists(_CELLS, min_size=k, max_size=k)),
+                         max_size=6))
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    text = newline.join("\t".join(row) for row in rows)
+    return text + (newline if draw(st.booleans()) else "")
+
+
+class TestFeatureParser:
+    @pytest.mark.parametrize("text, message", [
+        ("1\t2\n3\n", "line 2: expected 2 values, got 1"),
+        ("1\t2\n\n3\t4\n", "line 2: expected 2 values, got 1"),
+        ("1\n\n3\n", "line 2: non-numeric feature value"),
+        ("1\t2\n3\tx\n", "line 2: non-numeric feature value"),
+        ("1\t2\n3\tinf\n1\n", "line 2: non-finite feature value"),
+        ("1\n1\t2\nnan\n", "line 2: expected 1 values, got 2"),
+        ("", "file is empty"),
+        ("\n", "line 1: non-numeric feature value"),
+    ])
+    def test_names_the_first_faulty_line(self, text, message, tmp_path):
+        path = tmp_path / "features.tsv"
+        path.write_text(text)
+        with pytest.raises(InputError) as err:
+            _parse_features(path)
+        assert str(err.value) == f"{path}: {message}"
+        assert _parse_both(path) == [str(err.value)] * 2
+
+    @given(text=_feature_files())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_line_by_line_parser(self, text, tmp_path_factory):
+        path = tmp_path_factory.getbasetemp() / "features-differential.tsv"
+        path.write_bytes(text.encode())
+        got, want = _parse_both(path)
+        if isinstance(want, str) or isinstance(got, str):
+            assert got == want
+        else:
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 _PARSERS = {

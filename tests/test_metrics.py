@@ -250,9 +250,18 @@ class TestSasTrajectory:
             sas_trajectory(sp.eye_array(3, format="csr"), 0)
 
     def test_dense_power_past_physical_memory_raises(self):
-        # 16 * (10**6)**2 bytes is 16 TB; the identity itself takes 24 MB
-        with pytest.raises(ResourceError, match="16000000000000 bytes"):
-            sas_trajectory(sp.eye_array(10**6, format="csr"), 1)
+        # a path of 10**6 nodes is one component: its dense block and squared
+        # eigenvectors take 16 * (10**6)**2 bytes, 16 TB, and a depth block
+        # 24 * 10**6 bytes more
+        ones = np.ones(10**6 - 1)
+        path = sp.diags_array([ones, ones], offsets=[-1, 1], format="csr")
+        with pytest.raises(ResourceError, match="16000024000000 bytes"):
+            sas_trajectory(path, 1)
+
+    def test_identity_of_a_million_nodes_runs(self):
+        # 10**6 lone nodes hold no dense block, only a depth block of 24 MB
+        report = sas_trajectory(sp.eye_array(10**6, format="csr"), 1)
+        assert report.sas_trajectory == [(1, 1.0)]
 
 
 @st.composite

@@ -30,8 +30,10 @@ from shellprop import (
     train,
 )
 from shellprop.data import Dataset, Split
+from shellprop.graph import by_bytes, stores_dense
+from shellprop.model import _dropped
 
-from helpers import dense_fused, random_connected_graph, reference_forward
+from helpers import bag_of_words, dense_fused, random_connected_graph, reference_forward
 
 
 def identity_propagator(n: int) -> FusedPropagator:
@@ -50,6 +52,27 @@ def small_instance(seed: int, n=12, d=5, h=8, c=3, p=0.3):
     prop = fuse_shells(shell_decompose(g), 2.0)
     params = init_params(d, h, c, rng)
     return g, x, y, mask, prop, params
+
+
+def sparse_instance(seed: int, h=8):
+    """``small_instance``'s tuple for 12 nodes of bag-of-words features in
+    their CSR carrier."""
+    ds = bag_of_words(seed, n_per_class=4, features=20)
+    x = ds.feature_matrix
+    assert isinstance(x, sp.csr_array)
+    prop = fuse_shells(shell_decompose(ds.graph), 2.0)
+    params = init_params(x.shape[1], h, ds.num_classes, np.random.default_rng(seed))
+    return ds.graph, x, ds.labels, ds.split.train, prop, params
+
+
+class FieldRng:
+    """Hands out fixed uniform arrays in turn, reshaped to each request."""
+
+    def __init__(self, *draws):
+        self.draws = list(draws)
+
+    def random(self, shape):
+        return self.draws.pop(0).reshape(shape)
 
 
 class TestForward:
@@ -159,9 +182,13 @@ class TestBackward:
         for g in grads.arrays():
             assert np.allclose(g, 0.0)
 
-    @pytest.mark.parametrize("seed", range(6))
-    def test_matches_central_differences(self, seed):
-        _, x, y, mask, prop, params = small_instance(seed)
+    @pytest.mark.parametrize(
+        "seed, sparse",
+        [*((seed, False) for seed in range(6)), (0, True), (1, True)],
+        ids=[*map(str, range(6)), "sparse-0", "sparse-1"],
+    )
+    def test_matches_central_differences(self, seed, sparse):
+        _, x, y, mask, prop, params = (sparse_instance if sparse else small_instance)(seed)
         wd = 0.01 if seed % 2 else 0.0
         grads = backward(params, x, prop, y, mask, dropout=0.0, weight_decay=wd)
 
@@ -313,13 +340,17 @@ class TestTrainAndEvaluate:
 
     def test_tracked_validation_accuracy_matches_evaluate(self):
         # the loop scores validation through row-sliced shells; the public
-        # evaluator must agree at the returned parameters
-        ds = synth_planted_partition(12, 3, 0.7, 0.05, seed=6, labels_per_block=3)
-        config = TrainConfig(alpha=2.0, epochs=25, patience=25, seed=1)
-        params, hist = train(ds, config)
-        prop = fuse_shells(shell_decompose(ds.graph), 2.0)
-        acc, _ = evaluate(params, ds, prop, ds.split.val)
-        assert acc == hist.val_accuracy[hist.best_epoch]
+        # evaluator must agree at the returned parameters, with dense and
+        # with CSR features
+        dense = synth_planted_partition(12, 3, 0.7, 0.05, seed=6, labels_per_block=3)
+        sparse = bag_of_words(6, n_per_class=12, labels_per_class=3)
+        assert isinstance(sparse.feature_matrix, sp.csr_array)
+        for ds in (dense, sparse):
+            config = TrainConfig(alpha=2.0, epochs=25, patience=25, seed=1)
+            params, hist = train(ds, config)
+            prop = fuse_shells(shell_decompose(ds.graph), 2.0)
+            acc, _ = evaluate(params, ds, prop, ds.split.val)
+            assert acc == hist.val_accuracy[hist.best_epoch]
 
     def test_dataset_without_split_rejected(self):
         ds = synth_planted_partition(10, 2, 0.8, 0.05, seed=0)
@@ -382,6 +413,66 @@ class TestTrainAndEvaluate:
         params = init_params(2, 4, 2, np.random.default_rng(0))
         with pytest.raises(InputError):
             evaluate(params, ds, prop, np.array([], dtype=int))
+
+
+class TestSparseFeatures:
+    def test_carrier_follows_the_byte_rule(self):
+        sparse = bag_of_words(0, n_per_class=40, features=300, words=10)
+        assert 0.02 < np.count_nonzero(sparse.features) / sparse.features.size < 0.04
+        x = sparse.feature_matrix
+        assert isinstance(x, sp.csr_array) and x is sparse.feature_matrix
+        assert x.indices.dtype == x.indptr.dtype == np.int64
+        assert not x.data.flags.writeable
+        assert np.array_equal(x.toarray(), sparse.features)
+        synth = synth_planted_partition(10, 2, 0.8, 0.05, seed=0)
+        assert isinstance(synth.feature_matrix, DenseMatrix)
+        assert np.array_equal(synth.feature_matrix.values, synth.features)
+
+    def test_byte_rule_boundary(self):
+        # dense takes 8 * 3 * 4 = 96 bytes, CSR 16 nnz + 32: a tie is dense
+        assert stores_dense((3, 4), 4) and not stores_dense((3, 4), 3)
+        x = np.zeros((3, 4))
+        x.flat[:4] = 1.0
+        assert isinstance(by_bytes(x), DenseMatrix)
+        x.flat[3] = 0.0
+        assert isinstance(by_bytes(x), sp.csr_array)
+
+    def test_dropout_writes_only_inside_the_pattern(self):
+        x = bag_of_words(1, n_per_class=20, features=60, words=3).feature_matrix
+        rng = np.random.default_rng(4)
+        dropped = _dropped(x, rng, 0.5)
+        assert np.array_equal(dropped.indices, x.indices)
+        assert np.array_equal(dropped.indptr, x.indptr)
+        assert set(np.unique(dropped.data)) == {0.0, 2.0}
+        # one uniform per stored entry
+        replay = np.random.default_rng(4)
+        replay.random(x.nnz)
+        assert rng.random() == replay.random()
+
+    def test_dense_features_draw_every_entry_in_c_order(self):
+        _, x, _, _, prop, params = small_instance(11)
+        _, from_array = forward(params, x, prop, train_mode=True, rng=np.random.default_rng(2))
+        _, from_carrier = forward(
+            params, by_bytes(x), prop, train_mode=True, rng=np.random.default_rng(2)
+        )
+        assert isinstance(by_bytes(x), DenseMatrix)
+        assert np.array_equal(from_array, from_carrier)
+
+    def test_csr_and_dense_paths_agree_with_the_same_kept_entries(self):
+        _, x, y, mask, prop, params = sparse_instance(3)
+        rng = np.random.default_rng(9)
+        field = rng.random(x.shape)
+        hidden = rng.random((x.shape[0], params.hidden))
+        stored = field[np.repeat(np.arange(x.shape[0]), np.diff(x.indptr)), x.indices]
+        dense = x.toarray()
+        for train_mode in (False, True):
+            _, csr_probs = forward(params, x, prop, train_mode, FieldRng(stored, hidden))
+            _, dense_probs = forward(params, dense, prop, train_mode, FieldRng(field, hidden))
+            assert np.max(np.abs(csr_probs - dense_probs)) < 1e-13
+        csr_grads = backward(params, x, prop, y, mask, FieldRng(stored, hidden), weight_decay=0.1)
+        dense_grads = backward(params, dense, prop, y, mask, FieldRng(field, hidden), weight_decay=0.1)
+        for a, b in zip(csr_grads.arrays(), dense_grads.arrays()):
+            assert np.max(np.abs(a - b)) < 1e-12 * max(1.0, np.abs(b).max())
 
 
 class TestCheckpoint:
