@@ -351,6 +351,60 @@ def component_count(g: SparseGraph) -> int:
     return int(connected_components(adjacency_matrix(g), directed=False, return_labels=False))
 
 
+#: Frontier rows one step of ``_bfs_forest`` reads at a time.
+_BFS_ROWS = 256
+
+
+def _bfs_forest(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each node's component root and BFS parent in the pattern of the dense
+    a + a^T, a root being its own parent."""
+    n = a.shape[0]
+    root, parent = np.full(n, -1), np.arange(n)
+    for r in range(n):
+        if root[r] >= 0:
+            continue
+        root[r] = r
+        frontier = np.array([r])
+        while frontier.size:
+            found = []
+            for rows in np.array_split(frontier, -(-frontier.size // _BFS_ROWS)):
+                linked = (a[rows] != 0) | (a[:, rows].T != 0)
+                new = np.flatnonzero(linked.any(axis=0) & (root < 0))
+                root[new] = r
+                parent[new] = rows[linked[:, new].argmax(axis=0)]
+                found.append(new)
+            frontier = np.concatenate(found)
+    return root, parent
+
+
+def components(a: sp.csr_array | np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+    """The connected components of the nonzero pattern of a + a^T, as
+    (lone, groups): the nodes of every one-node component in one ascending
+    array, and the ascending nodes of each larger component, in the order
+    of their smallest nodes.
+
+    The labels come from csgraph on a CSR pattern, or from ``_bfs_forest``
+    for a dense a, which is not copied into CSR; the lists come from one
+    stable argsort and the label counts, so a lone node costs no Python
+    object of its own.
+    """
+    if sp.issparse(a):
+        # imported on first use: csgraph adds about 75 ms and 11 MB to every CLI start-up
+        from scipy.sparse.csgraph import connected_components
+
+        pattern = a.copy()
+        pattern.eliminate_zeros()
+        labels = connected_components(pattern, directed=False)[1]
+    else:
+        labels = _bfs_forest(a)[0]
+    counts = np.bincount(labels)
+    size = counts[labels]
+    order = np.argsort(labels, kind="stable")
+    grouped = order[size[order] > 1]
+    ends = np.cumsum(counts[counts > 1])[:-1]
+    return np.flatnonzero(size == 1), np.split(grouped, ends) if grouped.size else []
+
+
 def spmm(m: Matrix, x: np.ndarray) -> np.ndarray:
     """The product m @ x, by scipy for CSR and by BLAS for a dense m."""
     x = np.asarray(x)

@@ -23,8 +23,8 @@ import scipy.sparse as sp
 
 from .errors import ConfigError, InputError, NumericError
 from .graph import (
-    Matrix, SparseGraph, adjacency_matrix, as_array, diameter, from_array,
-    is_connected, require_memory,
+    _BFS_ROWS, Matrix, SparseGraph, _bfs_forest, adjacency_matrix, as_array, components,
+    diameter, from_array, is_connected, require_memory,
 )
 from .shells import ShellDecomposition, fuse_shells, normalize_shell
 
@@ -196,48 +196,6 @@ def _first(mask: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> tuple[int, i
     return int(rows[i]), int(cols[j])
 
 
-#: Frontier rows one step of ``_bfs_forest`` reads at a time.
-_BFS_ROWS = 256
-
-
-def _bfs_forest(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each node's component root and BFS parent in the pattern of the dense
-    a + a^T, a root being its own parent."""
-    n = a.shape[0]
-    root, parent = np.full(n, -1), np.arange(n)
-    for r in range(n):
-        if root[r] >= 0:
-            continue
-        root[r] = r
-        frontier = np.array([r])
-        while frontier.size:
-            found = []
-            for rows in np.array_split(frontier, -(-frontier.size // _BFS_ROWS)):
-                linked = (a[rows] != 0) | (a[:, rows].T != 0)
-                new = np.flatnonzero(linked.any(axis=0) & (root < 0))
-                root[new] = r
-                parent[new] = rows[linked[:, new].argmax(axis=0)]
-                found.append(new)
-            frontier = np.concatenate(found)
-    return root, parent
-
-
-def _components(a: sp.csr_array | np.ndarray) -> list[np.ndarray]:
-    """The nodes, ascending, of each connected component of the nonzero
-    pattern of a + a^T."""
-    if sp.issparse(a):
-        # imported on first use: csgraph adds about 75 ms and 11 MB to every CLI start-up
-        from scipy.sparse.csgraph import connected_components
-
-        pattern = a.copy()
-        pattern.eliminate_zeros()
-        labels = connected_components(pattern, directed=False)[1]
-    else:
-        labels = _bfs_forest(a)[0]
-    order = np.argsort(labels, kind="stable")
-    return np.split(order, np.flatnonzero(np.diff(labels[order])) + 1)
-
-
 def _dense_block(a: sp.csr_array | np.ndarray, nodes: np.ndarray) -> np.ndarray:
     """A fresh dense copy of a's rows and columns ``nodes``."""
     if nodes.size == a.shape[0]:
@@ -347,8 +305,8 @@ def sas_trajectory(
     # imported on first use: scipy.linalg adds 80-155 ms to every CLI start-up
     from scipy.linalg import eigh
 
-    components = _components(a)
-    sizes = [nodes.size for nodes in components if nodes.size > 1]
+    lone, groups = components(a)
+    sizes = [nodes.size for nodes in groups]
     require_memory(
         8 * (sum(c * c for c in sizes) + max(sizes, default=0) ** 2)
         + 24 * min(k_max, _DEPTH_BLOCK) * n,
@@ -356,9 +314,8 @@ def sas_trajectory(
         f" components of a {n} x {n} matrix and their eigenvectors",
     )
     # a lone node is its own eigenpair, eigenvalue M_ii and eigenvector 1
-    lone = np.array([nodes[0] for nodes in components if nodes.size == 1], dtype=np.int64)
     spectra = [(lone, a.diagonal()[lone], None)]
-    for nodes in (nodes for nodes in components if nodes.size > 1):
+    for nodes in groups:
         s = _dense_block(a, nodes)
         if not np.array_equal(s, s.T):
             s = _symmetric_block(s, nodes)

@@ -20,7 +20,7 @@ from shellprop import (
     shell_decompose,
     spmm,
 )
-from shellprop.graph import distance_blocks
+from shellprop.graph import components, distance_blocks
 
 from helpers import (
     BIG,
@@ -248,6 +248,35 @@ class TestConnectivity:
         assert component_count(two_disjoint_edges()) == 2
         assert component_count(build_graph([], 3)) == 3
         assert component_count(complete_graph(4)) == 1
+
+
+class TestComponents:
+    @given(g=sparse_graphs())
+    @settings(max_examples=40, deadline=None)
+    def test_nodes_of_each_component_against_floyd_warshall(self, g):
+        reach = floyd_warshall(g) < BIG
+        lone, groups = components(adjacency_matrix(g))
+        assert np.array_equal(lone, np.flatnonzero(reach.sum(axis=1) == 1))
+        assert [int(c[0]) for c in groups] == sorted(int(c[0]) for c in groups)
+        for nodes in groups:
+            assert nodes.size > 1 and np.all(np.diff(nodes) > 0)
+            assert np.array_equal(nodes, np.flatnonzero(reach[nodes[0]]))
+        assert lone.size + sum(c.size for c in groups) == g.n
+
+    def test_dense_and_one_sided_patterns(self):
+        # entries (0, 2) and (4, 3) join their nodes one way only; the zero
+        # stored at (1, 5) joins nothing
+        a = sp.csr_array(([1.0, 2.0, 0.0], ([0, 4, 1], [2, 3, 5])), shape=(6, 6))
+        for m in (a, a.toarray()):
+            lone, groups = components(m)
+            assert lone.tolist() == [1, 5]
+            assert [c.tolist() for c in groups] == [[0, 2], [3, 4]]
+
+    def test_lone_nodes_of_a_million_node_identity_are_one_array(self):
+        lone, groups = components(sp.eye_array(10**6, format="csr"))
+        assert type(lone) is np.ndarray and lone.shape == (10**6,)
+        assert np.array_equal(lone, np.arange(10**6))
+        assert groups == []
 
 
 class TestSpmm:

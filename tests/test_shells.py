@@ -1,14 +1,19 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shellprop import (
     ConfigError,
     DenseMatrix,
     FusedPropagator,
     InputError,
+    ResourceError,
+    ShellDecomposition,
     adjacency_matrix,
     build_graph,
     cumulative_matrix,
@@ -26,16 +31,20 @@ from shellprop import (
     sym_norm_propagator,
 )
 
+from shellprop.graph import stores_dense
+
 from helpers import (
     complete_graph,
     dense_adjacency,
     dense_fused,
     dense_shells,
     dense_sym_norm,
+    fake_physical_memory,
     floyd_warshall,
     path_graph,
     random_connected_graph,
     random_graph,
+    random_tree,
     star_graph,
     to_dense,
 )
@@ -447,3 +456,185 @@ class TestShellSummaries:
         assert report["l_max"] == 1
         assert len(report["shell_sizes"]) == 1
         assert report["diameter"] == 4
+
+
+@st.composite
+def component_graphs(draw):
+    """Graphs of 1 to 40 nodes under a random labelling: a random tree plus
+    extra edges on a drawn share of the nodes, often three quarters or
+    more, so that P is dense, and the rest in small components or isolated."""
+    n = draw(st.integers(1, 40))
+    big = draw(st.one_of(st.integers(-(-3 * n // 4), n), st.integers(1, n)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    tree = [(int(rng.integers(0, i)), i) for i in range(1, big)]
+    extra = rng.integers(0, big, size=(draw(st.integers(0, 2 * big)), 2))
+    rest = big + rng.integers(0, n - big, size=(draw(st.integers(0, n - big)), 2))
+    edges = np.concatenate([np.reshape(tree, (-1, 2)), extra, rest]).astype(np.int64)
+    return build_graph(rng.permutation(n)[edges], n)
+
+
+def tuple_backed(d: ShellDecomposition) -> ShellDecomposition:
+    return ShellDecomposition(d.n, tuple(d.shells), d.l_max, d.shell_sizes)
+
+
+class TestDistanceShells:
+    """At full diameter a dense P is filled from one distance matrix, and
+    the shells are built from it on each read."""
+
+    @given(g=component_graphs(), alpha=st.sampled_from([1.5, 2.0, 5.0]))
+    @settings(max_examples=80, deadline=None)
+    def test_operator_is_that_of_the_shells_bit_for_bit(self, g, alpha):
+        d = shell_decompose(g)
+        p = fuse_shells(d, alpha).matrix
+        dense = stores_dense((g.n, g.n), g.n + sum(d.shell_sizes))
+        assert isinstance(p, DenseMatrix if dense else sp.csr_array)
+        assert isinstance(d.shells, tuple) is not dense
+        assert np.array_equal(to_dense(fuse_shells(tuple_backed(d), alpha).matrix), to_dense(p))
+        # theta_l * That_l adds the same products in the same order
+        want = np.zeros((g.n, g.n))
+        for theta, t in zip(ppr_coefficients(alpha, d.l_max), d.shells):
+            want += theta * normalize_shell(t).toarray()
+        assert np.array_equal(to_dense(p), want)
+        # the oracle's (1 - 1/alpha)**l may differ from ppr_coefficients' in
+        # the last bit, except for the exact powers of alpha = 2
+        if alpha == 2.0:
+            assert np.array_equal(to_dense(p), dense_fused(g, alpha))
+        assert np.max(np.abs(to_dense(p) - dense_fused(g, alpha)), initial=0) < 1e-15
+
+    @given(g=component_graphs())
+    @settings(max_examples=60, deadline=None)
+    def test_shells_are_the_oracle_shells_by_index_and_slice(self, g):
+        d = shell_decompose(g)
+        want = dense_shells(g)
+        assert len(d.shells) == d.l_max == len(want)
+        assert d.shell_sizes == tuple(int(w.sum()) for w in want)
+        for level in range(-d.l_max, d.l_max):
+            shell = d.shells[level]
+            assert shell.has_canonical_format and not shell.data.flags.writeable
+            assert np.array_equal(shell.toarray(), want[level])
+        for part in (slice(None), slice(1, None, 2), slice(None, -1), slice(-2, None)):
+            got = d.shells[part]
+            assert isinstance(got, tuple) and len(got) == len(want[part])
+            assert all(np.array_equal(t.toarray(), w) for t, w in zip(got, want[part]))
+        with pytest.raises(IndexError):
+            d.shells[d.l_max]
+
+    def test_lone_nodes_count_toward_a_dense_carrier(self):
+        # an 8-path and 4 isolated nodes: 68 of 144 entries are stored, and
+        # 8 * 144 <= 16 * 68 + 8 * 13 makes P dense; the path alone would not
+        g = build_graph([(i, i + 1) for i in range(7)], 12)
+        d = shell_decompose(g)
+        assert not isinstance(d.shells, tuple)
+        assert np.array_equal(fuse_shells(d, 2.0).matrix.values, dense_fused(g, 2.0))
+
+    def test_path_past_255_levels_widens_the_distances(self):
+        g = path_graph(300)
+        d = shell_decompose(g)
+        assert d.l_max == 299 and d.shells.distances.dtype == np.uint16
+        assert entries(d.shells[-1]) == {(0, 299), (299, 0)}
+        assert d.shell_sizes == tuple(2 * (300 - level) for level in range(1, 300))
+        p = fuse_shells(d, 2.0).matrix
+        assert np.array_equal(p.values, fuse_shells(tuple_backed(d), 2.0).matrix.values)
+        assert np.array_equal(p.values, dense_fused(g, 2.0))
+
+    def test_replacing_the_shells_gives_a_tuple(self):
+        g = random_connected_graph(5, 30, 0.15)
+        d = shell_decompose(g)
+        dropped = dataclasses.replace(
+            d, shells=d.shells[:-1], l_max=d.l_max - 1, shell_sizes=d.shell_sizes[:-1]
+        )
+        assert type(dropped.shells) is tuple and len(dropped.shells) == d.l_max - 1
+        p = fuse_shells(dropped, 2.0).matrix
+        assert np.array_equal(p.values, dense_fused(g, 2.0, l_cap=d.l_max - 1))
+
+    def test_holds_distances_not_pairs(self):
+        # the binary shells would hold 16 bytes a pair, 5.76 MB here
+        g = random_tree(7, 600)
+        shell_decompose(g)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            d = shell_decompose(g)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert d.shell_sizes and sum(d.shell_sizes) == 600 * 599
+        assert held <= 600**2 + 8 * 600 * (d.l_max + 2) + 16384
+
+
+class TestDecomposeBytes:
+    """The dense distance path is checked before any BFS, the shells of a
+    capped or CSR run before each level's pairs are appended."""
+
+    @pytest.mark.parametrize("g, need", [
+        # n = 300: n**2 of uint8 distances, 8 n**2 of P, 8 n * 3 of the
+        # fill's diagonal, column ids and level-0 row of r, 32 * 256 * n of
+        # one fill block
+        (path_graph(300), 90000 + 720000 + 7200 + 2457600),
+        # n = 40: a fill block of 40 rows
+        (complete_graph(40), 1600 + 12800 + 960 + 51200),
+    ], ids=["path-300", "complete-40"])
+    def test_dense_path_refused_before_any_bfs(self, monkeypatch, g, need):
+        def no_bfs(*args, **kwargs):
+            raise AssertionError("the BFS ran")
+
+        monkeypatch.setattr("shellprop.shells._bfs_levels", no_bfs)
+        fake_physical_memory(monkeypatch, 10 * 4096)
+        with pytest.raises(ResourceError, match=f"before any level, about {need} bytes"):
+            shell_decompose(g)
+
+    def test_dense_path_refused_where_the_distances_widen(self, monkeypatch):
+        # level 256 of a 300-path widens the uint8 distances to uint16, so
+        # 3 n**2 of distances and 8 n (2 * 256 + 3) of row counts and r
+        # table: 4683600 bytes; at 255 levels 4498800 fit in 1120 pages
+        fake_physical_memory(monkeypatch, 1120 * 4096)
+        with pytest.raises(ResourceError, match="at 256 levels, about 4683600 bytes"):
+            shell_decompose(path_graph(300))
+
+    def test_capped_shells_refused_mid_stream(self, monkeypatch):
+        # a 1000-path at cap 30 passes the BFS block's check (544 kB); its
+        # sources 0-255 store 512 - l pairs at level l, later blocks 512, so
+        # 16 bytes a pair pass 614400 bytes at level 16 of the third block:
+        # 16 * (14895 + 15360 + 16 * 512) = 615152
+        fake_physical_memory(monkeypatch, 150 * 4096)
+        with pytest.raises(ResourceError, match=r"store 38447 pairs, about 615152 bytes"):
+            shell_decompose(path_graph(1000), 30)
+
+    def test_csr_full_diameter_checks_its_pairs(self, monkeypatch):
+        # 500 disjoint edges: P is CSR, and 1000 pairs take 16000 bytes
+        g = build_graph([(2 * i, 2 * i + 1) for i in range(500)], 1000)
+        fake_physical_memory(monkeypatch, 10**9 // 4096 * 4096)
+        assert shell_decompose(g).shell_sizes == (1000,)
+        monkeypatch.setattr("shellprop.shells.require_memory", refuse_above(15999))
+        with pytest.raises(ResourceError, match="store 1000 pairs, about 16000 bytes"):
+            shell_decompose(g)
+
+
+def refuse_above(limit: int):
+    """A ``require_memory`` that refuses any need above ``limit`` bytes."""
+    def check(need, what):
+        if need > limit:
+            raise ResourceError(f"{what}, about {need} bytes, but the limit is {limit} bytes")
+    return check
+
+
+class TestShellReportCounts:
+    @given(g=component_graphs(), cap=st.sampled_from([None, 1, 2, 3]))
+    @settings(max_examples=60, deadline=None)
+    def test_sizes_and_l_max_are_those_of_the_decomposition(self, g, cap):
+        report, d = shell_report(g, cap), shell_decompose(g, cap)
+        assert report["l_max"] == d.l_max
+        assert report["shell_sizes"] == list(d.shell_sizes)
+        assert report["avg_degree_per_layer"] == shell_degree_profile(d)
+
+    def test_stores_no_pair(self, monkeypatch):
+        def no_shells(*args, **kwargs):
+            raise AssertionError("shells were built")
+
+        monkeypatch.setattr("shellprop.shells.shell_decompose", no_shells)
+        assert shell_report(path_graph(5), 2)["shell_sizes"] == [8, 6]
+        assert shell_report(star_graph(3))["shell_sizes"] == [6, 6]
+
+    def test_bad_cap(self):
+        with pytest.raises(InputError):
+            shell_report(path_graph(3), 0)
