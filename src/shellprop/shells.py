@@ -4,38 +4,25 @@ A graph's reachable ordered pairs are partitioned into disjoint hop shells:
 shell l holds exactly the pairs (i, j), i != j, at shortest-path distance l.
 Each shell is symmetrically normalized after adding self-loops, and the
 shells are combined with geometrically decaying coefficients into a single
-propagation operator P, built once and applied as one product.  Shells,
-normalized shells and a sparse P are read-only scipy ``csr_array``s with
-int64 indices, built with scipy algebra and canonicalized by
-``graph.from_array``, except where a shell or P is written in order
-straight into its CSR buffers.  A dense P at full diameter is filled from
-one hop-distance matrix, and its shells are built only when read.
+propagation operator P, built once and applied as one product.  A pair lies
+in one shell only, so a decomposition is one record of hop levels, held in
+P's carrier; P is filled from it entry by entry, and a shell is built from
+it only when read.  Shells, normalized shells and a sparse P are read-only
+scipy ``csr_array``s with int64 indices.
 """
 from __future__ import annotations
 
 from collections import defaultdict
-from collections.abc import Sequence
-from dataclasses import dataclass, field
+from collections.abc import Iterable, Iterator, Sequence
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.sparse as sp
 
 from .errors import ConfigError, InputError
 from .graph import (
-    DenseMatrix,
-    Matrix,
-    SparseGraph,
-    _bfs_levels,
-    _freeze,
-    adjacency_matrix,
-    components,
-    diameter,
-    from_array,
-    frozen_csr,
-    is_symmetric,
-    require_memory,
-    spmm,
-    stores_dense,
+    DenseMatrix, Matrix, SparseGraph, _bfs_levels, _freeze, adjacency_matrix, components, from_array,
+    frozen_csr, is_symmetric, require_memory, spmm, stores_dense,
 )
 
 #: Rows of P that one step of ``_dense_fill`` writes.
@@ -49,13 +36,9 @@ class ShellDecomposition:
     ``shells[l-1]`` is the binary read-only csr_array of ordered pairs at
     distance exactly l; the diagonal is empty in every shell.  For a
     connected graph the shell sizes sum to n*(n-1).  Trailing levels past
-    the largest realized distance are never materialized.
-
-    ``shells`` is a tuple of those arrays, except where ``shell_decompose``
-    ran to full diameter and P is carried dense: there it is a read-only
-    ``_DistanceShells`` sequence over one n x n distance matrix, which
-    builds T_l anew on each read (a slice gives a tuple), and
-    ``fuse_shells`` fills P from the distances without building a shell.
+    the largest realized distance are never materialized.  ``shells`` is a
+    view of one record of hop levels (``_DistanceShells``), or any sequence
+    of binary shells in a decomposition built by hand.
     """
 
     n: int
@@ -66,16 +49,22 @@ class ShellDecomposition:
 
 @dataclass(frozen=True, eq=False)
 class _DistanceShells(Sequence):
-    """The binary shells T_1..T_L of a distance matrix, built on each read.
+    """The shells T_1..T_L of one record of hop levels, built anew on each
+    read and normalized (That_l) when ``normalized``; a slice gives a tuple.
 
-    ``distances[i, j]`` is the hop distance of (i, j), 0 for i = j and for
-    an unreachable pair, in the narrowest unsigned type that holds the
-    largest level the BFS could reach; ``row_counts[l-1]`` is each row's
-    entry count in T_l, int64.  Both are read-only.
+    ``distances`` holds each reachable pair's level, in the narrowest
+    unsigned type that holds them, in P's carrier: an n x n array, 0 for
+    i = j and for an unreachable pair, or a csr_array with int64 indices
+    whose row i lists its pairs level by level, then by column.
+    ``row_counts[l-1]`` is each row's entry count in T_l.  All are read-only.
     """
 
-    distances: np.ndarray
+    distances: np.ndarray | sp.csr_array
     row_counts: tuple[np.ndarray, ...]
+    normalized: bool = False
+
+    def __post_init__(self) -> None:
+        _freeze(*self.row_counts, *([] if sp.issparse(self.distances) else [self.distances]))
 
     def __len__(self) -> int:
         return len(self.row_counts)
@@ -84,10 +73,11 @@ class _DistanceShells(Sequence):
         if isinstance(l, slice):
             return tuple(self[i] for i in range(*l.indices(len(self))))
         level = range(1, len(self) + 1)[l]
-        offsets = np.zeros(len(self.distances) + 1, dtype=np.int64)
-        np.cumsum(self.row_counts[level - 1], out=offsets[1:])
-        cols = np.nonzero(self.distances == level)[1]
-        return frozen_csr(np.ones(len(cols)), cols, offsets)
+        d = self.distances
+        offsets = np.concatenate([[0], np.cumsum(self.row_counts[level - 1])])
+        cols = d.indices[d.data == level] if sp.issparse(d) else np.nonzero(d == level)[1]
+        t = frozen_csr(np.ones(len(cols)), cols, offsets)
+        return normalize_shell(t) if self.normalized else t
 
 
 @dataclass(frozen=True, eq=False)
@@ -103,7 +93,7 @@ class FusedPropagator:
     """
 
     n: int
-    normalized_shells: _NormalizedShells
+    normalized_shells: _DistanceShells
     coefficients: np.ndarray
     alpha: float
     matrix: Matrix = field(init=False)
@@ -113,25 +103,12 @@ class FusedPropagator:
         theta.flags.writeable = False
         object.__setattr__(self, "coefficients", theta)
         shells = self.normalized_shells
-        if not isinstance(shells, _NormalizedShells) or len(shells) != len(theta):
+        if not (isinstance(shells, _DistanceShells) and shells.normalized) or len(shells) != len(theta):
             raise InputError(
                 "normalized_shells must be those of a fuse_shells result,"
                 f" one per coefficient ({len(theta)} given)"
             )
-        object.__setattr__(self, "matrix", _fuse(self.n, theta, shells.binary))
-
-
-@dataclass(frozen=True)
-class _NormalizedShells:
-    """A sequence of the That_l of binary shells, normalized anew on each read."""
-
-    binary: Sequence[sp.csr_array]
-
-    def __len__(self) -> int:
-        return len(self.binary)
-
-    def __getitem__(self, l: int) -> sp.csr_array:
-        return normalize_shell(self.binary[l])
+        object.__setattr__(self, "matrix", _fuse(theta, shells))
 
 
 def cumulative_matrix(g: SparseGraph, l: int) -> sp.csr_array:
@@ -152,90 +129,104 @@ def _check_cap(l_cap: int | None) -> None:
 
 
 def shell_decompose(g: SparseGraph, l_cap: int | None = None) -> ShellDecomposition:
-    """Partition all reachable ordered pairs into exact-distance shells.
+    """Partition all reachable ordered pairs into exact-distance shells, held
+    as one record of hop levels in P's carrier.
 
     One bit-parallel BFS per source, in blocks of sources in ascending
     order, so the result is deterministic.  ``l_cap`` truncates the
-    decomposition at that depth.
-
-    At full diameter P stores exactly sum |C|**2 entries over the connected
-    components C, so the components fix P's carrier before any BFS.  Where
-    it is dense, the levels go into one distance matrix
-    (``_distance_decompose``).  Otherwise, and under ``l_cap``, each
-    level's new pairs go to its shell in row-major order, and ResourceError
-    is raised before a level's pairs are appended once all pairs stored so
-    far, 16 bytes each, exceed ``require_memory``'s bound.
+    decomposition at that depth.  At full diameter P stores exactly
+    sum |C|**2 entries over the connected components C, so they fix P's
+    carrier before any BFS; otherwise ``_level_record`` fixes it at the end.
     """
     _check_cap(l_cap)
+    dense = False
     if l_cap is None:
         lone, groups = components(adjacency_matrix(g))
-        if stores_dense((g.n, g.n), lone.size + sum(c.size**2 for c in groups)):
-            return _distance_decompose(g)
-    row_counts = defaultdict(lambda: np.zeros(g.n, dtype=np.int64))
-    buckets = defaultdict(list)
-    stored = 0
+        dense = stores_dense((g.n, g.n), lone.size + sum(c.size**2 for c in groups))
+    return _level_record(g.n, _bfs_pairs(g, l_cap), dense)
+
+
+def _bfs_pairs(g: SparseGraph, l_cap: int | None) -> Iterator[tuple]:
+    """The levels past 0 of ``_bfs_levels`` as ``_level_record`` reads them."""
     for sources, level, new in _bfs_levels(g, l_cap):
         if level:
-            counts = np.count_nonzero(new, axis=1)
-            stored += int(counts.sum())
-            require_memory(16 * stored, f"the shells of {g.n} nodes store {stored} pairs")
-            row_counts[level][sources] = counts
-            buckets[level].append(np.flatnonzero(new) % g.n)
-    shells = []
-    for level in sorted(buckets):
-        offsets = np.zeros(g.n + 1, dtype=np.int64)
-        np.cumsum(row_counts[level], out=offsets[1:])
-        cols = np.concatenate(buckets[level])
-        shells.append(frozen_csr(np.ones(len(cols)), cols, offsets))
-    sizes = tuple(t.nnz for t in shells)
-    return ShellDecomposition(g.n, tuple(shells), len(shells), sizes)
+            yield sources, level, np.count_nonzero(new, axis=1), np.flatnonzero(new)
 
 
-def _distance_decompose(g: SparseGraph) -> ShellDecomposition:
-    """The full-diameter decomposition as one n x n distance matrix and its
-    per-level row counts (``_DistanceShells``).
+def _level_record(n: int, levels: Iterable[tuple], dense: bool = False) -> ShellDecomposition:
+    """The decomposition of a stream of (sources, level, counts, flat): the
+    pairs first reached at ``level`` from a block of consecutive rows, by
+    their row-major positions in the block and their counts per row, each
+    row's pairs coming level by level and each level by column.
 
-    ResourceError is raised before the first BFS block, and again before
-    the row counts of each new level are allocated, when what this
-    decomposition and the dense P of ``_fuse`` hold at L levels exceeds
-    ``require_memory``'s bound (``_distance_bytes``).  The check grows with
-    the levels found rather than bounding L by n - 1 up front, which would
-    count 16 n**2 bytes of row counts that a graph of small diameter never
-    holds.
-    """
-    n = g.n
+    A ``dense`` P gets the levels straight into an n x n distance matrix,
+    uint8 until a level passes 255.  Otherwise one stable sort of the
+    stream by row makes a CSR record whose rows keep that order, and it
+    becomes the distance matrix at the end if ``stores_dense`` makes P
+    dense.  Before each level's pairs are kept, and before a distance
+    matrix is allocated, ResourceError is raised when the record and the P
+    it fills (``_distance_bytes``, ``_csr_bytes``) exceed ``require_memory``'s
+    bound; the checks grow with the levels found, so they never count the
+    row counts of levels a shallow graph does not reach."""
     what = f"a dense P of {n} nodes is filled from their hop distances"
-    require_memory(_distance_bytes(n, 0), f"{what} before any level")
-    distances = np.zeros((n, n), dtype=np.uint8)
-    row_counts = []
-    for sources, level, new in _bfs_levels(g, None):
-        if not level:
-            continue
+    if dense:
+        require_memory(_distance_bytes(n, 0), f"{what} before any level")
+        distances = np.zeros((n, n), dtype=np.uint8)
+    row_counts, cols, data, stored = [], [np.empty(0, np.int64)], [np.empty(0, np.uint8)], 0
+    for sources, level, counts, flat in levels:
+        stored += int(counts.sum())
         if level > len(row_counts):
-            require_memory(_distance_bytes(n, level), f"{what} at {level} levels")
-            if level > np.iinfo(distances.dtype).max:
-                distances = distances.astype(np.min_scalar_type(level))
+            if dense:
+                require_memory(_distance_bytes(n, level), f"{what} at {level} levels")
+                distances = distances.astype(np.min_scalar_type(level), copy=False)
             row_counts.append(np.zeros(n, dtype=np.int64))
-        row_counts[level - 1][sources] = np.count_nonzero(new, axis=1)
-        distances[sources[0] : sources[-1] + 1].reshape(-1)[np.flatnonzero(new)] = level
-    _freeze(distances, *row_counts)
+        row_counts[level - 1][sources] = counts
+        if dense:
+            distances[sources[0] : sources[-1] + 1].reshape(-1)[flat] = level
+        else:
+            need = _csr_bytes(n, len(row_counts), stored)
+            require_memory(need, f"the levels of {n} nodes and their CSR P store {stored} pairs")
+            flat += sources[0] * n
+            cols.append(flat)
+            data.append(np.full(len(flat), level, dtype=np.min_scalar_type(level)))
+    if not dense:
+        flat, tags = np.concatenate(cols), np.concatenate(data)
+        del cols, data
+        order = np.argsort(flat // n, kind="stable")
+        flat %= n
+        offsets = np.concatenate([[0], np.cumsum(sum(row_counts, np.zeros(n, dtype=np.int64)))])
+        distances = frozen_csr(tags[order], flat[order], offsets)
+        del flat, tags, order
+        if stores_dense((n, n), n + stored):
+            require_memory(_distance_bytes(n, len(row_counts)), f"{what} at {len(row_counts)} levels")
+            distances = distances.toarray()
     sizes = tuple(int(k.sum()) for k in row_counts)
     return ShellDecomposition(n, _DistanceShells(distances, tuple(row_counts)), len(sizes), sizes)
 
 
 def _distance_bytes(n: int, levels: int) -> int:
     """Bytes that a distance-backed decomposition of n nodes at ``levels``
-    levels and the dense P filled from it hold together.
-
-    With L = ``levels`` and b = min(256, n): n**2 bytes of uint8 distances,
-    or (1 + w) n**2 once L passes 255, the uint8 matrix and its copy widened
-    to w bytes a pair; 8 n L of int64 row counts; 8 n**2 of P; 8 n (L + 3)
-    for the fill's table of r_l, its diagonal and column ids; and 32 b n
-    for one fill block: an intp index and two float64 operands of b x n,
-    and the intp copy of the block's distances that ``np.take`` makes.
-    """
+    levels and the dense P filled from it hold together: with L = ``levels``
+    and b = min(256, n), n**2 bytes of uint8 distances, or (1 + w) n**2 once
+    L passes 255, the uint8 matrix and its copy widened to w bytes a pair;
+    8 n L of int64 row counts; 8 n**2 of P; 8 n (L + 3) for the fill's table
+    of r_l, its diagonal and column ids; and 32 b n for one fill block: an
+    intp index and two float64 operands of b x n, and the intp copy of the
+    block's distances that ``np.take`` makes."""
     width = 1 if levels <= 255 else 1 + np.min_scalar_type(levels).itemsize
     return width * n * n + 8 * n * n + 8 * n * (2 * levels + 3) + 32 * min(_FILL_ROWS, n) * n
+
+
+def _csr_bytes(n: int, levels: int, pairs: int) -> int:
+    """Bytes that a CSR record of ``pairs`` pairs at ``levels`` levels and
+    the CSR P filled from it hold at the fill's peak: per pair, 8 + w of
+    record (an int64 column and a w-byte level), 8 of P's values and 16
+    while the fill gathers; per node, with L = ``levels``, 8 L of row
+    counts, 8 (L + 1) of r, 24 L while the fill repeats r and the counts,
+    and 56 for the diagonal, row pointers and what ``np.insert`` holds.
+    The sort that builds the record holds less."""
+    width = np.min_scalar_type(levels).itemsize
+    return (32 + width) * pairs + 8 * n * (5 * levels + 10)
 
 
 def normalize_shell(t: sp.csr_array) -> sp.csr_array:
@@ -271,70 +262,47 @@ def ppr_coefficients(alpha: float, l_max: int) -> np.ndarray:
     return base ** np.arange(1, l_max + 1, dtype=np.float64)
 
 
-def _fuse(n: int, theta: np.ndarray, binary: Sequence[sp.csr_array]) -> Matrix:
-    """P = sum_l theta_l * That_l, assembled in one pass from the binary T_l.
+def _fuse(theta: np.ndarray, shells: _DistanceShells) -> Matrix:
+    """P = sum_l theta_l * That_l, filled entry by entry from one record of
+    hop levels, in the record's carrier.
 
-    With r = (k + 1)**-1/2, k each node's degree in T_l, That_l holds
-    r[i] * r[j] at each entry (i, j) of T_l and r**2 on its diagonal, as
-    ``normalize_shell`` gives.  A pair lies in one shell only, so each
-    off-diagonal entry is written once; the diagonal sums every level up
-    to l_max, also past a node's own eccentricity.
-
-    P stores its diagonal and every shell entry, and ``graph.stores_dense``
-    carries it dense when the n x n float64 array takes no more bytes than
-    those entries in CSR, as a connected graph at full diameter always does.
-    A dense P is filled by ``_dense_fill`` from a distance matrix: that of
-    ``_DistanceShells``, or one the shells are written into first, a later
-    shell over an earlier one.  Otherwise row i of the CSR P stores its
-    diagonal first, then its entries in shells 1, 2, ... in turn, which
-    fixes the per-row summation order of every product.
+    With r_l = (k_l + 1)**-1/2, k_l each node's degree in T_l, That_l holds
+    r_l[i] * r_l[j] at each entry (i, j) of T_l and r_l**2 on its diagonal,
+    as ``normalize_shell`` gives.  A pair lies in one shell only, so off the
+    diagonal P[i, j] = theta_d * (r_d[i] * r_d[j]) for d the pair's level,
+    and the diagonal sums theta_l * (r_l * r_l) over l = 1..l_max in order,
+    also past a node's own eccentricity.  Both fills read one table of r
+    and do these operations in this order, as ``normalize_shell`` does, so
+    both carriers hold the same bits.  A CSR P stores row i's diagonal
+    first, then the record's row i, which fixes every product's order.
     """
-    if isinstance(binary, _DistanceShells):
-        # shell_decompose makes these only where this byte rule picks dense
-        return DenseMatrix(_dense_fill(binary.distances, binary.row_counts, theta))
-    degrees = [np.diff(t.indptr) for t in binary]
-    if stores_dense((n, n), n + sum(t.nnz for t in binary)):
-        distances = np.zeros((n, n), dtype=np.min_scalar_type(len(binary)))
-        for level, (t, k) in enumerate(zip(binary, degrees), start=1):
-            distances[np.repeat(np.arange(n), k), t.indices] = level
-        return DenseMatrix(_dense_fill(distances, degrees, theta))
-    offsets = np.zeros(n + 1, dtype=np.int64)
-    offsets[1:] = np.cumsum(sum(degrees, np.ones(n, dtype=np.int64)))
-    cols = np.empty(offsets[-1], dtype=np.int64)
-    vals = np.empty(offsets[-1], dtype=np.float64)
-    cols[offsets[:-1]] = np.arange(n)
-    cursor = offsets[:-1] + 1
-    diag = np.zeros(n)
-    for theta_l, t, k in zip(theta, binary, degrees):
-        r = 1.0 / np.sqrt(k + 1.0)
-        diag += theta_l * (r * r)
-        dest = np.arange(t.nnz) + np.repeat(cursor - t.indptr[:-1], k)
-        cols[dest] = t.indices
-        vals[dest] = theta_l * (r[np.repeat(np.arange(n), k)] * r[t.indices])
-        cursor += k
-    vals[offsets[:-1]] = diag
-    return frozen_csr(vals, cols, offsets)
+    d = shells.distances
+    weight = np.concatenate([[0.0], theta])
+    r, diag = _r_table(d.shape[0], shells.row_counts, theta)
+    if sp.issparse(d):
+        return _csr_fill(d, shells.row_counts, r, weight, diag)
+    return DenseMatrix(_dense_fill(d, r, weight, diag))
+
+
+def _r_table(
+    n: int, row_counts: Sequence[np.ndarray], theta: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The (L + 1) x n table r of the fills, r[0] = 1 and r[l] = r_l, and P's
+    diagonal, theta_l * (r_l * r_l) summed over l = 1..L in order."""
+    r, diag = np.ones((len(theta) + 1, n)), np.zeros(n)
+    for level, (theta_l, k) in enumerate(zip(theta, row_counts), start=1):
+        r[level] = 1.0 / np.sqrt(k + 1.0)
+        diag += theta_l * (r[level] * r[level])
+    return r, diag
 
 
 def _dense_fill(
-    distances: np.ndarray, degrees: Sequence[np.ndarray], theta: np.ndarray
+    distances: np.ndarray, r: np.ndarray, weight: np.ndarray, diag: np.ndarray
 ) -> np.ndarray:
     """The dense P of a distance matrix (0 for i = j and for an unreachable
-    pair) and each level's row degrees, in blocks of rows.
-
-    Off the diagonal P[i, j] = theta_d * (r_d[i] * r_d[j]) for d the
-    distance of (i, j), and 0 where d is 0; the diagonal sums
-    theta_l * (r_l * r_l) over l = 1..l_max in order.  These are the
-    operations, in the same order, of the CSR branch of ``_fuse`` and of
-    ``normalize_shell``'s values, so both carriers hold the same bits.
-    """
+    pair), in blocks of rows: weight[d] * (r[d, i] * r[d, j]) at each pair
+    (i, j) of distance d, with weight[0] = 0, and ``diag`` on the diagonal."""
     n = len(distances)
-    r = np.ones((len(theta) + 1, n))
-    diag = np.zeros(n)
-    for level, (theta_l, k) in enumerate(zip(theta, degrees), start=1):
-        r[level] = 1.0 / np.sqrt(k + 1.0)
-        diag += theta_l * (r[level] * r[level])
-    weight = np.concatenate([[0.0], theta])
     cols = np.arange(n)
     p = np.empty((n, n))
     for start in range(0, n, _FILL_ROWS):
@@ -355,11 +323,43 @@ def _dense_fill(
     return p
 
 
+def _csr_fill(
+    levels: sp.csr_array, row_counts: Sequence[np.ndarray], r: np.ndarray, weight: np.ndarray,
+    diag: np.ndarray,
+) -> sp.csr_array:
+    """The CSR P of a CSR record of levels: row i stores ``diag[i]`` first,
+    then weight[d] * (r[d, i] * r[d, j]) at each pair (i, j) of the
+    record's row i, in its order."""
+    n = len(diag)
+    # r[d, i] at each pair: row i lists its level-1 pairs, then its level-2 pairs, ...
+    vals = np.repeat(r[1:].T.ravel(), np.array(row_counts, dtype=np.int64).T.ravel())
+    # then the flat position in r of (d, j), and last d itself
+    at = levels.data.astype(np.intp)
+    at *= n
+    at += levels.indices
+    vals *= np.take(r, at)
+    at[...] = levels.data
+    np.multiply(np.take(weight, at), vals, out=vals)
+    del at
+    starts = levels.indptr[:-1]
+    vals = np.insert(vals, starts, diag)
+    cols = np.insert(levels.indices, starts, np.arange(n))
+    return frozen_csr(vals, cols, levels.indptr + np.arange(n + 1))
+
+
 def fuse_shells(decomposition: ShellDecomposition, alpha: float) -> FusedPropagator:
-    """The fused propagator of a decomposition; its That_l are not kept beside P."""
+    """The fused propagator of a decomposition; its That_l are not kept beside
+    P.  Shells held other than as a record, such as a slice or a hand-built
+    tuple, first go through ``_level_record`` as one block of all rows."""
     theta = ppr_coefficients(alpha, decomposition.l_max)
-    shells = _NormalizedShells(decomposition.shells)
-    return FusedPropagator(decomposition.n, shells, theta, float(alpha))
+    n, shells = decomposition.n, decomposition.shells
+    if not isinstance(shells, _DistanceShells):
+        rows = np.arange(n)
+        shells = _level_record(n, (
+            (rows, l, np.diff(t.indptr), np.repeat(rows * n, np.diff(t.indptr)) + t.indices)
+            for l, t in enumerate(shells, start=1)
+        )).shells
+    return FusedPropagator(n, replace(shells, normalized=True), theta, float(alpha))
 
 
 def fused_propagate(p: FusedPropagator, z: np.ndarray) -> np.ndarray:
@@ -380,20 +380,19 @@ def shell_union(d: ShellDecomposition) -> sp.csr_array:
 def shell_report(g: SparseGraph, l_cap: int | None = None) -> dict:
     """JSON-ready shell summary: sizes, per-layer average degree, diameter.
 
-    The sizes and l_max are those of ``shell_decompose(g, l_cap)``, counted
-    level by level from the BFS stream, so no pair is stored.
-    """
+    One BFS stream is counted level by level, so no pair is stored: the sizes
+    and l_max are those of ``shell_decompose(g, l_cap)``, and the diameter
+    is the deepest level."""
     _check_cap(l_cap)
     counts = defaultdict(int)
-    for _, level, new in _bfs_levels(g, l_cap):
+    for _, level, new in _bfs_levels(g, None):
         counts[level] += int(np.count_nonzero(new))
     sizes = [counts[level] for level in range(1, len(counts))]
-    # a stream that stops short of its cap has already found the diameter
-    capped = l_cap is not None and len(sizes) == l_cap
+    kept = sizes[:l_cap]
     return {
         "n": g.n,
-        "l_max": len(sizes),
-        "shell_sizes": sizes,
-        "avg_degree_per_layer": [size / g.n for size in sizes],
-        "diameter": diameter(g) if capped else len(sizes),
+        "l_max": len(kept),
+        "shell_sizes": kept,
+        "avg_degree_per_layer": [size / g.n for size in kept],
+        "diameter": len(sizes),
     }

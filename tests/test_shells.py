@@ -31,7 +31,7 @@ from shellprop import (
     sym_norm_propagator,
 )
 
-from shellprop.graph import stores_dense
+from shellprop.graph import _bfs_levels, stores_dense
 
 from helpers import (
     complete_graph,
@@ -123,7 +123,7 @@ class TestShellDecompose:
     def test_edgeless_graph_has_no_shells(self):
         d = shell_decompose(build_graph([], 4))
         assert d.l_max == 0
-        assert d.shells == ()
+        assert len(d.shells) == 0 and d.shells[:] == ()
 
     @pytest.mark.parametrize("seed", range(8))
     def test_shells_match_distance_oracle(self, seed):
@@ -478,17 +478,23 @@ def tuple_backed(d: ShellDecomposition) -> ShellDecomposition:
 
 
 class TestDistanceShells:
-    """At full diameter a dense P is filled from one distance matrix, and
-    the shells are built from it on each read."""
+    """A decomposition is one record of hop levels in P's carrier, a
+    distance matrix or a CSR array of levels, and the shells are built from
+    it on each read."""
 
-    @given(g=component_graphs(), alpha=st.sampled_from([1.5, 2.0, 5.0]))
+    @given(
+        g=component_graphs(),
+        alpha=st.sampled_from([1.5, 2.0, 5.0]),
+        l_cap=st.sampled_from([None, 1, 2, 3]),
+    )
     @settings(max_examples=80, deadline=None)
-    def test_operator_is_that_of_the_shells_bit_for_bit(self, g, alpha):
-        d = shell_decompose(g)
+    def test_operator_is_that_of_the_shells_bit_for_bit(self, g, alpha, l_cap):
+        d = shell_decompose(g, l_cap)
         p = fuse_shells(d, alpha).matrix
         dense = stores_dense((g.n, g.n), g.n + sum(d.shell_sizes))
         assert isinstance(p, DenseMatrix if dense else sp.csr_array)
-        assert isinstance(d.shells, tuple) is not dense
+        # the record's carrier is P's carrier
+        assert isinstance(d.shells.distances, np.ndarray if dense else sp.csr_array)
         assert np.array_equal(to_dense(fuse_shells(tuple_backed(d), alpha).matrix), to_dense(p))
         # theta_l * That_l adds the same products in the same order
         want = np.zeros((g.n, g.n))
@@ -498,14 +504,14 @@ class TestDistanceShells:
         # the oracle's (1 - 1/alpha)**l may differ from ppr_coefficients' in
         # the last bit, except for the exact powers of alpha = 2
         if alpha == 2.0:
-            assert np.array_equal(to_dense(p), dense_fused(g, alpha))
-        assert np.max(np.abs(to_dense(p) - dense_fused(g, alpha)), initial=0) < 1e-15
+            assert np.array_equal(to_dense(p), dense_fused(g, alpha, l_cap))
+        assert np.max(np.abs(to_dense(p) - dense_fused(g, alpha, l_cap)), initial=0) < 1e-15
 
-    @given(g=component_graphs())
+    @given(g=component_graphs(), l_cap=st.sampled_from([None, 1, 2, 3]))
     @settings(max_examples=60, deadline=None)
-    def test_shells_are_the_oracle_shells_by_index_and_slice(self, g):
-        d = shell_decompose(g)
-        want = dense_shells(g)
+    def test_shells_are_the_oracle_shells_by_index_and_slice(self, g, l_cap):
+        d = shell_decompose(g, l_cap)
+        want = dense_shells(g)[:l_cap]
         assert len(d.shells) == d.l_max == len(want)
         assert d.shell_sizes == tuple(int(w.sum()) for w in want)
         for level in range(-d.l_max, d.l_max):
@@ -561,10 +567,42 @@ class TestDistanceShells:
         assert d.shell_sizes and sum(d.shell_sizes) == 600 * 599
         assert held <= 600**2 + 8 * 600 * (d.l_max + 2) + 16384
 
+    def test_capped_record_holds_levels_and_its_check_bounds_the_fill(self, monkeypatch):
+        # at cap 3 P is CSR: the record holds an int64 column and a uint8
+        # level a pair, where the binary shells held 16 bytes
+        g = random_tree(7, 600)
+        fuse_shells(shell_decompose(g, 3), 2.0)
+        needs = {}
+        for module in ("graph", "shells"):
+            monkeypatch.setattr(
+                f"shellprop.{module}.require_memory", lambda need, what, m=module: needs.update({m: need})
+            )
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            d = shell_decompose(g, 3)
+            held = tracemalloc.get_traced_memory()[0] - before
+            decompose_peak = tracemalloc.get_traced_memory()[1] - before
+            tracemalloc.reset_peak()
+            fuse_shells(d, 2.0)
+            fill_peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        pairs = sum(d.shell_sizes)
+        assert held <= 9 * pairs + 8 * 600 * d.l_max + 16384
+        # the last check of the stream counts the record, the CSR P and the
+        # fill's temporaries; while the stream runs, the BFS block, checked
+        # on its own, is held too
+        assert fill_peak <= needs["shells"] + 16384
+        assert decompose_peak <= needs["shells"] + needs["graph"] + 16384
+        assert isinstance(d.shells.distances, sp.csr_array) and d.shells.distances.data.dtype == np.uint8
+
 
 class TestDecomposeBytes:
-    """The dense distance path is checked before any BFS, the shells of a
-    capped or CSR run before each level's pairs are appended."""
+    """The dense distance path is checked before any BFS; a capped or CSR
+    run is checked with the CSR P its record fills before each level's
+    pairs are kept, and again before its record becomes a distance
+    matrix."""
 
     @pytest.mark.parametrize("g, need", [
         # n = 300: n**2 of uint8 distances, 8 n**2 of P, 8 n * 3 of the
@@ -593,21 +631,32 @@ class TestDecomposeBytes:
 
     def test_capped_shells_refused_mid_stream(self, monkeypatch):
         # a 1000-path at cap 30 passes the BFS block's check (544 kB); its
-        # sources 0-255 store 512 - l pairs at level l, later blocks 512, so
-        # 16 bytes a pair pass 614400 bytes at level 16 of the third block:
-        # 16 * (14895 + 15360 + 16 * 512) = 615152
-        fake_physical_memory(monkeypatch, 150 * 4096)
-        with pytest.raises(ResourceError, match=r"store 38447 pairs, about 615152 bytes"):
+        # sources 0-255 store 512 - l pairs at level l, later blocks 512.
+        # With 30 levels found, 33 bytes a pair and 8 n (5 * 30 + 10) of
+        # row counts, r table and row terms pass 2465792 bytes at level 12
+        # of the third block: 33 * (14895 + 15360 + 12 * 512) + 1280000
+        fake_physical_memory(monkeypatch, 602 * 4096)
+        with pytest.raises(ResourceError, match=r"store 36399 pairs, about 2481167 bytes"):
             shell_decompose(path_graph(1000), 30)
 
     def test_csr_full_diameter_checks_its_pairs(self, monkeypatch):
-        # 500 disjoint edges: P is CSR, and 1000 pairs take 16000 bytes
+        # 500 disjoint edges: P is CSR, and 1000 pairs at one level take
+        # 33 * 1000 + 8 * 1000 * (5 + 10) = 153000 bytes with their P
         g = build_graph([(2 * i, 2 * i + 1) for i in range(500)], 1000)
         fake_physical_memory(monkeypatch, 10**9 // 4096 * 4096)
         assert shell_decompose(g).shell_sizes == (1000,)
-        monkeypatch.setattr("shellprop.shells.require_memory", refuse_above(15999))
-        with pytest.raises(ResourceError, match="store 1000 pairs, about 16000 bytes"):
+        monkeypatch.setattr("shellprop.shells.require_memory", refuse_above(152999))
+        with pytest.raises(ResourceError, match="store 1000 pairs, about 153000 bytes"):
             shell_decompose(g)
+
+    def test_capped_dense_p_checked_before_the_distances(self, monkeypatch):
+        # at cap 1 the 40-clique stores 1560 pairs, all of P's 1600 entries,
+        # so P is dense: the stream's checks need 33 * 1560 + 8 * 40 * 15 =
+        # 56280 bytes, then the distance matrix and the dense P
+        # _distance_bytes(40, 1) = 67200
+        monkeypatch.setattr("shellprop.shells.require_memory", refuse_above(60000))
+        with pytest.raises(ResourceError, match="dense P of 40 nodes .* at 1 levels, about 67200 bytes"):
+            fuse_shells(shell_decompose(complete_graph(40), 1), 2.0)
 
 
 def refuse_above(limit: int):
@@ -634,6 +683,19 @@ class TestShellReportCounts:
         monkeypatch.setattr("shellprop.shells.shell_decompose", no_shells)
         assert shell_report(path_graph(5), 2)["shell_sizes"] == [8, 6]
         assert shell_report(star_graph(3))["shell_sizes"] == [6, 6]
+
+    def test_capped_report_runs_one_bfs(self, monkeypatch):
+        streams = []
+
+        def counted(*args, **kwargs):
+            streams.append(args)
+            return _bfs_levels(*args, **kwargs)
+
+        monkeypatch.setattr("shellprop.graph._bfs_levels", counted)
+        monkeypatch.setattr("shellprop.shells._bfs_levels", counted)
+        report = shell_report(path_graph(10), 2)
+        assert report["shell_sizes"] == [18, 16] and report["diameter"] == 9
+        assert len(streams) == 1
 
     def test_bad_cap(self):
         with pytest.raises(InputError):
