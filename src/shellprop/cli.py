@@ -230,7 +230,8 @@ def cmd_metrics(data, propagator, beta, alpha, l_cap, kmax, csv, out):
     elif propagator == "rw":
         prop = rw_norm_propagator(graph)
     elif propagator == "residual":
-        prop = residual_propagator(sym_norm_propagator(graph), beta)
+        sym = sym_norm_propagator(graph)
+        prop = residual_propagator(sym, beta)
         payload["beta"] = beta
     else:
         prop = fused_shell_propagator(shell_decompose(graph, l_cap), alpha)
@@ -238,9 +239,7 @@ def cmd_metrics(data, propagator, beta, alpha, l_cap, kmax, csv, out):
     report = sas_trajectory(prop, kmax)
     payload["report"] = _report_payload(report)
     if propagator == "residual":
-        payload["baseline_report"] = _report_payload(
-            sas_trajectory(sym_norm_propagator(graph), kmax)
-        )
+        payload["baseline_report"] = _report_payload(sas_trajectory(sym, kmax))
     out.mkdir(parents=True, exist_ok=True)
     outputs = [_write_json(out / "metrics.json", payload)]
     if csv:

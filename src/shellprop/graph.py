@@ -344,11 +344,8 @@ def is_connected(g: SparseGraph) -> bool:
 
 
 def component_count(g: SparseGraph) -> int:
-    # imported on first use: csgraph adds about 75 ms and 11 MB to every CLI
-    # start-up, and no CLI command counts components
-    from scipy.sparse.csgraph import connected_components
-
-    return int(connected_components(adjacency_matrix(g), directed=False, return_labels=False))
+    lone, groups = components(adjacency_matrix(g))
+    return lone.size + len(groups)
 
 
 #: Frontier rows one step of ``_bfs_forest`` reads at a time.

@@ -6,9 +6,9 @@ Each shell is symmetrically normalized after adding self-loops, and the
 shells are combined with geometrically decaying coefficients into a single
 propagation operator P, built once and applied as one product.  A pair lies
 in one shell only, so a decomposition is one record of hop levels, held in
-P's carrier; P is filled from it entry by entry, and a shell is built from
-it only when read.  Shells, normalized shells and a sparse P are read-only
-scipy ``csr_array``s with int64 indices.
+P's carrier and with P's structure; P is filled as values on it, and a
+shell is built from it only when read.  Shells, normalized shells and a
+sparse P are read-only scipy ``csr_array``s with int64 indices.
 """
 from __future__ import annotations
 
@@ -25,7 +25,7 @@ from .graph import (
     frozen_csr, is_symmetric, require_memory, spmm, stores_dense,
 )
 
-#: Rows of P that one step of ``_dense_fill`` writes.
+#: Rows of P that one block of the fill writes.
 _FILL_ROWS = 256
 
 
@@ -53,9 +53,10 @@ class _DistanceShells(Sequence):
     read and normalized (That_l) when ``normalized``; a slice gives a tuple.
 
     ``distances`` holds each reachable pair's level, in the narrowest
-    unsigned type that holds them, in P's carrier: an n x n array, 0 for
-    i = j and for an unreachable pair, or a csr_array with int64 indices
-    whose row i lists its pairs level by level, then by column.
+    unsigned type that holds them, in P's carrier and with P's entries: an
+    n x n array, 0 for i = j and for an unreachable pair, or a csr_array
+    with int64 indices whose row i starts with (i, i) at level 0, then
+    lists its pairs level by level, each level by column.
     ``row_counts[l-1]`` is each row's entry count in T_l.  All are read-only.
     """
 
@@ -160,9 +161,10 @@ def _level_record(n: int, levels: Iterable[tuple], dense: bool = False) -> Shell
     row's pairs coming level by level and each level by column.
 
     A ``dense`` P gets the levels straight into an n x n distance matrix,
-    uint8 until a level passes 255.  Otherwise one stable sort of the
-    stream by row makes a CSR record whose rows keep that order, and it
-    becomes the distance matrix at the end if ``stores_dense`` makes P
+    uint8 until a level passes 255.  Otherwise the stream, led by each
+    row's diagonal at level 0, is sorted stably by row into a CSR record
+    whose rows keep that order, so it holds exactly the entries of a CSR P;
+    it becomes the distance matrix at the end if ``stores_dense`` makes P
     dense.  Before each level's pairs are kept, and before a distance
     matrix is allocated, ResourceError is raised when the record and the P
     it fills (``_distance_bytes``, ``_csr_bytes``) exceed ``require_memory``'s
@@ -172,7 +174,8 @@ def _level_record(n: int, levels: Iterable[tuple], dense: bool = False) -> Shell
     if dense:
         require_memory(_distance_bytes(n, 0), f"{what} before any level")
         distances = np.zeros((n, n), dtype=np.uint8)
-    row_counts, cols, data, stored = [], [np.empty(0, np.int64)], [np.empty(0, np.uint8)], 0
+    # each CSR row starts with its diagonal, at level 0, as P's rows do
+    row_counts, cols, data, stored = [], [np.arange(n) * (n + 1)], [np.zeros(n, np.uint8)], 0
     for sources, level, counts, flat in levels:
         stored += int(counts.sum())
         if level > len(row_counts):
@@ -194,7 +197,7 @@ def _level_record(n: int, levels: Iterable[tuple], dense: bool = False) -> Shell
         del cols, data
         order = np.argsort(flat // n, kind="stable")
         flat %= n
-        offsets = np.concatenate([[0], np.cumsum(sum(row_counts, np.zeros(n, dtype=np.int64)))])
+        offsets = np.concatenate([[0], np.cumsum(sum(row_counts, np.ones(n, dtype=np.int64)))])
         distances = frozen_csr(tags[order], flat[order], offsets)
         del flat, tags, order
         if stores_dense((n, n), n + stored):
@@ -210,23 +213,28 @@ def _distance_bytes(n: int, levels: int) -> int:
     and b = min(256, n), n**2 bytes of uint8 distances, or (1 + w) n**2 once
     L passes 255, the uint8 matrix and its copy widened to w bytes a pair;
     8 n L of int64 row counts; 8 n**2 of P; 8 n (L + 3) for the fill's table
-    of r_l, its diagonal and column ids; and 32 b n for one fill block: an
-    intp index and two float64 operands of b x n, and the intp copy of the
-    block's distances that ``np.take`` makes."""
+    of r_l, its diagonal and node ids; and 24 b n for one fill block of b
+    rows: a gathered float64 operand, and numpy's intp buffers for the two
+    index operands it is gathered by, at most 16 bytes an entry."""
     width = 1 if levels <= 255 else 1 + np.min_scalar_type(levels).itemsize
-    return width * n * n + 8 * n * n + 8 * n * (2 * levels + 3) + 32 * min(_FILL_ROWS, n) * n
+    return width * n * n + 8 * n * n + 8 * n * (2 * levels + 3) + 24 * min(_FILL_ROWS, n) * n
 
 
 def _csr_bytes(n: int, levels: int, pairs: int) -> int:
-    """Bytes that a CSR record of ``pairs`` pairs at ``levels`` levels and
-    the CSR P filled from it hold at the fill's peak: per pair, 8 + w of
-    record (an int64 column and a w-byte level), 8 of P's values and 16
-    while the fill gathers; per node, with L = ``levels``, 8 L of row
-    counts, 8 (L + 1) of r, 24 L while the fill repeats r and the counts,
-    and 56 for the diagonal, row pointers and what ``np.insert`` holds.
-    The sort that builds the record holds less."""
-    width = np.min_scalar_type(levels).itemsize
-    return (32 + width) * pairs + 8 * n * (5 * levels + 10)
+    """Bytes that a CSR record of ``pairs`` pairs and the n diagonal entries
+    its rows start with, e = n + pairs entries with w-byte levels, and the
+    CSR P filled from it hold at the peak of the sort that makes the record
+    or of the fill, whichever is larger.  The sort holds 28 + w bytes an
+    entry: the stream's int64 column and level, the int64 row keys, their
+    int64 order and at most 4 of sort buffer.  The fill holds the record's
+    8 + w and P's 8 bytes an entry, and 24 an entry of one block of
+    b = min(256, n) rows: its int64 row ids, a gathered float64 operand and
+    numpy's intp buffer for the levels it is gathered by.  With L =
+    ``levels``, 8 n (2 L + 4) more hold the row counts, r, the diagonal,
+    the node ids and the row pointers."""
+    entries, width = n + pairs, np.min_scalar_type(levels).itemsize
+    fill = (16 + width) * entries + 24 * min(entries, _FILL_ROWS * n)
+    return max((28 + width) * entries, fill) + 8 * n * (2 * levels + 4)
 
 
 def normalize_shell(t: sp.csr_array) -> sp.csr_array:
@@ -263,31 +271,47 @@ def ppr_coefficients(alpha: float, l_max: int) -> np.ndarray:
 
 
 def _fuse(theta: np.ndarray, shells: _DistanceShells) -> Matrix:
-    """P = sum_l theta_l * That_l, filled entry by entry from one record of
-    hop levels, in the record's carrier.
+    """P = sum_l theta_l * That_l, filled as values on the structure of one
+    record of hop levels, in the record's carrier.
 
     With r_l = (k_l + 1)**-1/2, k_l each node's degree in T_l, That_l holds
     r_l[i] * r_l[j] at each entry (i, j) of T_l and r_l**2 on its diagonal,
     as ``normalize_shell`` gives.  A pair lies in one shell only, so off the
     diagonal P[i, j] = theta_d * (r_d[i] * r_d[j]) for d the pair's level,
     and the diagonal sums theta_l * (r_l * r_l) over l = 1..l_max in order,
-    also past a node's own eccentricity.  Both fills read one table of r
-    and do these operations in this order, as ``normalize_shell`` does, so
-    both carriers hold the same bits.  A CSR P stores row i's diagonal
-    first, then the record's row i, which fixes every product's order.
+    also past a node's own eccentricity.  ``_entries`` computes the
+    off-diagonal rule over blocks of ``_FILL_ROWS`` rows of either carrier,
+    with weight 0 at level 0, and the diagonal is then written over each
+    row's level-0 entry; both do these operations in this order, as
+    ``normalize_shell`` does, so both carriers hold the same bits.  A CSR P
+    shares the record's read-only indices and row pointers, whose rows
+    start with their diagonal.
     """
     d = shells.distances
+    n = d.shape[0]
     weight = np.concatenate([[0.0], theta])
-    r, diag = _r_table(d.shape[0], shells.row_counts, theta)
-    if sp.issparse(d):
-        return _csr_fill(d, shells.row_counts, r, weight, diag)
-    return DenseMatrix(_dense_fill(d, r, weight, diag))
+    r, diag = _r_table(n, shells.row_counts, theta)
+    csr, ids = sp.issparse(d), np.arange(n)
+    p = np.empty(d.nnz if csr else (n, n))
+    for start in range(0, n, _FILL_ROWS):
+        rows = slice(start, start + _FILL_ROWS)
+        if csr:
+            ptr = d.indptr[start : start + _FILL_ROWS + 1]
+            at = slice(ptr[0], ptr[-1])
+            _entries(d.data[at], np.repeat(ids[rows], np.diff(ptr)), d.indices[at], r, weight, p[at])
+        else:
+            _entries(d[rows], ids[rows, None], ids, r, weight, p[rows])
+    if csr:
+        p[d.indptr[:-1]] = diag
+        return frozen_csr(p, d.indices, d.indptr)
+    np.fill_diagonal(p, diag)
+    return DenseMatrix(p)
 
 
 def _r_table(
     n: int, row_counts: Sequence[np.ndarray], theta: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The (L + 1) x n table r of the fills, r[0] = 1 and r[l] = r_l, and P's
+    """The (L + 1) x n table r of the fill, r[0] = 1 and r[l] = r_l, and P's
     diagonal, theta_l * (r_l * r_l) summed over l = 1..L in order."""
     r, diag = np.ones((len(theta) + 1, n)), np.zeros(n)
     for level, (theta_l, k) in enumerate(zip(theta, row_counts), start=1):
@@ -296,55 +320,15 @@ def _r_table(
     return r, diag
 
 
-def _dense_fill(
-    distances: np.ndarray, r: np.ndarray, weight: np.ndarray, diag: np.ndarray
-) -> np.ndarray:
-    """The dense P of a distance matrix (0 for i = j and for an unreachable
-    pair), in blocks of rows: weight[d] * (r[d, i] * r[d, j]) at each pair
-    (i, j) of distance d, with weight[0] = 0, and ``diag`` on the diagonal."""
-    n = len(distances)
-    cols = np.arange(n)
-    p = np.empty((n, n))
-    for start in range(0, n, _FILL_ROWS):
-        d = distances[start : start + _FILL_ROWS]
-        rows = np.arange(start, start + len(d))[:, None]
-        # flat positions in r of (d, i) and then of (d, j)
-        at = d.astype(np.intp)
-        at *= n
-        at += rows
-        r_i = np.take(r, at)
-        at -= rows
-        at += cols
-        r_j = np.take(r, at)
-        del at
-        np.multiply(r_i, r_j, out=r_i)
-        np.multiply(np.take(weight, d, out=r_j, mode="clip"), r_i, out=p[start : start + len(d)])
-    np.fill_diagonal(p, diag)
-    return p
-
-
-def _csr_fill(
-    levels: sp.csr_array, row_counts: Sequence[np.ndarray], r: np.ndarray, weight: np.ndarray,
-    diag: np.ndarray,
-) -> sp.csr_array:
-    """The CSR P of a CSR record of levels: row i stores ``diag[i]`` first,
-    then weight[d] * (r[d, i] * r[d, j]) at each pair (i, j) of the
-    record's row i, in its order."""
-    n = len(diag)
-    # r[d, i] at each pair: row i lists its level-1 pairs, then its level-2 pairs, ...
-    vals = np.repeat(r[1:].T.ravel(), np.array(row_counts, dtype=np.int64).T.ravel())
-    # then the flat position in r of (d, j), and last d itself
-    at = levels.data.astype(np.intp)
-    at *= n
-    at += levels.indices
-    vals *= np.take(r, at)
-    at[...] = levels.data
-    np.multiply(np.take(weight, at), vals, out=vals)
-    del at
-    starts = levels.indptr[:-1]
-    vals = np.insert(vals, starts, diag)
-    cols = np.insert(levels.indices, starts, np.arange(n))
-    return frozen_csr(vals, cols, levels.indptr + np.arange(n + 1))
+def _entries(
+    levels: np.ndarray, rows: np.ndarray, cols: np.ndarray, r: np.ndarray, weight: np.ndarray,
+    out: np.ndarray,
+) -> None:
+    """Write weight[d] * (r[d, i] * r[d, j]) into ``out`` at each entry (i, j)
+    of level d, with ``rows`` and ``cols`` broadcast against ``levels``."""
+    out[...] = r[levels, rows]
+    out *= r[levels, cols]
+    out *= weight[levels]
 
 
 def fuse_shells(decomposition: ShellDecomposition, alpha: float) -> FusedPropagator:

@@ -1,5 +1,6 @@
 import dataclasses
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -491,6 +492,9 @@ class TestDistanceShells:
     def test_operator_is_that_of_the_shells_bit_for_bit(self, g, alpha, l_cap):
         d = shell_decompose(g, l_cap)
         p = fuse_shells(d, alpha).matrix
+        # fill blocks of 3 rows end on empty rows and lone nodes in both carriers
+        with mock.patch("shellprop.shells._FILL_ROWS", 3):
+            assert np.array_equal(to_dense(fuse_shells(d, alpha).matrix), to_dense(p))
         dense = stores_dense((g.n, g.n), g.n + sum(d.shell_sizes))
         assert isinstance(p, DenseMatrix if dense else sp.csr_array)
         # the record's carrier is P's carrier
@@ -589,13 +593,47 @@ class TestDistanceShells:
         finally:
             tracemalloc.stop()
         pairs = sum(d.shell_sizes)
-        assert held <= 9 * pairs + 8 * 600 * d.l_max + 16384
+        # and so does each row's diagonal, which leads the row
+        assert held <= 9 * (600 + pairs) + 8 * 600 * d.l_max + 16384
         # the last check of the stream counts the record, the CSR P and the
         # fill's temporaries; while the stream runs, the BFS block, checked
         # on its own, is held too
         assert fill_peak <= needs["shells"] + 16384
         assert decompose_peak <= needs["shells"] + needs["graph"] + 16384
         assert isinstance(d.shells.distances, sp.csr_array) and d.shells.distances.data.dtype == np.uint8
+
+
+    @pytest.mark.parametrize("g, l_cap", [
+        (path_graph(20), 1),
+        (random_tree(7, 600), 3),
+        (build_graph([(0, 1), (3, 4)], 6), None),
+    ], ids=["path-20-cap-1", "tree-600-cap-3", "two-edges-two-lone-nodes"])
+    def test_csr_p_shares_the_records_structure(self, g, l_cap):
+        d = shell_decompose(g, l_cap)
+        record, p = d.shells.distances, fuse_shells(d, 2.0).matrix
+        assert isinstance(record, sp.csr_array) and isinstance(p, sp.csr_array)
+        assert np.shares_memory(p.indices, record.indices)
+        assert np.shares_memory(p.indptr, record.indptr)
+        # every record row starts with its diagonal, at level 0, as P's does
+        starts = record.indptr[:-1]
+        assert np.array_equal(record.indices[starts], np.arange(g.n))
+        assert np.flatnonzero(record.data == 0).tolist() == starts.tolist()
+
+    def test_capped_propagator_holds_only_values_beyond_its_record(self):
+        # P's columns and row pointers are the record's, so fusing adds 8
+        # bytes an entry, P's values, where a copy of the columns took 16
+        g = random_tree(7, 600)
+        fuse_shells(shell_decompose(g, 3), 2.0)
+        d = shell_decompose(g, 3)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            p = fuse_shells(d, 2.0).matrix
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert isinstance(p, sp.csr_array)
+        assert held <= 8 * p.nnz + 16384
 
 
 class TestDecomposeBytes:
@@ -606,11 +644,11 @@ class TestDecomposeBytes:
 
     @pytest.mark.parametrize("g, need", [
         # n = 300: n**2 of uint8 distances, 8 n**2 of P, 8 n * 3 of the
-        # fill's diagonal, column ids and level-0 row of r, 32 * 256 * n of
+        # fill's diagonal, node ids and level-0 row of r, 24 * 256 * n of
         # one fill block
-        (path_graph(300), 90000 + 720000 + 7200 + 2457600),
+        (path_graph(300), 90000 + 720000 + 7200 + 1843200),
         # n = 40: a fill block of 40 rows
-        (complete_graph(40), 1600 + 12800 + 960 + 51200),
+        (complete_graph(40), 1600 + 12800 + 960 + 38400),
     ], ids=["path-300", "complete-40"])
     def test_dense_path_refused_before_any_bfs(self, monkeypatch, g, need):
         def no_bfs(*args, **kwargs):
@@ -624,39 +662,43 @@ class TestDecomposeBytes:
     def test_dense_path_refused_where_the_distances_widen(self, monkeypatch):
         # level 256 of a 300-path widens the uint8 distances to uint16, so
         # 3 n**2 of distances and 8 n (2 * 256 + 3) of row counts and r
-        # table: 4683600 bytes; at 255 levels 4498800 fit in 1120 pages
-        fake_physical_memory(monkeypatch, 1120 * 4096)
-        with pytest.raises(ResourceError, match="at 256 levels, about 4683600 bytes"):
+        # table: 4069200 bytes; at 255 levels 3884400 fit in 970 pages
+        fake_physical_memory(monkeypatch, 970 * 4096)
+        with pytest.raises(ResourceError, match="at 256 levels, about 4069200 bytes"):
             shell_decompose(path_graph(300))
 
     def test_capped_shells_refused_mid_stream(self, monkeypatch):
         # a 1000-path at cap 30 passes the BFS block's check (544 kB); its
-        # sources 0-255 store 512 - l pairs at level l, later blocks 512.
-        # With 30 levels found, 33 bytes a pair and 8 n (5 * 30 + 10) of
-        # row counts, r table and row terms pass 2465792 bytes at level 12
-        # of the third block: 33 * (14895 + 15360 + 12 * 512) + 1280000
+        # sources 0-255 store 512 - l pairs at level l, sources 256-767 512
+        # and sources 768-999 464 - l.  With 30 levels found, 41 bytes an
+        # entry (the pairs and 1000 diagonal entries, all in one fill block)
+        # and 8 n (2 * 30 + 4) of row counts, r table, node ids and row
+        # pointers pass 2465792 bytes at level 3 of the fourth block:
+        # 41 * (1000 + 14895 + 2 * 15360 + 463 + 462 + 461) + 512000
         fake_physical_memory(monkeypatch, 602 * 4096)
-        with pytest.raises(ResourceError, match=r"store 36399 pairs, about 2481167 bytes"):
+        with pytest.raises(ResourceError, match=r"store 47001 pairs, about 2480041 bytes"):
             shell_decompose(path_graph(1000), 30)
 
     def test_csr_full_diameter_checks_its_pairs(self, monkeypatch):
-        # 500 disjoint edges: P is CSR, and 1000 pairs at one level take
-        # 33 * 1000 + 8 * 1000 * (5 + 10) = 153000 bytes with their P
+        # 500 disjoint edges: P is CSR, and 1000 pairs at one level and the
+        # 1000 diagonal entries take 41 * 2000 + 8 * 1000 * (2 + 4) = 130000
+        # bytes with their P
         g = build_graph([(2 * i, 2 * i + 1) for i in range(500)], 1000)
         fake_physical_memory(monkeypatch, 10**9 // 4096 * 4096)
         assert shell_decompose(g).shell_sizes == (1000,)
-        monkeypatch.setattr("shellprop.shells.require_memory", refuse_above(152999))
-        with pytest.raises(ResourceError, match="store 1000 pairs, about 153000 bytes"):
+        monkeypatch.setattr("shellprop.shells.require_memory", refuse_above(129999))
+        with pytest.raises(ResourceError, match="store 1000 pairs, about 130000 bytes"):
             shell_decompose(g)
 
     def test_capped_dense_p_checked_before_the_distances(self, monkeypatch):
-        # at cap 1 the 40-clique stores 1560 pairs, all of P's 1600 entries,
-        # so P is dense: the stream's checks need 33 * 1560 + 8 * 40 * 15 =
-        # 56280 bytes, then the distance matrix and the dense P
-        # _distance_bytes(40, 1) = 67200
-        monkeypatch.setattr("shellprop.shells.require_memory", refuse_above(60000))
-        with pytest.raises(ResourceError, match="dense P of 40 nodes .* at 1 levels, about 67200 bytes"):
-            fuse_shells(shell_decompose(complete_graph(40), 1), 2.0)
+        # 88 is the least cap at which a 300-path's P is dense: it stores
+        # 44968 pairs, more than half of P's 90000 entries.  The stream's
+        # checks need at most 41 * (300 + 44968) + 8 * 300 * (2 * 88 + 4) =
+        # 2287988 bytes, then the distance matrix and the dense P
+        # _distance_bytes(300, 88) = 3082800
+        monkeypatch.setattr("shellprop.shells.require_memory", refuse_above(2500000))
+        with pytest.raises(ResourceError, match="dense P of 300 nodes .* at 88 levels, about 3082800 bytes"):
+            fuse_shells(shell_decompose(path_graph(300), 88), 2.0)
 
 
 def refuse_above(limit: int):
