@@ -30,8 +30,8 @@ from .errors import ConfigError, InputError, ShellPropError
 from .graph import SparseGraph, build_graph, read_edge_list
 from .metrics import (
     MetricReport,
+    _residual_trajectories,
     fused_shell_propagator,
-    residual_propagator,
     rw_norm_propagator,
     sas_trajectory,
     sym_norm_propagator,
@@ -225,21 +225,20 @@ def cmd_metrics(data, propagator, beta, alpha, l_cap, kmax, csv, out):
     started = time.perf_counter()
     graph = _load_graph(data)
     payload: dict = {"propagator": propagator, "n": graph.n, "kmax": kmax}
-    if propagator == "sym":
-        prop = sym_norm_propagator(graph)
-    elif propagator == "rw":
-        prop = rw_norm_propagator(graph)
-    elif propagator == "residual":
-        sym = sym_norm_propagator(graph)
-        prop = residual_propagator(sym, beta)
-        payload["beta"] = beta
-    else:
-        prop = fused_shell_propagator(shell_decompose(graph, l_cap), alpha)
-        payload["alpha"] = alpha
-    report = sas_trajectory(prop, kmax)
-    payload["report"] = _report_payload(report)
     if propagator == "residual":
-        payload["baseline_report"] = _report_payload(sas_trajectory(sym, kmax))
+        # the residual shares its baseline's eigenvectors: one decomposition reads both
+        report, baseline = _residual_trajectories(sym_norm_propagator(graph), beta, kmax)
+        payload.update(beta=beta, baseline_report=_report_payload(baseline))
+    else:
+        if propagator == "sym":
+            prop = sym_norm_propagator(graph)
+        elif propagator == "rw":
+            prop = rw_norm_propagator(graph)
+        else:
+            prop = fused_shell_propagator(shell_decompose(graph, l_cap), alpha)
+            payload["alpha"] = alpha
+        report = sas_trajectory(prop, kmax)
+    payload["report"] = _report_payload(report)
     out.mkdir(parents=True, exist_ok=True)
     outputs = [_write_json(out / "metrics.json", payload)]
     if csv:

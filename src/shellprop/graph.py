@@ -35,15 +35,21 @@ def _freeze(*arrays: np.ndarray) -> None:
         a.flags.writeable = False
 
 
-def require_memory(need: int, what: str) -> None:
-    """Raise ResourceError, before allocating, when ``need`` bytes exceed
-    the machine's physical memory or, when lower, the process's address-space
-    limit (``ulimit -v``); ``what`` names the allocation."""
-    limit = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    bound = "physical memory"
+def memory_limit() -> tuple[int, str]:
+    """The bytes a run may hold and what bounds them: the machine's physical
+    memory or, when lower, the process's address-space limit (``ulimit -v``)."""
+    limit, bound = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"), "physical memory"
     soft, _ = resource.getrlimit(resource.RLIMIT_AS)
     if soft != resource.RLIM_INFINITY and soft < limit:
         limit, bound = soft, "the address-space limit"
+    return limit, bound
+
+
+def require_memory(need: int, what: str) -> None:
+    """Raise ResourceError, before allocating, when ``need`` bytes exceed
+    ``memory_limit``; ``what`` names the allocation, and the message names
+    the bound."""
+    limit, bound = memory_limit()
     if need > limit:
         raise ResourceError(f"{what}, about {need} bytes, but {bound} is {limit} bytes")
 
@@ -256,12 +262,13 @@ def read_edge_list(path) -> list[tuple[int, int]]:
     return edges
 
 
-def _level_mask(words: np.ndarray, b: int) -> np.ndarray:
+def _level_mask(words: np.ndarray, b: int, out: np.ndarray) -> np.ndarray:
     """The contiguous (b, n) bool mask whose entry (s, i) is bit s of node
-    i's (n, w) uint64 words."""
+    i's (n, w) uint64 words, written over the first 64 w rows of the uint8
+    ``out``."""
     # in little-endian order, byte j of a node's words holds bits 8j .. 8j + 7
     by_byte = np.ascontiguousarray(words.astype("<u8", copy=False).view(np.uint8).T)
-    mask = np.empty((8 * by_byte.shape[0], by_byte.shape[1]), dtype=np.uint8)
+    mask = out[: 8 * by_byte.shape[0]]
     for k in range(8):
         np.right_shift(by_byte, k, out=mask[k::8])
     mask &= 1
@@ -276,7 +283,9 @@ def _bfs_levels(
     The BFS of a block of b sources runs bit-parallel: each node holds
     w = ceil(b/64) uint64 words of ``seen`` and ``frontier`` bits, bit s for
     ``sources[s]``, and a level ORs each node's neighbours' frontier words.
-    ``new`` is the (b, n) bool mask of the pairs first reached at ``level``.
+    ``new`` is the (b, n) bool mask of the pairs first reached at ``level``;
+    every level is written into one buffer, so a mask is valid only until
+    the next one is drawn, and a consumer that keeps one copies it.
     Level 0 is the sources themselves; a block ends at its deepest level.
     ResourceError is raised before the first block when its working set,
     plus ``pair_bytes`` per (source, node) pair a consumer holds, exceeds
@@ -290,6 +299,7 @@ def _bfs_levels(
     require_memory(need, f"a BFS block of {b} sources over {g.n} nodes holds its bit frontier")
     has = np.diff(g.row_offsets) > 0
     starts = g.row_offsets[:-1][has]
+    masks = np.empty((64 * w, g.n), dtype=np.uint8)
     for start in range(0, g.n, block_size):
         sources = np.arange(start, min(start + block_size, g.n), dtype=np.int64)
         b = len(sources)
@@ -297,14 +307,14 @@ def _bfs_levels(
         frontier = np.zeros((g.n, -(-b // 64)), dtype=np.uint64)
         frontier[sources, bit // 64] = np.uint64(1) << bit % 64
         seen, reached = frontier.copy(), np.zeros_like(frontier)
-        yield sources, 0, _level_mask(frontier, b)
+        yield sources, 0, _level_mask(frontier, b, masks)
         for level in range(1, g.n if cap is None else cap + 1):
             reached[has] = np.bitwise_or.reduceat(frontier[g.col_indices], starts)
             frontier = reached & ~seen
             if not frontier.any():
                 break
             seen |= frontier
-            yield sources, level, _level_mask(frontier, b)
+            yield sources, level, _level_mask(frontier, b, masks)
 
 
 def distance_blocks(

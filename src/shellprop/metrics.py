@@ -8,15 +8,23 @@ propagators of a connected graph it converges to 1/N as k grows, which is
 what the trajectory helpers verify numerically.
 
 The aggregation count takes l sparse matrix-vector products.  The
-trajectory decomposes a symmetric matrix once per connected component, M
-itself or the symmetric S that a diagonal similarity carries M to, and
-reads the diagonal of every power from the eigenpairs; only its row sums
-are tracked, again by one matrix-vector product per depth.
+trajectory reads depth 1 off M's own diagonal, with no decomposition.
+Deeper depths decompose a symmetric matrix once per connected component,
+M itself or the symmetric S that a diagonal similarity carries M to (for
+``rw``, written over M's dense block), by LAPACK's divide-and-conquer
+``syevd``, which writes the eigenvectors over that block but needs
+2 |C|**2 doubles of workspace (``syevr``, which needs O(|C|), where only
+that fits the memory limit), and read the diagonal of every power from
+the eigenpairs.  Only the row sums are tracked, by one matrix-vector
+product per depth.  A residual beta M + (1 - beta) I shares M's
+eigenvectors, so ``_residual_trajectories`` reads it and M from one
+decomposition.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
 import numpy as np
 import scipy.sparse as sp
@@ -24,7 +32,7 @@ import scipy.sparse as sp
 from .errors import ConfigError, InputError, NumericError
 from .graph import (
     _BFS_ROWS, Matrix, SparseGraph, _bfs_forest, adjacency_matrix, as_array, components,
-    diameter, from_array, is_connected, require_memory,
+    diameter, from_array, is_connected, memory_limit, require_memory,
 )
 from .shells import ShellDecomposition, fuse_shells, normalize_shell
 
@@ -204,14 +212,14 @@ def _dense_block(a: sp.csr_array | np.ndarray, nodes: np.ndarray) -> np.ndarray:
 
 
 def _symmetric_block(m: np.ndarray, nodes: np.ndarray) -> np.ndarray:
-    """A new symmetric S with m = diag(1/a) S diag(a), for the dense block
-    of one connected component's ``nodes``.
+    """m, the dense block of one connected component's ``nodes``, overwritten
+    with the symmetric S of m = diag(1/a) S diag(a).
 
-    m's pattern must be symmetric, m_ij and m_ji of one sign, and then
-    S_ij = +-sqrt(m_ij * m_ji); a is read off the ratios
-    m_ij / m_ji = a_j**2 / a_i**2 along a BFS tree of the pattern and
-    checked on every entry to a relative 1e-10.  InputError names the first
-    entry where a condition fails.
+    m's pattern must be symmetric and m_ij, m_ji of one sign.  a is read off
+    the ratios m_ij / m_ji = a_j**2 / a_i**2 along a BFS tree of the
+    pattern, S = diag(a) m diag(1/a) is written over m, and S_ij is checked
+    against S_ji on every entry to a relative 1e-10.  InputError names the
+    first entry where a condition fails.
     """
     nonzero = m != 0
     lopsided = nonzero != nonzero.T
@@ -224,8 +232,6 @@ def _symmetric_block(m: np.ndarray, nodes: np.ndarray) -> np.ndarray:
         i, j = _first(crossed, nodes, nodes)
         raise _not_similar(f"entries ({i}, {j}) and ({j}, {i}) differ in sign")
     del crossed
-    s = m * m.T
-    np.copysign(np.sqrt(s, out=s), m, out=s)
     # log a by pointer jumping: step[j] is log a_j - log a_up[j] until every
     # up[j] is the root, where log a is 0
     up = _bfs_forest(m)[1]
@@ -236,32 +242,123 @@ def _symmetric_block(m: np.ndarray, nodes: np.ndarray) -> np.ndarray:
         step += step[up]
         up = up[up]
     scale = np.exp(step)
-    for rows in np.array_split(np.arange(len(m)), -(-len(m) // _BFS_ROWS)):
-        wrong = ~np.isclose(m[rows], s[rows] * scale / scale[rows, None], rtol=1e-10, atol=0)
-        if wrong.any():
-            i, j = _first(wrong, nodes[rows], nodes)
-            raise _not_similar(
-                f"its ratios M_ij / M_ji are inconsistent around a cycle through ({i}, {j})"
-            )
-    return s
+    m *= scale[:, None]
+    m /= scale
+    # S_ij against S_ji, a block of rows at a time with one float and one
+    # bool temporary; 0 / 0 off the pattern is nan, which is never wrong
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for lo in range(0, len(m), _BFS_ROWS):
+            mirror = m[:, lo : lo + _BFS_ROWS].T
+            gap = m[lo : lo + _BFS_ROWS] - mirror
+            wrong = np.abs(np.divide(gap, mirror, out=gap), out=gap) > 1e-10
+            if wrong.any():
+                i, j = _first(wrong, nodes[lo:], nodes)
+                raise _not_similar(
+                    f"its ratios M_ij / M_ji are inconsistent around a cycle through ({i}, {j})"
+                )
+    return m
 
 
 #: Depths whose diagonals one matrix product computes.
 _DEPTH_BLOCK = 128
 
 
+def _decompose_bytes(c: int, driver: str) -> int:
+    """Bytes held beside the dense blocks while a component of c nodes is
+    made symmetric and decomposed by ``driver``: the larger of the row
+    blocks that ``_bfs_forest`` and the S_ij check copy, about 20 bytes a
+    pair over 256 rows, and the eigensolver's own -- ``syevd``'s workspace
+    of 1 + 6c + 2c**2 doubles and 3 + 5c int32, or ``syevr``'s V apart in
+    c**2 doubles and about 34c doubles of workspace -- with c eigenvalues."""
+    solver = 8 * c * (2 * c + 10) if driver == "evd" else 8 * c * (c + 40)
+    return max(solver, 20 * _BFS_ROWS * c)
+
+
 def _power_diagonals(spectra, n: int, k_max: int):
-    """diag(S^k) for k = 1..k_max, with S block diagonal and each block
+    """diag(S^k) for k = 2..k_max, with S block diagonal and each block
     (nodes, eigenvalues, V * V) of ``spectra``, one product per block of
     depths and of S; V * V is None for a block of lone nodes, whose
     eigenvectors are the unit vectors."""
-    for first in range(1, k_max + 1, _DEPTH_BLOCK):
+    for first in range(2, k_max + 1, _DEPTH_BLOCK):
         depths = np.arange(first, min(first + _DEPTH_BLOCK, k_max + 1))
         diagonals = np.empty((depths.size, n))
         for nodes, eigenvalues, squares in spectra:
             powers = eigenvalues ** depths[:, None]
             diagonals[:, nodes] = powers if squares is None else powers @ squares.T
         yield from diagonals
+
+
+def _vetted(m: Matrix, k_max: int) -> tuple[sp.csr_array | np.ndarray, np.ndarray]:
+    """What products of m read, and its row sums, once m is square, k_max
+    is at least 1 and every row sum is finite and nonzero."""
+    if m.shape[0] != m.shape[1]:
+        raise InputError("sas_trajectory requires a square matrix")
+    if k_max < 1:
+        raise InputError(f"k_max must be >= 1, got {k_max}")
+    a = as_array(m)
+    # a non-finite entry makes its row sum non-finite, so this also vets M
+    return a, _row_sums(a @ np.ones(m.shape[0]), 1)
+
+
+def _spectrum(a: sp.csr_array | np.ndarray, k_max: int) -> list[tuple]:
+    """The eigenpairs that depths 2..k_max read: a block (nodes, eigenvalues,
+    V * V) per connected component of a's pattern, of its symmetric form
+    S_C = V diag(lam) V^T, and one block of the lone nodes with V * V None.
+    None is needed at k_max 1, so none is computed there.  The bytes the
+    trajectory holds are checked first."""
+    n = a.shape[0]
+    depths = 24 * (min(k_max, _DEPTH_BLOCK) + 1) * n
+    if k_max == 1:
+        require_memory(depths, f"sas_trajectory holds one depth of a {n} x {n} matrix")
+        return []
+    lone, groups = components(a)
+    sizes = [nodes.size for nodes in groups]
+    largest = max(sizes, default=0)
+    held = 8 * sum(c * c for c in sizes) + depths
+    # syevd writes V over the block it decomposes but needs 2 |C|**2 doubles
+    # of workspace; syevr keeps V apart in |C|**2, so it decomposes the
+    # components that fit only that way
+    driver = "evd" if held + _decompose_bytes(largest, "evd") <= memory_limit()[0] else "evr"
+    require_memory(
+        held + _decompose_bytes(largest, driver),
+        f"sas_trajectory holds the dense blocks of the {len(sizes)} connected"
+        f" components of a {n} x {n} matrix and their eigenvectors",
+    )
+    # imported on first use: scipy.linalg adds 80-155 ms to every CLI start-up
+    from scipy.linalg import eigh
+
+    # a lone node is its own eigenpair, eigenvalue M_ii and eigenvector 1
+    spectra = [(lone, a.diagonal()[lone], None)]
+    for nodes in groups:
+        s = _dense_block(a, nodes)
+        if not np.array_equal(s, s.T):
+            s = _symmetric_block(s, nodes)
+        # s is symmetric, so its transpose is the same matrix in the Fortran
+        # order LAPACK works in, in place; syevd leaves V there
+        eigenvalues, v = eigh(s.T, driver=driver, overwrite_a=True, check_finite=False)
+        del s
+        spectra.append((nodes, eigenvalues, np.square(v, out=v)))
+    return spectra
+
+
+def _read(
+    a: sp.csr_array | np.ndarray, sums: np.ndarray, spectra, k_max: int, stop_tol: float | None
+) -> MetricReport:
+    """The trajectory of a, whose row sums are ``sums``: depth 1 from a's
+    own diagonal, depths 2..k_max from ``spectra``."""
+    n = a.shape[0]
+    diagonals = chain([a.diagonal()], _power_diagonals(spectra, n, k_max))
+    trajectory: list[tuple[int, float]] = []
+    target = 1.0 / n
+    for k, diagonal in enumerate(diagonals, start=1):
+        if k > 1:
+            sums = _row_sums(a @ sums, k)
+        score = float(np.mean(diagonal / sums))
+        trajectory.append((k, score))
+        if stop_tol is not None and abs(score - target) < stop_tol:
+            break
+    gap = abs(trajectory[-1][1] - target)
+    return MetricReport(avg_nat=float(sums.sum() / n), sas_trajectory=trajectory, limit_gap=gap)
 
 
 def sas_trajectory(
@@ -272,69 +369,64 @@ def sas_trajectory(
     ``stop_tol`` ends the sweep early once the score is within that distance
     of 1/N, recording the trajectory up to the entry point.
 
-    The matrix M must be symmetric, as ``sym_norm``, ``residual``,
-    ``fused_shell`` and raw adjacency are, or a diagonal similarity
-    diag(1/a) S diag(a) of a symmetric S, as ``rw_norm`` is; any other
-    matrix raises InputError naming an entry.  Each connected component of
-    M's pattern is decomposed apart, S_C = V diag(lam) V^T, and on its
-    nodes diag(M^k) = diag(S^k) = (V * V) lam**k, a block of depths per
-    matrix product.  The row sums are M^k 1, one matrix-vector product per
-    depth, so an empty row sums to exactly 0 and raises NumericError
-    naming the row and depth.  A diagonal entry is off by about
-    n * eps * max|lam|**k of its own component, whose row sums of a
-    non-negative M grow at that rate too, so rounding in a component with a
-    large spectral radius never reaches the scores of another.
+    Depth 1 is read, not decomposed: its score is mean(diag(M) / M 1), for
+    any square M.  Deeper scores need M symmetric, as ``sym_norm``,
+    ``residual``, ``fused_shell`` and raw adjacency are, or a diagonal
+    similarity diag(1/a) S diag(a) of a symmetric S, as ``rw_norm`` is; any
+    other matrix raises InputError naming an entry.  Each connected
+    component of M's pattern is decomposed apart, S_C = V diag(lam) V^T
+    (LAPACK's divide-and-conquer ``syevd``), and on its nodes
+    diag(M^k) = diag(S^k) = (V * V) lam**k, a block of depths per matrix
+    product.  The row sums are M^k 1, one matrix-vector product per depth,
+    so an empty row sums to exactly 0 and raises NumericError naming the
+    row and depth.  A diagonal entry is off by about n * eps * max|lam|**k
+    of its own component, whose row sums of a non-negative M grow at that
+    rate too, so rounding in a component with a large spectral radius never
+    reaches the scores of another.
 
-    Memory is checked by ``require_memory`` once the components are known,
-    before any dense block (ResourceError).  Each component C of two or
-    more nodes keeps its squared eigenvectors, 8 |C|**2 bytes, and the one
-    being decomposed holds 8 |C|**2 more beside them: its dense copy, or
-    for ``rw`` the copy and then S.  A block of D = min(k_max, 128) depths
-    holds diagonals, powers and their product, at most 24 D n bytes.  So
-    the check is 8 (sum |C|**2 + max |C|**2) + 24 D n bytes.
+    Memory is checked by ``require_memory`` before any dense block
+    (ResourceError).  A block of D = min(k_max, 128) depths holds
+    diagonals, powers and their product, at most 24 D n bytes, beside 24 n
+    of row sums, a diagonal and their ratio; at k_max 1 these 48 n are all
+    the check counts.  Past depth 1 the components are found first.  Each
+    component C of two or more nodes keeps its squared eigenvectors,
+    8 |C|**2 bytes, in the dense block it was copied into: for ``rw`` S is
+    written over that copy, and ``syevd`` writes V over S.  The one being
+    decomposed holds ``syevd``'s workspace beside them, 1 + 6 |C| +
+    2 |C|**2 doubles and 3 + 5 |C| int32, and its |C| eigenvalues.  So the
+    check is 8 (sum |C|**2 + 2 max |C|**2 + 10 max |C|) + 24 (D + 1) n
+    bytes.  When that exceeds the memory limit the components go to
+    ``syevr`` instead, which keeps V apart in |C|**2 doubles beside about
+    34 |C| of workspace, and the check is 8 (sum |C|**2 + max |C|**2 +
+    40 max |C|) + 24 (D + 1) n; the largest component that fits is the one
+    ``syevr`` alone fits.  Below a few hundred nodes, 20 * 256 max |C|
+    bytes, the row blocks the symmetric-form checks copy, stand in for the
+    solver's bytes when larger.
     """
     m = p.matrix if isinstance(p, Propagator) else p
-    if m.shape[0] != m.shape[1]:
-        raise InputError("sas_trajectory requires a square matrix")
-    if k_max < 1:
-        raise InputError(f"k_max must be >= 1, got {k_max}")
-    n = m.shape[0]
-    a = as_array(m)
-    # a non-finite entry makes its row sum non-finite, so this also vets M
-    sums = _row_sums(a @ np.ones(n), 1)
-    # imported on first use: scipy.linalg adds 80-155 ms to every CLI start-up
-    from scipy.linalg import eigh
+    a, sums = _vetted(m, k_max)
+    return _read(a, sums, _spectrum(a, k_max), k_max, stop_tol)
 
-    lone, groups = components(a)
-    sizes = [nodes.size for nodes in groups]
-    require_memory(
-        8 * (sum(c * c for c in sizes) + max(sizes, default=0) ** 2)
-        + 24 * min(k_max, _DEPTH_BLOCK) * n,
-        f"sas_trajectory holds the dense blocks of the {len(sizes)} connected"
-        f" components of a {n} x {n} matrix and their eigenvectors",
-    )
-    # a lone node is its own eigenpair, eigenvalue M_ii and eigenvector 1
-    spectra = [(lone, a.diagonal()[lone], None)]
-    for nodes in groups:
-        s = _dense_block(a, nodes)
-        if not np.array_equal(s, s.T):
-            s = _symmetric_block(s, nodes)
-        # s is symmetric, so its transpose is the same matrix in the Fortran
-        # order LAPACK overwrites in place
-        eigenvalues, v = eigh(s.T, driver="evr", overwrite_a=True, check_finite=False)
-        del s
-        spectra.append((nodes, eigenvalues, np.square(v, out=v)))
-    trajectory: list[tuple[int, float]] = []
-    target = 1.0 / n
-    for k, diagonal in enumerate(_power_diagonals(spectra, n, k_max), start=1):
-        if k > 1:
-            sums = _row_sums(a @ sums, k)
-        score = float(np.mean(diagonal / sums))
-        trajectory.append((k, score))
-        if stop_tol is not None and abs(score - target) < stop_tol:
-            break
-    gap = abs(trajectory[-1][1] - target)
-    return MetricReport(avg_nat=float(sums.sum() / n), sas_trajectory=trajectory, limit_gap=gap)
+
+def _residual_trajectories(
+    p: Propagator, beta: float, k_max: int
+) -> tuple[MetricReport, MetricReport]:
+    """``sas_trajectory`` of ``residual_propagator(p, beta)`` and of p, from
+    one decomposition of p.
+
+    beta M + (1 - beta) I is a diagonal similarity of beta S + (1 - beta) I
+    by the same a as M is of S, and that matrix has S's eigenvectors and the
+    eigenvalues beta lam + 1 - beta.  So both trajectories read p's
+    spectrum, and the residual's scores equal those of its own
+    decomposition to rounding.  Costs and checks are those of one
+    ``sas_trajectory``.
+    """
+    residual = residual_propagator(p, beta)
+    r, r_sums = _vetted(residual.matrix, k_max)
+    a, sums = _vetted(p.matrix, k_max)
+    spectra = _spectrum(a, k_max)
+    shifted = [(nodes, beta * lam + (1.0 - beta), squares) for nodes, lam, squares in spectra]
+    return _read(r, r_sums, shifted, k_max, None), _read(a, sums, spectra, k_max, None)
 
 
 def aggregation_bounds_check(g: SparseGraph) -> AggregationBoundsVerdict:

@@ -8,7 +8,15 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from shellprop import synth_planted_partition, write_dataset
+from shellprop import (
+    adjacency_matrix,
+    component_count,
+    residual_propagator,
+    sas_trajectory,
+    sym_norm_propagator,
+    synth_planted_partition,
+    write_dataset,
+)
 from shellprop.cli import main
 
 from helpers import bag_of_words, fake_address_space_limit, fake_physical_memory
@@ -135,6 +143,30 @@ class TestMetricsCommand:
         boosted = dict(map(tuple, payload["report"]["sas_trajectory"]))
         plain = dict(map(tuple, payload["baseline_report"]["sas_trajectory"]))
         assert all(boosted[k] > plain[k] for k in boosted)
+
+    def test_residual_and_baseline_from_one_decomposition(self, runner, monkeypatch, tmp_path):
+        import scipy.linalg
+
+        g = synth_planted_partition(40, 2, 0.5, 0.1, seed=3).graph
+        assert component_count(g) == 1
+        edges = tmp_path / "g.tsv"
+        edges.write_text("".join(f"{u}\t{v}\n" for u, v in zip(*np.nonzero(adjacency_matrix(g).toarray()))))
+        calls = []
+        real = scipy.linalg.eigh
+        monkeypatch.setattr("scipy.linalg.eigh", lambda *args, **kw: calls.append(1) or real(*args, **kw))
+        result = run(
+            runner,
+            ["metrics", "--data", edges, "--propagator", "residual",
+             "--beta", 0.3, "--kmax", 20, "--out", tmp_path / "o"],
+        )
+        payload = json.loads(result.output)
+        assert len(calls) == 1
+        sym = sym_norm_propagator(g)
+        for key, prop in [("report", residual_propagator(sym, 0.3)), ("baseline_report", sym)]:
+            want = sas_trajectory(prop, 20).sas_trajectory
+            got = payload[key]["sas_trajectory"]
+            assert [k for k, _ in got] == list(range(1, 21))
+            assert max(abs(x - y) for (_, x), (_, y) in zip(got, want)) <= 1e-10
 
     def test_invalid_beta_exits_2(self, runner, p3_edges, tmp_path):
         result = runner.invoke(

@@ -1,4 +1,5 @@
 import resource
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,9 +19,10 @@ from shellprop import (
     is_connected,
     read_edge_list,
     shell_decompose,
+    shell_report,
     spmm,
 )
-from shellprop.graph import components, distance_blocks
+from shellprop.graph import _bfs_levels, components, distance_blocks
 
 from helpers import (
     BIG,
@@ -217,6 +219,30 @@ class TestBfsWorkingSet:
         fake_address_space_limit(monkeypatch, soft)
         with pytest.raises(ResourceError, match=f"about 1504064 bytes, but {bound}"):
             distance_matrix(build_graph([(0, 999)], 1000))
+
+    def test_stream_peak_within_its_check(self, monkeypatch):
+        # 500 disjoint edges: a block of 256 sources over 1000 nodes is
+        # checked at 8 * 4 * (6 * 1000 + 1000) + 72 * 4 * 1000 = 512000
+        # bytes, one level mask among them; a consumer still holds the last
+        # mask while the next level forms
+        g = build_graph([(2 * i, 2 * i + 1) for i in range(500)], 1000)
+
+        def drain():
+            for _, _, new in _bfs_levels(g, None):
+                assert new.shape[1] == 1000
+
+        needs = []
+        monkeypatch.setattr("shellprop.graph.require_memory", lambda need, what: needs.append(need))
+        for consumer in (drain, lambda: diameter(g), lambda: shell_report(g)):
+            needs.clear()
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                consumer()
+                peak = tracemalloc.get_traced_memory()[1] - before
+            finally:
+                tracemalloc.stop()
+            assert needs == [512000] and peak <= needs[0]
 
 
 class TestDiameter:

@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -28,6 +29,9 @@ from shellprop import (
     shell_union,
     sym_norm_propagator,
 )
+from shellprop.graph import as_array
+import shellprop.metrics as metrics_module
+from shellprop.metrics import _residual_trajectories
 
 from helpers import (
     complete_graph,
@@ -35,6 +39,7 @@ from helpers import (
     dense_fused,
     dense_sym_norm,
     exact_walk_total,
+    fake_physical_memory,
     path_graph,
     power_trajectory,
     random_connected_graph,
@@ -250,16 +255,88 @@ class TestSasTrajectory:
             sas_trajectory(sp.eye_array(3, format="csr"), 0)
 
     def test_dense_power_past_physical_memory_raises(self):
-        # a path of 10**6 nodes is one component: its dense block and squared
-        # eigenvectors take 16 * (10**6)**2 bytes, 16 TB, and a depth block
-        # 24 * 10**6 bytes more
+        # a path of 10**6 nodes is one component: past depth 1 syevd's
+        # workspace does not fit, and syevr's dense block and V apart take
+        # 8 * (2 * (10**6)**2 + 40 * 10**6) bytes, 16 TB, and two depths
+        # beside the row sums 24 * 3 * 10**6 bytes more
         ones = np.ones(10**6 - 1)
         path = sp.diags_array([ones, ones], offsets=[-1, 1], format="csr")
-        with pytest.raises(ResourceError, match="16000024000000 bytes"):
-            sas_trajectory(path, 1)
+        with pytest.raises(ResourceError, match="16000392000000 bytes"):
+            sas_trajectory(path, 2)
+
+    def test_path_of_a_million_nodes_at_depth_one_holds_no_block(self, monkeypatch):
+        # depth 1 is diag(M) / M 1: the check counts the vectors of one
+        # depth, 48 * 10**6 bytes, and nothing more is held
+        ones = np.ones(10**6 - 1)
+        path = sp.diags_array([ones, ones], offsets=[-1, 1], format="csr")
+        needs = []
+        monkeypatch.setattr("shellprop.metrics.require_memory", lambda need, what: needs.append(need))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            report = sas_trajectory(path, 1)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert report.sas_trajectory == [(1, 0.0)]
+        assert needs == [48 * 10**6]
+        assert peak <= needs[0]
+
+    @pytest.mark.parametrize("k_max", [1, 2, 30])
+    @pytest.mark.parametrize("make", [sym_norm_propagator, rw_norm_propagator])
+    def test_peak_stays_within_the_check(self, monkeypatch, make, k_max):
+        # one 300-node component: its dense block, for rw turned into S in
+        # place, V written over it and syevd's workspace beside it
+        prop = make(random_connected_graph(3, 300, 4.0 / 300))
+        sas_trajectory(prop, k_max)
+        needs = []
+        monkeypatch.setattr("shellprop.metrics.require_memory", lambda need, what: needs.append(need))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            sas_trajectory(prop, k_max)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert len(needs) == 1 and peak <= needs[0]
+
+    @pytest.mark.parametrize("make", [sym_norm_propagator, rw_norm_propagator])
+    def test_syevr_decomposes_where_only_it_fits(self, monkeypatch, make):
+        # one 400-node component at k_max 2 holds its block and a depth block,
+        # 8 * 400**2 + 24 * 3 * 400 = 1308800 bytes; syevd adds
+        # 8 * 400 * (2 * 400 + 10) = 2592000 and syevr the larger of
+        # 8 * 400 * (400 + 40) and 20 * 256 * 400, 2048000
+        import scipy.linalg
+
+        prop = make(random_connected_graph(3, 400, 8.0 / 400))
+        want = sas_trajectory(prop, 2).sas_trajectory
+        drivers, needs = [], []
+        real_eigh = scipy.linalg.eigh
+        monkeypatch.setattr(
+            "scipy.linalg.eigh", lambda *args, **kw: drivers.append(kw["driver"]) or real_eigh(*args, **kw)
+        )
+        real_require = metrics_module.require_memory
+        monkeypatch.setattr(
+            "shellprop.metrics.require_memory", lambda need, what: needs.append(need) or real_require(need, what)
+        )
+        fake_physical_memory(monkeypatch, 855 * 4096)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            got = sas_trajectory(prop, 2).sas_trajectory
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert drivers == ["evr"] and needs == [1308800 + 2048000]
+        assert peak <= needs[0]
+        assert [k for k, _ in got] == [1, 2]
+        assert max(abs(x - y) for (_, x), (_, y) in zip(got, want)) <= 1e-10
+        fake_physical_memory(monkeypatch, 819 * 4096)
+        with pytest.raises(ResourceError, match="about 3356800 bytes, but physical memory is 3354624 bytes"):
+            sas_trajectory(prop, 2)
 
     def test_identity_of_a_million_nodes_runs(self):
-        # 10**6 lone nodes hold no dense block, only a depth block of 24 MB
+        # 10**6 lone nodes hold no dense block, only the 48 MB of one depth
         report = sas_trajectory(sp.eye_array(10**6, format="csr"), 1)
         assert report.sas_trajectory == [(1, 1.0)]
 
@@ -382,6 +459,63 @@ class TestEigenTrajectory:
         m[1, 2] = m[2, 1] = np.nan
         with pytest.raises(NumericError, match="row 1 of the depth-1 power is non-finite"):
             sas_trajectory(sp.csr_array(m), 3)
+
+
+def _never(name):
+    def call(*args, **kwargs):
+        raise AssertionError(f"{name} was called")
+
+    return call
+
+
+class TestDepthOne:
+    @given(prop=propagators())
+    @settings(max_examples=150, deadline=None)
+    def test_is_the_diagonal_over_the_row_sums(self, prop):
+        a = as_array(prop.matrix)
+        sums = a @ np.ones(a.shape[0])
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr("scipy.linalg.eigh", _never("eigh"))
+            mp.setattr("shellprop.metrics.components", _never("components"))
+            if np.any(sums == 0):
+                row = int(np.flatnonzero(sums == 0)[0])
+                with pytest.raises(NumericError, match=f"row {row} of the depth-1 power sums to zero"):
+                    sas_trajectory(prop, 1)
+                return
+            got = sas_trajectory(prop, 1).sas_trajectory
+        want = [(1, float(np.mean(a.diagonal() / sums)))]
+        assert got == want
+        assert sas_trajectory(prop, 3).sas_trajectory[:1] == want
+
+    def test_needs_no_symmetric_form(self):
+        # past depth 1 this matrix is refused (test_no_symmetric_form_raises)
+        m = sp.csr_array(np.array([[1.0, 1.0], [0.0, 1.0]]))
+        assert sas_trajectory(m, 1).sas_trajectory == [(1, 0.75)]
+
+
+class TestResidualTrajectories:
+    """One decomposition of p for the residual and p itself, against a
+    ``sas_trajectory`` of each."""
+
+    @pytest.mark.parametrize("k_max", [1, 30])
+    @pytest.mark.parametrize("carrier", ["csr", "dense"])
+    @pytest.mark.parametrize("make", [sym_norm_propagator, rw_norm_propagator])
+    @pytest.mark.parametrize("g", [
+        random_connected_graph(5, 30, 0.15),
+        build_graph([(0, 1), (1, 2), (2, 0), (4, 5), (5, 6)], 8),
+    ], ids=["connected", "components-and-lone-nodes"])
+    def test_match_separate_trajectories(self, g, make, carrier, k_max):
+        p = make(g)
+        if carrier == "dense":
+            p = Propagator(DenseMatrix(to_dense(p.matrix)), p.kind)
+        residual, baseline = _residual_trajectories(p, 0.3, k_max)
+        want = sas_trajectory(residual_propagator(p, 0.3), k_max)
+        assert baseline.sas_trajectory == sas_trajectory(p, k_max).sas_trajectory
+        assert [k for k, _ in residual.sas_trajectory] == list(range(1, k_max + 1))
+        for (k, got), (_, oracle) in zip(residual.sas_trajectory, want.sas_trajectory):
+            assert abs(got - oracle) <= 1e-10, f"depth {k}"
+        assert residual.avg_nat == want.avg_nat
+        assert abs(residual.limit_gap - want.limit_gap) <= 1e-10
 
 
 class TestResidualRaisesSelfAttention:
