@@ -123,6 +123,22 @@ def _parse_labels(path: Path, n: int) -> np.ndarray:
     return np.asarray(labels, dtype=np.int64)
 
 
+def node_ids(values, n: int, what: str) -> np.ndarray:
+    """``values`` as an int64 array of node ids, once it is a 1-D sequence
+    of integers in [0, n) with no repeat; InputError names ``what`` else."""
+    try:
+        idx = np.asarray(values)
+    except ValueError:  # a ragged nesting
+        idx = None
+    if idx is None or idx.ndim != 1 or (idx.size and idx.dtype.kind not in "iu"):
+        raise InputError(f"{what} must be a list of integer node ids")
+    if idx.size and (idx.min() < 0 or idx.max() >= n):
+        raise InputError(f"{what} index out of range for n={n}")
+    if np.unique(idx).size != idx.size:
+        raise InputError(f"{what} contains duplicate indices")
+    return idx.astype(np.int64, copy=False)
+
+
 def _parse_split(path: Path, n: int) -> Split:
     with open_text(path) as fh:
         try:
@@ -139,12 +155,10 @@ def _parse_split(path: Path, n: int) -> Split:
         values = payload[key]
         if not isinstance(values, list) or not all(type(i) is int for i in values):
             raise InputError(f"{path}: {key} must be a list of integer node ids")
+        # JSON integers are unbounded, so their range is read before numpy holds them
         if values and (min(values) < 0 or max(values) >= n):
             raise InputError(f"{path}: {key} index out of range for n={n}")
-        idx = np.asarray(values, dtype=np.int64)
-        if len(np.unique(idx)) != len(idx):
-            raise InputError(f"{path}: {key} contains duplicate indices")
-        parts[key] = np.sort(idx)
+        parts[key] = np.sort(node_ids(values, n, f"{path}: {key}"))
     if parts["train"].size == 0:
         raise InputError(f"{path}: train set must be non-empty")
     for a, b in (("train", "val"), ("train", "test"), ("val", "test")):

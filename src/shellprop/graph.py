@@ -276,7 +276,7 @@ def _level_mask(words: np.ndarray, b: int, out: np.ndarray) -> np.ndarray:
 
 
 def _bfs_levels(
-    g: SparseGraph, cap: int | None, block_size: int = _BFS_BLOCK, pair_bytes: int = 0
+    g: SparseGraph, cap: int | None, block_size: int = _BFS_BLOCK, held: int = 0
 ) -> Iterator[tuple[np.ndarray, int, np.ndarray]]:
     """Stream BFS levels as (sources, level, new), blocks in ascending order.
 
@@ -288,15 +288,16 @@ def _bfs_levels(
     the next one is drawn, and a consumer that keeps one copies it.
     Level 0 is the sources themselves; a block ends at its deepest level.
     ResourceError is raised before the first block when its working set,
-    plus ``pair_bytes`` per (source, node) pair a consumer holds, exceeds
+    plus the ``held`` bytes a consumer keeps beside it, exceeds
     ``require_memory``'s bound.
     """
     b = min(block_size, g.n)
     w = -(-b // 64)
     # six (n, w) word arrays while a level forms, the words gathered per edge
     # entry, and a level's byte-transposed words and mask
-    need = 8 * w * (6 * g.n + len(g.col_indices)) + 72 * w * g.n + pair_bytes * b * g.n
-    require_memory(need, f"a BFS block of {b} sources over {g.n} nodes holds its bit frontier")
+    need = 8 * w * (6 * g.n + len(g.col_indices)) + 72 * w * g.n + held
+    what = f"a BFS block of {b} sources over {g.n} nodes holds its bit frontier"
+    require_memory(need, what + (f" beside {held} bytes of distances" if held else ""))
     has = np.diff(g.row_offsets) > 0
     starts = g.row_offsets[:-1][has]
     masks = np.empty((64 * w, g.n), dtype=np.uint8)
@@ -326,22 +327,30 @@ def distance_blocks(
     ``dist_block`` is int32 with shape (len(sources), n) and UNREACHABLE
     beyond ``cap`` levels or outside the component.  Blocks are yielded in
     ascending source order, so concatenated output is identical regardless
-    of scheduling.
+    of scheduling.  The stream's byte check counts two blocks: the one it
+    fills and the one a consumer still holds from the last step.
     """
     sources = block = None
-    for level_sources, level, new in _bfs_levels(g, cap, block_size, pair_bytes=4):
+    held = 8 * min(block_size, g.n) * g.n
+    for level_sources, level, new in _bfs_levels(g, cap, block_size, held=held):
         if level == 0:
             if block is not None:
                 yield sources, block
             sources = level_sources
             block = np.full(new.shape, UNREACHABLE, dtype=np.int32)
-        block.reshape(-1)[np.flatnonzero(new)] = level
+        np.copyto(block, level, where=new)
     yield sources, block
 
 
 def distance_matrix(g: SparseGraph, cap: int | None = None) -> np.ndarray:
-    """Full all-pairs distance matrix (n x n, int32, UNREACHABLE sentinel)."""
-    return np.concatenate([block for _, block in distance_blocks(g, cap=cap)])
+    """Full all-pairs distance matrix (n x n, int32, UNREACHABLE sentinel),
+    filled block by block; the BFS stream's byte check counts it."""
+    d = None
+    for sources, level, new in _bfs_levels(g, cap, held=4 * g.n * g.n):
+        if d is None:  # allocated once the stream's check has passed
+            d = np.full((g.n, g.n), UNREACHABLE, dtype=np.int32)
+        np.copyto(d[sources[0] : sources[-1] + 1], level, where=new)
+    return d
 
 
 def diameter(g: SparseGraph) -> int:
@@ -384,23 +393,43 @@ def _bfs_forest(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return root, parent
 
 
+def _components_bytes(a: sp.csr_array, zeros: bool) -> int:
+    """Bytes that ``components`` holds for a CSR a: csgraph's float64
+    transpose of a, 16 bytes an entry, 8 more when it casts a's values to
+    float64 and 16 more for a copy without a's stored zeros; and 40 bytes a
+    node, for csgraph's 12 and then for the labels and the arrays the lists
+    are cut from.  The array object of each listed component, about 200
+    bytes, is not counted."""
+    per_entry = 16 + 8 * (a.dtype != np.float64) + 16 * zeros
+    return per_entry * a.nnz + 40 * a.shape[0]
+
+
 def components(a: sp.csr_array | np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
     """The connected components of the nonzero pattern of a + a^T, as
     (lone, groups): the nodes of every one-node component in one ascending
     array, and the ascending nodes of each larger component, in the order
     of their smallest nodes.
 
-    The labels come from csgraph on a CSR pattern, or from ``_bfs_forest``
-    for a dense a, which is not copied into CSR; the lists come from one
-    stable argsort and the label counts, so a lone node costs no Python
-    object of its own.
+    The labels come from csgraph on a CSR a, or from ``_bfs_forest`` for a
+    dense a, which is not copied into CSR; the lists come from one stable
+    argsort and the label counts, so a lone node costs no Python object of
+    its own.  csgraph reads a CSR a itself unless it stores zeros, and
+    ResourceError is raised first when the bytes it holds
+    (``_components_bytes``) exceed ``require_memory``'s bound.
     """
     if sp.issparse(a):
         # imported on first use: csgraph adds about 75 ms and 11 MB to every CLI start-up
         from scipy.sparse.csgraph import connected_components
 
-        pattern = a.copy()
-        pattern.eliminate_zeros()
+        zeros = not a.data.all()
+        require_memory(
+            _components_bytes(a, zeros),
+            f"the connected components of a {a.shape[0]} x {a.shape[1]} matrix of {a.nnz} stored entries",
+        )
+        pattern = a
+        if zeros:  # csgraph reads every stored entry as an edge
+            pattern = a.copy()
+            pattern.eliminate_zeros()
         labels = connected_components(pattern, directed=False)[1]
     else:
         labels = _bfs_forest(a)[0]

@@ -13,22 +13,38 @@ The features X are an ndarray or a matrix carrier; ``train`` and
 stores as CSR for sparse bag-of-words rows and dense otherwise.  Input
 dropout draws one uniform per stored entry of X, so a CSR X keeps its
 pattern and a dense X draws all n * d values in C order.
+
+A loss reads only its masked rows of P @ z and a score only its scored
+rows, so only those rows of P are multiplied: an epoch of ``train`` costs
+two products with P's |train| rows (the forward pass and its adjoint)
+and one with its |val| rows, not two n x n products, and ``evaluate``
+reads its mask's rows in blocks of at most 256.  ``forward`` alone reads
+all of P.  On a CSR P the row slice, and the column slice that carries
+the adjoint, give the full products' entries bit for bit; on a dense P
+they are smaller BLAS products, so the gradients, and with them the
+trained parameters, differ from a full-width product's in the last bits
+(about 1e-16).
 """
 from __future__ import annotations
 
 import struct
 import time
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
+from .data import node_ids
 from .errors import ConfigError, InputError, NumericError
-from .graph import DenseMatrix, Matrix, as_array
-from .shells import FusedPropagator, fuse_shells, fused_propagate, shell_decompose
+from .graph import DenseMatrix, Matrix, as_array, spmm
+from .shells import FusedPropagator, fuse_shells, shell_decompose
 
 _CHECKPOINT_MAGIC = b"SHLP"
 _CHECKPOINT_VERSION = 1
+
+#: Rows of P that one product of ``evaluate`` and of validation reads.
+_SCORE_ROWS = 256
 
 
 @dataclass(frozen=True, eq=False)
@@ -126,11 +142,16 @@ def _dropout_mask(rng, shape, rate: float) -> np.ndarray:
     return (rng.random(shape) < keep).astype(np.float64) / keep
 
 
-def _features(x: np.ndarray | Matrix) -> np.ndarray | sp.csr_array:
-    """The array or csr_array that the first stage multiplies."""
-    if isinstance(x, (DenseMatrix, sp.csr_array)):
-        return as_array(x)
-    return np.asarray(x, dtype=np.float64)
+def _features(x: np.ndarray | Matrix, params: ModelParams) -> np.ndarray | sp.csr_array:
+    """The array or csr_array that the first stage multiplies, once it is
+    2-D with the first stage's input width."""
+    x = as_array(x) if isinstance(x, (DenseMatrix, sp.csr_array)) else np.asarray(x, dtype=np.float64)
+    if x.ndim != 2 or x.shape[1] != params.w1.shape[0]:
+        raise InputError(
+            f"feature matrix must be 2-D with {params.w1.shape[0]} columns,"
+            f" got shape {x.shape}"
+        )
+    return x
 
 
 def _dropped(x: np.ndarray | sp.csr_array, rng, rate: float) -> np.ndarray | sp.csr_array:
@@ -143,19 +164,58 @@ def _dropped(x: np.ndarray | sp.csr_array, rng, rate: float) -> np.ndarray | sp.
     return x * _dropout_mask(rng, x.shape, rate)
 
 
+@dataclass(frozen=True, eq=False)
+class _Rows:
+    """The rows ``index`` of P that a forward pass reads: ``matrix`` is
+    P[index], and ``adjoint`` = P[index]^T carries a gradient on those rows
+    back to all n nodes.  For all of P, ``index`` is a full slice and both
+    are P itself, which is symmetric."""
+
+    index: np.ndarray | slice
+    matrix: np.ndarray | sp.csr_array
+    adjoint: np.ndarray | sp.csr_array
+
+
+def _rows_of(p: FusedPropagator, index: np.ndarray | None = None) -> _Rows:
+    """P's rows ``index``, or all of P when it is None.  A dense slice is a
+    copy whose transpose is a view; a CSR P gives its adjoint as the column
+    slice P[:, index], which keeps each row's summation order, so
+    P[:, index] @ d equals P @ d' bit for bit, d' being d on the rows
+    ``index`` and zero elsewhere."""
+    m = as_array(p.matrix)
+    if index is None:
+        return _Rows(slice(None), m, m)
+    rows = m[index]
+    return _Rows(index, rows, m[:, index] if sp.issparse(m) else rows.T)
+
+
+def _row_blocks(p: FusedPropagator, index: np.ndarray) -> Iterator[np.ndarray | sp.csr_array]:
+    """P's rows ``index`` in turn, at most ``_SCORE_ROWS`` of them at a time."""
+    m = as_array(p.matrix)
+    for start in range(0, index.size, _SCORE_ROWS):
+        yield m[index[start : start + _SCORE_ROWS]]
+
+
+def _row_logits(
+    params: ModelParams, x: np.ndarray | Matrix, blocks: Iterable[np.ndarray | sp.csr_array]
+) -> np.ndarray:
+    """The dropout-free logits of the rows of P @ z that ``blocks``, row
+    blocks of P, select, one block's product at a time; z is the first
+    stage's output on every node."""
+    z = np.maximum(_features(x, params) @ params.w1 + params.b1, 0.0)
+    return np.concatenate([spmm(rows, z) @ params.w2 + params.b2 for rows in blocks])
+
+
 def _forward_cache(
     params: ModelParams,
     x: np.ndarray | Matrix,
-    p: FusedPropagator,
+    rows: _Rows,
     dropout: float,
     rng,
 ) -> dict:
-    x = _features(x)
-    if x.ndim != 2 or x.shape[1] != params.w1.shape[0]:
-        raise InputError(
-            f"feature matrix must be 2-D with {params.w1.shape[0]} columns,"
-            f" got shape {x.shape}"
-        )
+    """One forward pass, kept for its gradient, on P's ``rows``: the first
+    stage runs on every node, and the rest on those rows only."""
+    x = _features(x, params)
     if dropout > 0.0:
         if rng is None:
             raise InputError("dropout requires a seeded rng")
@@ -164,9 +224,10 @@ def _forward_cache(
         x_in = x
     a1 = x_in @ params.w1 + params.b1
     z = np.maximum(a1, 0.0)
-    s = fused_propagate(p, z)
+    s = spmm(rows.matrix, z)
     if dropout > 0.0:
-        mask2 = _dropout_mask(rng, s.shape, dropout)
+        # drawn over every node, as on all of P, so the rng stream is the same
+        mask2 = _dropout_mask(rng, z.shape, dropout)[rows.index]
         s_in = s * mask2
     else:
         mask2 = None
@@ -201,41 +262,51 @@ def forward(
     drops stored entries only.
     """
     rate = dropout if train_mode else 0.0
-    cache = _forward_cache(params, x, p, rate, rng)
+    cache = _forward_cache(params, x, _rows_of(p), rate, rng)
     return cache["logits"], cache["probs"]
+
+
+def _mask(mask, n: int, what: str) -> np.ndarray:
+    """A non-empty mask of distinct node ids below n, as int64."""
+    mask = node_ids(mask, n, what)
+    if mask.size == 0:
+        raise InputError(f"{what} must be non-empty")
+    return mask
+
+
+def _nll(probs: np.ndarray, truth: np.ndarray) -> float:
+    """Summed negative log-likelihood of ``truth`` under the rows ``probs``,
+    clamped at 1e-12 before the log."""
+    p_true = probs[np.arange(truth.size), truth]
+    return float(-np.log(np.maximum(p_true, 1e-12)).sum())
 
 
 def loss(probabilities: np.ndarray, y: np.ndarray, mask: np.ndarray) -> float:
     """Summed negative log-likelihood over the masked nodes.
 
-    Probabilities are clamped at 1e-12 before the log.
+    Probabilities are clamped at 1e-12 before the log.  The mask must hold
+    distinct node ids, each a row of ``probabilities``.
     """
-    mask = np.asarray(mask, dtype=np.int64)
-    if mask.size == 0:
-        raise InputError("loss mask must be non-empty")
-    y = np.asarray(y, dtype=np.int64)
-    p_true = probabilities[mask, y[mask]]
-    return float(-np.log(np.maximum(p_true, 1e-12)).sum())
+    mask = _mask(mask, len(probabilities), "loss mask")
+    return _nll(probabilities[mask], np.asarray(y, dtype=np.int64)[mask])
 
 
 def _grads_from_cache(
     cache: dict,
     params: ModelParams,
-    p: FusedPropagator,
-    y: np.ndarray,
-    mask: np.ndarray,
+    rows: _Rows,
+    truth: np.ndarray,
     weight_decay: float,
 ) -> ModelParams:
-    probs = cache["probs"]
-    g = np.zeros_like(probs)
-    g[mask] = probs[mask]
-    g[mask, y[mask]] -= 1.0
+    """Gradients of the summed loss of ``truth`` on the ``rows`` of P that
+    ``cache`` was formed on."""
+    g = cache["probs"].copy()
+    g[np.arange(truth.size), truth] -= 1.0
     grad_w2 = cache["s_in"].T @ g + weight_decay * params.w2
     grad_b2 = g.sum(axis=0)
     ds_in = g @ params.w2.T
     ds = ds_in * cache["mask2"] if cache["mask2"] is not None else ds_in
-    # P is symmetric, so the adjoint reuses the operator
-    dz = fused_propagate(p, ds)
+    dz = spmm(rows.adjoint, ds)
     da1 = dz * (cache["a1"] > 0.0)
     grad_w1 = cache["x_in"].T @ da1 + weight_decay * params.w1
     grad_b1 = da1.sum(axis=0)
@@ -256,13 +327,13 @@ def backward(
 
     The same rng seeding as the paired forward call reproduces the same
     dropout masks.  Weight decay applies to the two weight matrices only.
+    The loss reads only the masked rows of P @ z, so only those rows of P
+    are multiplied, and the mask must hold distinct node ids.
     """
-    mask = np.asarray(mask, dtype=np.int64)
-    if mask.size == 0:
-        raise InputError("loss mask must be non-empty")
-    y = np.asarray(y, dtype=np.int64)
-    cache = _forward_cache(params, x, p, dropout, rng)
-    return _grads_from_cache(cache, params, p, y, mask, weight_decay)
+    mask = _mask(mask, p.n, "loss mask")
+    rows = _rows_of(p, mask)
+    cache = _forward_cache(params, x, rows, dropout, rng)
+    return _grads_from_cache(cache, params, rows, np.asarray(y, dtype=np.int64)[mask], weight_decay)
 
 
 def adam_step(
@@ -295,13 +366,14 @@ def evaluate(params: ModelParams, dataset, p: FusedPropagator, mask) -> tuple[fl
 
     Argmax ties break toward the lowest class index.  Macro-F1 averages
     per-class F1 over all classes, scoring 0 for a class absent from both
-    prediction and truth.
+    prediction and truth.  The mask must hold distinct node ids; only its
+    rows of P are read, ``_SCORE_ROWS`` at a time.
     """
-    mask = np.asarray(mask, dtype=np.int64)
-    if mask.size == 0:
-        raise InputError("evaluation mask must be non-empty")
-    _, probs = forward(params, dataset.feature_matrix, p, train_mode=False)
-    preds = probs[mask].argmax(axis=1)
+    mask = _mask(mask, p.n, "evaluation mask")
+    logits = _row_logits(params, dataset.feature_matrix, _row_blocks(p, mask))
+    if not np.all(np.isfinite(logits)):
+        raise NumericError("non-finite values in logits")
+    preds = logits.argmax(axis=1)
     truth = np.asarray(dataset.labels, dtype=np.int64)[mask]
     accuracy = float((preds == truth).mean())
     f1s = []
@@ -313,23 +385,6 @@ def evaluate(params: ModelParams, dataset, p: FusedPropagator, mask) -> tuple[fl
     return accuracy, float(np.mean(f1s))
 
 
-def _masked_accuracy(
-    params: ModelParams, x: np.ndarray | sp.csr_array, rows, truth: np.ndarray
-) -> float:
-    """Validation accuracy via P's rows sliced to the masked nodes.
-
-    Only the masked rows of P @ z are formed.  For a CSR P they equal the
-    full forward pass's rows bit for bit, as slicing keeps each row's
-    summation order.  For a dense P the slice is a smaller BLAS product,
-    whose blocking can sum a row in another order, so they agree to
-    rounding.  Either way, runs with the same BLAS build and thread count
-    give the same value.
-    """
-    z = np.maximum(x @ params.w1 + params.b1, 0.0)
-    logits = (rows @ z) @ params.w2 + params.b2
-    return float((logits.argmax(axis=1) == truth).mean())
-
-
 def train(
     dataset, config: TrainConfig, propagator: FusedPropagator | None = None
 ) -> tuple[ModelParams, TrainHistory]:
@@ -337,12 +392,19 @@ def train(
 
     The shell decomposition happens once, before the epoch loop.  Parameters
     from the best validation epoch are returned; runs are deterministic for
-    a fixed seed.
+    a fixed seed.  Each split part must hold distinct node ids.  P's train
+    and validation rows are sliced once; an epoch multiplies only the train
+    rows, forward and adjoint, and scores only the validation rows.
     """
     started = time.perf_counter()
     split = dataset.split
     if split is None:
         raise InputError("dataset has no split; build one with make_split")
+    train_mask = _mask(split.train, dataset.n, "split train")
+    val_mask = node_ids(split.val, dataset.n, "split val")
+    node_ids(split.test, dataset.n, "split test")
+    if val_mask.size == 0:
+        raise InputError("validation set must be non-empty for early stopping")
     if not np.all(np.isfinite(dataset.features)):
         raise InputError("features must be finite")
     if propagator is None:
@@ -350,12 +412,8 @@ def train(
         propagator = fuse_shells(decomposition, config.alpha)
     x = as_array(dataset.feature_matrix)
     y = np.asarray(dataset.labels, dtype=np.int64)
-    train_mask = np.asarray(split.train, dtype=np.int64)
-    val_mask = np.asarray(split.val, dtype=np.int64)
-    if val_mask.size == 0:
-        raise InputError("validation set must be non-empty for early stopping")
-    val_truth = y[val_mask]
-    val_rows = as_array(propagator.matrix)[val_mask]
+    train_rows, train_truth = _rows_of(propagator, train_mask), y[train_mask]
+    val_blocks, val_truth = list(_row_blocks(propagator, val_mask)), y[val_mask]
 
     seeds = np.random.SeedSequence(config.seed).spawn(config.epochs + 1)
     params = init_params(x.shape[1], config.hidden, dataset.num_classes, np.random.default_rng(seeds[0]))
@@ -368,15 +426,13 @@ def train(
     best_params = params
     for epoch in range(config.epochs):
         rng = np.random.default_rng(seeds[epoch + 1])
-        cache = _forward_cache(params, x, propagator, config.dropout, rng)
-        epoch_loss = loss(cache["probs"], y, train_mask)
+        cache = _forward_cache(params, x, train_rows, config.dropout, rng)
+        epoch_loss = _nll(cache["probs"], train_truth)
         if not np.isfinite(epoch_loss):
             raise NumericError(f"non-finite training loss at epoch {epoch}")
-        grads = _grads_from_cache(
-            cache, params, propagator, y, train_mask, config.weight_decay
-        )
+        grads = _grads_from_cache(cache, params, train_rows, train_truth, config.weight_decay)
         params, adam = adam_step(adam, params, grads, config.lr)
-        val_acc = _masked_accuracy(params, x, val_rows, val_truth)
+        val_acc = float((_row_logits(params, x, val_blocks).argmax(axis=1) == val_truth).mean())
         losses.append(epoch_loss)
         val_accs.append(val_acc)
         if val_acc > best_acc:

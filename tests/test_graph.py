@@ -195,13 +195,13 @@ class TestBlockEdges:
 class TestBfsWorkingSet:
     # one edge on 1000 nodes: a block of 256 sources holds 4 words a node,
     # 8 * 4 * (6 * 1000 + 2) + 72 * 4 * 1000 = 480064 bytes, and the distance
-    # block 4 * 256 * 1000 more
+    # matrix 4 * 1000**2 more
     def test_distance_block_counted_only_where_it_is_held(self, monkeypatch):
         g = build_graph([(0, 999)], 1000)
         fake_physical_memory(monkeypatch, 200 * 4096)
         assert shell_decompose(g).shell_sizes == (2,)
         assert diameter(g) == 1
-        with pytest.raises(ResourceError, match=r"about 1504064 bytes, but physical memory is 819200 "):
+        with pytest.raises(ResourceError, match=r"about 4480064 bytes, but physical memory is 819200 "):
             distance_matrix(g)
 
     def test_refused_before_the_first_block(self, monkeypatch):
@@ -217,7 +217,7 @@ class TestBfsWorkingSet:
     def test_address_space_limit_bounds_when_lower(self, monkeypatch, soft, bound):
         fake_physical_memory(monkeypatch, 200 * 4096)
         fake_address_space_limit(monkeypatch, soft)
-        with pytest.raises(ResourceError, match=f"about 1504064 bytes, but {bound}"):
+        with pytest.raises(ResourceError, match=f"about 4480064 bytes, but {bound}"):
             distance_matrix(build_graph([(0, 999)], 1000))
 
     def test_stream_peak_within_its_check(self, monkeypatch):
@@ -243,6 +243,39 @@ class TestBfsWorkingSet:
             finally:
                 tracemalloc.stop()
             assert needs == [512000] and peak <= needs[0]
+
+    def test_distance_stream_counts_the_block_a_consumer_holds(self, monkeypatch):
+        # 500 disjoint edges: the working set of 512000 bytes, the block being
+        # filled and the one the consumer still holds, 2 * 4 * 256 * 1000
+        g = build_graph([(2 * i, 2 * i + 1) for i in range(500)], 1000)
+        needs, held = [], []
+        monkeypatch.setattr("shellprop.graph.require_memory", lambda need, what: needs.append(need))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for _, block in distance_blocks(g):
+                held[:] = [block]
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert needs == [512000 + 2048000] and peak <= needs[0] + 16384
+
+    def test_distance_matrix_is_filled_within_its_check(self, monkeypatch):
+        # the working set of 512000 bytes and the 4 * 1000**2 of the matrix,
+        # with no block or concatenation beside it
+        g = build_graph([(2 * i, 2 * i + 1) for i in range(500)], 1000)
+        want = distance_matrix(g)
+        needs = []
+        monkeypatch.setattr("shellprop.graph.require_memory", lambda need, what: needs.append(need))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            d = distance_matrix(g)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(d, want) and d.dtype == np.int32
+        assert needs == [512000 + 4000000] and peak <= needs[0] + 16384
 
 
 class TestDiameter:

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shellprop import (
+    adjacency_matrix,
     ConfigError,
     DenseMatrix,
     InputError,
@@ -299,6 +300,30 @@ class TestSasTrajectory:
         finally:
             tracemalloc.stop()
         assert len(needs) == 1 and peak <= needs[0]
+
+    @pytest.mark.parametrize("k_max", [2, 30])
+    @pytest.mark.parametrize("cliques, size", [(1, 120), (200, 40)], ids=["clique-120", "cliques-200x40"])
+    def test_csr_components_within_the_checks(self, monkeypatch, cliques, size, k_max):
+        # raw adjacency of disjoint cliques held as CSR: csgraph's transpose
+        # of it, 16 bytes an entry, and 40 bytes a node are checked before
+        # the components are found, and no copy of it is made beside
+        a = adjacency_matrix(build_graph(
+            [(c * size + i, c * size + j) for c in range(cliques) for i in range(size) for j in range(i)],
+            cliques * size,
+        ))
+        sas_trajectory(a, k_max)
+        needs = []
+        for module in ("graph", "metrics"):
+            monkeypatch.setattr(f"shellprop.{module}.require_memory", lambda need, what: needs.append(need))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            sas_trajectory(a, k_max)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert 16 * a.nnz + 40 * a.shape[0] in needs
+        assert peak <= max(needs) + 16384
 
     @pytest.mark.parametrize("make", [sym_norm_propagator, rw_norm_propagator])
     def test_syevr_decomposes_where_only_it_fits(self, monkeypatch, make):

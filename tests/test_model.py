@@ -1,3 +1,4 @@
+import copy
 import struct
 
 import numpy as np
@@ -30,8 +31,8 @@ from shellprop import (
     train,
 )
 from shellprop.data import Dataset, Split
-from shellprop.graph import by_bytes, stores_dense
-from shellprop.model import _dropped
+from shellprop.graph import as_array, by_bytes, from_array, stores_dense
+from shellprop.model import _dropped, _forward_cache, _rows_of
 
 from helpers import bag_of_words, dense_fused, random_connected_graph, reference_forward
 
@@ -533,3 +534,197 @@ class TestCheckpointFuzz:
         except InputError:
             return
         assert len(raw) == 20 + 8 * sum(a.size for a in params.arrays())
+
+
+def in_carrier(prop: FusedPropagator, dense: bool) -> FusedPropagator:
+    """``prop`` with its P held in the dense or the CSR carrier."""
+    m = as_array(prop.matrix)
+    if dense != sp.issparse(m):
+        return prop
+    other = copy.copy(prop)
+    object.__setattr__(other, "matrix", DenseMatrix(m.toarray()) if dense else from_array(sp.csr_array(m)))
+    return other
+
+
+@st.composite
+def split_datasets(draw):
+    """A dataset of 3 to 60 nodes, about a tenth of them isolated and the rest
+    often in several components, with Gaussian features, three classes and a
+    random split, and its P in a drawn carrier."""
+    n = draw(st.integers(3, 60))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    ends = rng.integers(0, n, size=(int(draw(st.sampled_from([0.0, 0.5, 1, 2, 4])) * n / 2), 2))
+    kept = rng.random(n) >= 0.1
+    g = build_graph(ends[kept[ends].all(axis=1)], n)
+    order = rng.permutation(n)
+    train_size = draw(st.integers(1, n - 2))
+    val_size = draw(st.integers(1, n - train_size - 1))
+    split = Split(
+        np.sort(order[:train_size]),
+        np.sort(order[train_size : train_size + val_size]),
+        np.sort(order[train_size + val_size :]),
+    )
+    ds = Dataset(g, rng.standard_normal((n, 4)), rng.integers(0, 3, n), 3, split)
+    prop = fuse_shells(shell_decompose(g, draw(st.sampled_from([None, 1, 2]))), 2.0)
+    return ds, in_carrier(prop, draw(st.booleans()))
+
+
+def reference_train(ds, config: TrainConfig, prop: FusedPropagator):
+    """``train``'s loop on all of P: the full forward pass, the gradient of
+    the loss rows padded with zeros and carried back through all of P, and
+    validation on every row of the logits."""
+    x, y = ds.features, ds.labels
+    train_mask, val_mask = ds.split.train, ds.split.val
+    p = as_array(prop.matrix)
+    seeds = np.random.SeedSequence(config.seed).spawn(config.epochs + 1)
+    params = init_params(x.shape[1], config.hidden, ds.num_classes, np.random.default_rng(seeds[0]))
+    adam = init_adam(params)
+    losses, val_accs, best = [], [], (-1.0, 0, params)
+    for epoch in range(config.epochs):
+        cache = _forward_cache(params, x, _rows_of(prop), config.dropout, np.random.default_rng(seeds[epoch + 1]))
+        losses.append(loss(cache["probs"], y, train_mask))
+        g = np.zeros_like(cache["probs"])
+        g[train_mask] = cache["probs"][train_mask]
+        g[train_mask, y[train_mask]] -= 1.0
+        ds_ = (g @ params.w2.T) * cache["mask2"]
+        da1 = (p @ ds_) * (cache["a1"] > 0.0)
+        grads = ModelParams(
+            cache["x_in"].T @ da1 + config.weight_decay * params.w1,
+            da1.sum(axis=0),
+            cache["s_in"].T @ g + config.weight_decay * params.w2,
+            g.sum(axis=0),
+        )
+        params, adam = adam_step(adam, params, grads, config.lr)
+        logits, _ = forward(params, x, prop)
+        val_accs.append(float((logits[val_mask].argmax(axis=1) == y[val_mask]).mean()))
+        if val_accs[-1] > best[0]:
+            best = (val_accs[-1], epoch, params)
+        elif epoch - best[1] >= config.patience:
+            break
+    return best[2], losses, val_accs, best[1]
+
+
+def spy_products(monkeypatch) -> list[tuple[int, int]]:
+    """The shapes of the matrices that the model multiplies through ``spmm``."""
+    import shellprop.model as model_module
+
+    shapes = []
+    real = model_module.spmm
+
+    def spmm(m, x):
+        shapes.append(m.shape)
+        return real(m, x)
+
+    monkeypatch.setattr("shellprop.model.spmm", spmm)
+    return shapes
+
+
+class TestRowRestriction:
+    """Training and scoring multiply only the rows of P that a loss or a
+    score reads, with the result of training on all of P."""
+
+    @given(case=split_datasets(), seed=st.integers(0, 3))
+    @settings(max_examples=40, deadline=None)
+    def test_same_checkpoint_as_training_on_all_of_p(self, case, seed):
+        ds, prop = case
+        config = TrainConfig(alpha=2.0, hidden=6, epochs=8, patience=3, seed=seed)
+        params, hist = train(ds, config, prop)
+        want, losses, val_accs, best_epoch = reference_train(ds, config, prop)
+        assert hist.val_accuracy == val_accs and hist.best_epoch == best_epoch
+        assert np.allclose(hist.train_loss, losses, rtol=1e-12, atol=0.0)
+        for got, ref in zip(params.arrays(), want.arrays()):
+            assert np.max(np.abs(got - ref)) <= 1e-12
+
+    @given(case=split_datasets())
+    @settings(max_examples=60, deadline=None)
+    def test_csr_rows_and_adjoint_are_the_full_products_bit_for_bit(self, case):
+        ds, prop = case
+        prop = in_carrier(prop, dense=False)
+        p, rows = prop.matrix, ds.split.train
+        sliced = _rows_of(prop, rows)
+        rng = np.random.default_rng(rows.size)
+        z = rng.standard_normal((ds.n, 5))
+        d = rng.standard_normal((rows.size, 5))
+        padded = np.zeros((ds.n, 5))
+        padded[rows] = d
+        assert np.array_equal(sliced.matrix @ z, (p @ z)[rows])
+        assert np.array_equal(sliced.adjoint @ d, p @ padded)
+
+    @pytest.mark.parametrize("dense", [True, False], ids=["dense", "csr"])
+    def test_forward_through_all_of_p_is_the_full_product(self, dense):
+        _, x, _, _, prop, params = small_instance(4, n=30)
+        prop = in_carrier(prop, dense)
+        rng = np.random.default_rng(1)
+        logits, _ = forward(params, x, prop, train_mode=True, rng=np.random.default_rng(1), dropout=0.5)
+        x_in = x * ((rng.random(x.shape) < 0.5) / 0.5)
+        z = np.maximum(x_in @ params.w1 + params.b1, 0.0)
+        s = as_array(prop.matrix) @ z
+        want = (s * ((rng.random(s.shape) < 0.5) / 0.5)) @ params.w2 + params.b2
+        assert np.array_equal(logits, want)
+
+    @pytest.mark.parametrize("l_cap", [None, 1], ids=["dense", "csr"])
+    def test_no_product_reads_all_of_p(self, monkeypatch, l_cap):
+        # 300 nodes and 15 train rows; scoring all 300 takes two row blocks
+        ds = synth_planted_partition(100, 3, 0.05, 0.005, seed=3, labels_per_block=5)
+        n, train_size = ds.n, ds.split.train.size
+        prop = fuse_shells(shell_decompose(ds.graph, l_cap), 2.0)
+        shapes = spy_products(monkeypatch)
+        params, _ = train(ds, TrainConfig(alpha=2.0, epochs=3, patience=3), prop)
+        evaluate(params, ds, prop, ds.split.test)
+        evaluate(params, ds, prop, np.arange(n))
+        assert shapes and (n, n) not in shapes
+        assert {(train_size, n), (n, train_size), (256, n), (n - 256, n)} <= set(shapes)
+        assert all(shape in {(train_size, n), (n, train_size)} or shape[0] <= 256 for shape in shapes)
+
+    def test_backward_multiplies_only_the_loss_rows(self, monkeypatch):
+        _, x, y, mask, prop, params = small_instance(5, n=20)
+        shapes = spy_products(monkeypatch)
+        backward(params, x, prop, y, mask, rng=np.random.default_rng(0))
+        assert shapes == [(mask.size, 20), (20, mask.size)]
+
+
+_BAD_MASKS = [
+    ([0.0, 1.0], "must be a list of integer node ids"),
+    ([-1], "index out of range for n="),
+    (None, "index out of range for n="),  # n itself
+    ([1, 1], "contains duplicate indices"),
+]
+
+
+class TestMasksAreValidated:
+    """Every mask is a list of distinct integer node ids below n, checked as
+    ``data`` checks a split file."""
+
+    @staticmethod
+    def bad(mask, n):
+        return [n] if mask is None else mask
+
+    @pytest.mark.parametrize("mask, message", _BAD_MASKS, ids=["float", "negative", "n", "duplicate"])
+    def test_loss(self, mask, message):
+        probs = np.full((4, 2), 0.5)
+        with pytest.raises(InputError, match=f"loss mask {message}"):
+            loss(probs, np.zeros(4, dtype=int), self.bad(mask, 4))
+
+    @pytest.mark.parametrize("mask, message", _BAD_MASKS, ids=["float", "negative", "n", "duplicate"])
+    def test_backward(self, mask, message):
+        _, x, y, _, prop, params = small_instance(2)
+        with pytest.raises(InputError, match=f"loss mask {message}"):
+            backward(params, x, prop, y, self.bad(mask, 12), dropout=0.0)
+
+    @pytest.mark.parametrize("mask, message", _BAD_MASKS, ids=["float", "negative", "n", "duplicate"])
+    def test_evaluate(self, mask, message):
+        ds = synth_planted_partition(8, 2, 0.7, 0.1, seed=4)
+        prop = fuse_shells(shell_decompose(ds.graph), 2.0)
+        params = init_params(ds.features.shape[1], 4, 2, np.random.default_rng(0))
+        with pytest.raises(InputError, match=f"evaluation mask {message}"):
+            evaluate(params, ds, prop, self.bad(mask, ds.n))
+
+    @pytest.mark.parametrize("part", ["train", "val", "test"])
+    @pytest.mark.parametrize("mask, message", _BAD_MASKS, ids=["float", "negative", "n", "duplicate"])
+    def test_train(self, part, mask, message):
+        ds = synth_planted_partition(8, 2, 0.7, 0.1, seed=4)
+        parts = {"train": ds.split.train, "val": ds.split.val, "test": ds.split.test}
+        parts[part] = np.asarray(self.bad(mask, ds.n))
+        bad = Dataset(ds.graph, ds.features, ds.labels, ds.num_classes, Split(**parts))
+        with pytest.raises(InputError, match=f"split {part} {message}"):
+            train(bad, TrainConfig(alpha=2.0, epochs=2))
