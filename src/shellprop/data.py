@@ -19,6 +19,7 @@ import numpy as np
 from .errors import ConfigError, InputError
 from .graph import (
     Matrix, SparseGraph, build_graph, by_bytes, component_count, open_text, read_edge_list,
+    require_memory,
 )
 
 
@@ -309,7 +310,10 @@ def synth_planted_partition(
 
     Features are one-hot block indicators plus Gaussian noise.  The split
     follows the labeled-per-class protocol (shrunk to the graph size), and
-    ``meta`` records the connected-component check.
+    ``meta`` records the connected-component check.  Every node pair draws
+    one uniform, so ResourceError is raised first when 33 bytes a pair (two
+    int64 node ids, a probability, a uniform and the masks and labels they
+    are drawn by) and the 8 n of labels exceed ``require_memory``'s bound.
     """
     if not 0.0 <= p_out < p_in <= 1.0:
         raise ConfigError(
@@ -320,6 +324,8 @@ def synth_planted_partition(
     n = n_per_block * blocks
     labels = np.repeat(np.arange(blocks, dtype=np.int64), n_per_block)
     rng = np.random.default_rng(seed)
+    pairs = n * (n - 1) // 2
+    require_memory(33 * pairs + 8 * n, f"a planted partition of {n} nodes draws a uniform for {pairs} pairs")
     iu, ju = np.triu_indices(n, k=1)
     probs = np.where(labels[iu] == labels[ju], p_in, p_out)
     chosen = rng.random(len(iu)) < probs

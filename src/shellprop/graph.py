@@ -393,13 +393,18 @@ def _bfs_forest(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return root, parent
 
 
+#: Bytes ``components`` holds for each component it lists beside its nodes:
+#: the array object ``np.split`` cuts and its list slot, about 120, and the
+#: int64 scalar and list slots of the split point, about 40.
+_LISTED_BYTES = 160
+
+
 def _components_bytes(a: sp.csr_array, zeros: bool) -> int:
     """Bytes that ``components`` holds for a CSR a: csgraph's float64
     transpose of a, 16 bytes an entry, 8 more when it casts a's values to
     float64 and 16 more for a copy without a's stored zeros; and 40 bytes a
     node, for csgraph's 12 and then for the labels and the arrays the lists
-    are cut from.  The array object of each listed component, about 200
-    bytes, is not counted."""
+    are cut from."""
     per_entry = 16 + 8 * (a.dtype != np.float64) + 16 * zeros
     return per_entry * a.nnz + 40 * a.shape[0]
 
@@ -415,7 +420,9 @@ def components(a: sp.csr_array | np.ndarray) -> tuple[np.ndarray, list[np.ndarra
     argsort and the label counts, so a lone node costs no Python object of
     its own.  csgraph reads a CSR a itself unless it stores zeros, and
     ResourceError is raised first when the bytes it holds
-    (``_components_bytes``) exceed ``require_memory``'s bound.
+    (``_components_bytes``) exceed ``require_memory``'s bound, and again,
+    once the labels give the number of components, when 40 bytes a node
+    and ``_LISTED_BYTES`` a listed component do.
     """
     if sp.issparse(a):
         # imported on first use: csgraph adds about 75 ms and 11 MB to every CLI start-up
@@ -434,10 +441,13 @@ def components(a: sp.csr_array | np.ndarray) -> tuple[np.ndarray, list[np.ndarra
     else:
         labels = _bfs_forest(a)[0]
     counts = np.bincount(labels)
+    listed = counts[counts > 1]
+    n = labels.size
+    require_memory(40 * n + _LISTED_BYTES * listed.size, f"{listed.size} components of {n} nodes are listed")
     size = counts[labels]
     order = np.argsort(labels, kind="stable")
     grouped = order[size[order] > 1]
-    ends = np.cumsum(counts[counts > 1])[:-1]
+    ends = np.cumsum(listed)[:-1]
     return np.flatnonzero(size == 1), np.split(grouped, ends) if grouped.size else []
 
 

@@ -15,14 +15,15 @@ from __future__ import annotations
 from collections import defaultdict
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field, replace
+from itertools import chain
 
 import numpy as np
 import scipy.sparse as sp
 
 from .errors import ConfigError, InputError
 from .graph import (
-    DenseMatrix, Matrix, SparseGraph, _bfs_levels, _freeze, adjacency_matrix, components, from_array,
-    frozen_csr, is_symmetric, require_memory, spmm, stores_dense,
+    DenseMatrix, Matrix, SparseGraph, _bfs_levels, _freeze, from_array, frozen_csr, is_symmetric,
+    require_memory, spmm, stores_dense,
 )
 
 #: Rows of P that one block of the fill writes.
@@ -135,16 +136,11 @@ def shell_decompose(g: SparseGraph, l_cap: int | None = None) -> ShellDecomposit
 
     One bit-parallel BFS per source, in blocks of sources in ascending
     order, so the result is deterministic.  ``l_cap`` truncates the
-    decomposition at that depth.  At full diameter P stores exactly
-    sum |C|**2 entries over the connected components C, so they fix P's
-    carrier before any BFS; otherwise ``_level_record`` fixes it at the end.
+    decomposition at that depth.  ``_level_record`` picks P's carrier as
+    the pairs arrive.
     """
     _check_cap(l_cap)
-    dense = False
-    if l_cap is None:
-        lone, groups = components(adjacency_matrix(g))
-        dense = stores_dense((g.n, g.n), lone.size + sum(c.size**2 for c in groups))
-    return _level_record(g.n, _bfs_pairs(g, l_cap), dense)
+    return _level_record(g.n, _bfs_pairs(g, l_cap))
 
 
 def _bfs_pairs(g: SparseGraph, l_cap: int | None) -> Iterator[tuple]:
@@ -154,45 +150,49 @@ def _bfs_pairs(g: SparseGraph, l_cap: int | None) -> Iterator[tuple]:
             yield sources, level, np.count_nonzero(new, axis=1), np.flatnonzero(new)
 
 
-def _level_record(n: int, levels: Iterable[tuple], dense: bool = False) -> ShellDecomposition:
+def _level_record(n: int, levels: Iterable[tuple]) -> ShellDecomposition:
     """The decomposition of a stream of (sources, level, counts, flat): the
     pairs first reached at ``level`` from a block of consecutive rows, by
     their row-major positions in the block and their counts per row, each
     row's pairs coming level by level and each level by column.
 
-    A ``dense`` P gets the levels straight into an n x n distance matrix,
-    uint8 until a level passes 255.  Otherwise the stream, led by each
-    row's diagonal at level 0, is sorted stably by row into a CSR record
-    whose rows keep that order, so it holds exactly the entries of a CSR P;
-    it becomes the distance matrix at the end if ``stores_dense`` makes P
-    dense.  Before each level's pairs are kept, and before a distance
-    matrix is allocated, ResourceError is raised when the record and the P
-    it fills (``_distance_bytes``, ``_csr_bytes``) exceed ``require_memory``'s
-    bound; the checks grow with the levels found, so they never count the
-    row counts of levels a shallow graph does not reach."""
-    what = f"a dense P of {n} nodes is filled from their hop distances"
-    if dense:
-        require_memory(_distance_bytes(n, 0), f"{what} before any level")
-        distances = np.zeros((n, n), dtype=np.uint8)
+    The record streams as CSR, led by each row's diagonal at level 0, and is
+    sorted stably by row at the end into rows that hold exactly a CSR P's
+    entries.  The moment ``stores_dense`` makes P dense, also before any
+    pair, the pairs kept so far move into an n x n distance matrix, uint8
+    until a level passes 255, which takes every later level.  Before each
+    level's pairs are kept, ResourceError is raised when ``require_memory``
+    refuses the record and the P it fills: while the stream is CSR, the
+    smaller of the two carriers' peaks (``_csr_bytes``, ``_distance_bytes``),
+    a lower bound whichever way the rule turns; from the move on, and before
+    the matrix is allocated, ``_distance_bytes``.  A stream that ends as CSR
+    is checked at ``_csr_bytes`` before its sort."""
     # each CSR row starts with its diagonal, at level 0, as P's rows do
-    row_counts, cols, data, stored = [], [np.arange(n) * (n + 1)], [np.zeros(n, np.uint8)], 0
-    for sources, level, counts, flat in levels:
-        stored += int(counts.sum())
-        if level > len(row_counts):
-            if dense:
-                require_memory(_distance_bytes(n, level), f"{what} at {level} levels")
-                distances = distances.astype(np.min_scalar_type(level), copy=False)
-            row_counts.append(np.zeros(n, dtype=np.int64))
-        row_counts[level - 1][sources] = counts
-        if dense:
-            distances[sources[0] : sources[-1] + 1].reshape(-1)[flat] = level
-        else:
-            need = _csr_bytes(n, len(row_counts), stored)
-            require_memory(need, f"the levels of {n} nodes and their CSR P store {stored} pairs")
+    diagonal = (None, 0, None, np.arange(n) * (n + 1))
+    row_counts, cols, data, stored, distances = [], [], [], 0, None
+    for sources, level, counts, flat in chain([diagonal], levels):
+        if level:
+            stored += int(counts.sum())
+            if level > len(row_counts):
+                row_counts.append(np.zeros(n, dtype=np.int64))
+            row_counts[level - 1][sources] = counts
             flat += sources[0] * n
+        top, what = len(row_counts), f"the levels of {n} nodes and their P store {stored} pairs"
+        if distances is None and not stores_dense((n, n), n + stored):
+            require_memory(min(_csr_bytes(n, top, stored), _distance_bytes(n, top)), what)
             cols.append(flat)
             data.append(np.full(len(flat), level, dtype=np.min_scalar_type(level)))
-    if not dense:
+            continue
+        require_memory(_distance_bytes(n, top), f"a dense P of {n} nodes and its distances at {top} levels")
+        if distances is None:  # P has turned dense: the kept pairs move into the matrix
+            distances = np.zeros((n, n), dtype=np.min_scalar_type(top))
+            for at, tags in zip(cols, data):
+                distances.reshape(-1)[at] = tags
+            cols = data = None
+        distances = distances.astype(np.min_scalar_type(top), copy=False)
+        distances.reshape(-1)[flat] = level
+    if distances is None:  # P stays CSR: its record is sorted, and P filled, as CSR
+        require_memory(_csr_bytes(n, top, stored), f"{what} as CSR")
         flat, tags = np.concatenate(cols), np.concatenate(data)
         del cols, data
         order = np.argsort(flat // n, kind="stable")
@@ -200,9 +200,6 @@ def _level_record(n: int, levels: Iterable[tuple], dense: bool = False) -> Shell
         offsets = np.concatenate([[0], np.cumsum(sum(row_counts, np.ones(n, dtype=np.int64)))])
         distances = frozen_csr(tags[order], flat[order], offsets)
         del flat, tags, order
-        if stores_dense((n, n), n + stored):
-            require_memory(_distance_bytes(n, len(row_counts)), f"{what} at {len(row_counts)} levels")
-            distances = distances.toarray()
     sizes = tuple(int(k.sum()) for k in row_counts)
     return ShellDecomposition(n, _DistanceShells(distances, tuple(row_counts)), len(sizes), sizes)
 

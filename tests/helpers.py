@@ -7,9 +7,13 @@ from dense hand arithmetic.
 """
 from __future__ import annotations
 
+import importlib
 import os
 import resource
+import tracemalloc
+from contextlib import ExitStack
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import scipy.sparse as sp
@@ -137,6 +141,29 @@ def fake_address_space_limit(monkeypatch, soft) -> None:
         return (soft, resource.RLIM_INFINITY) if which == resource.RLIMIT_AS else real(which)
 
     monkeypatch.setattr(resource, "getrlimit", getrlimit)
+
+
+def assert_peak_within_checks(modules, call, slack: int = 16384):
+    """Run ``call()`` under tracemalloc with ``require_memory`` spied on (and
+    still enforced) in each ``shellprop.<module>`` named in ``modules``, and
+    assert that the traced peak is at most the largest figure checked plus
+    ``slack`` bytes.  Returns the call's result and the figures checked, in
+    order.  Warm the call up first where a first run imports or caches."""
+    needs = []
+    with ExitStack() as stack:
+        for name in modules:
+            real = importlib.import_module(f"shellprop.{name}").require_memory
+            spy = lambda need, what, real=real: needs.append(need) or real(need, what)
+            stack.enter_context(mock.patch(f"shellprop.{name}.require_memory", spy))
+        tracemalloc.start()
+        try:
+            result = call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert needs, "no byte check ran"
+    assert peak <= max(needs) + slack, f"peak {peak} bytes above the largest check {max(needs)}"
+    return result, needs
 
 
 def floyd_warshall(g: SparseGraph) -> np.ndarray:

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from shellprop import (
     ConfigError,
     InputError,
+    ResourceError,
     load_dataset,
     make_split,
     read_edge_list,
@@ -16,7 +17,7 @@ from shellprop import (
 )
 from shellprop.data import _parse_features, _parse_labels, _parse_split, load_graph
 
-from helpers import parse_features_by_line
+from helpers import assert_peak_within_checks, fake_physical_memory, parse_features_by_line
 
 
 def write_toy(directory, features, labels, edges, split=None):
@@ -199,6 +200,23 @@ class TestSyntheticPartition:
             synth_planted_partition(10, 2, 1.5, 0.1, seed=0)
         with pytest.raises(ConfigError):
             synth_planted_partition(0, 2, 0.5, 0.1, seed=0)
+
+    def test_node_pairs_checked_before_they_are_drawn(self, monkeypatch):
+        # 2000 nodes: 1999000 pairs at 33 bytes and 16000 bytes of labels,
+        # refused in 16000 pages before np.triu_indices; the check bounds the peak
+        def no_pairs(*args, **kwargs):
+            raise AssertionError("the pairs were built")
+
+        with monkeypatch.context() as patched:
+            patched.setattr(np, "triu_indices", no_pairs)
+            fake_physical_memory(patched, 16000 * 4096)
+            with pytest.raises(ResourceError, match="1999000 pairs, about 65983000 bytes"):
+                synth_planted_partition(1000, 2, 0.01, 0.001, seed=1)
+        synth_planted_partition(10, 2, 0.8, 0.05, seed=1)
+        ds, needs = assert_peak_within_checks(
+            ("data", "graph"), lambda: synth_planted_partition(1000, 2, 0.01, 0.001, seed=1)
+        )
+        assert needs[0] == 65983000 and ds.n == 2000
 
 
 class TestLoadGraph:

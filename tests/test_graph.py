@@ -26,6 +26,7 @@ from shellprop.graph import _bfs_levels, components, distance_blocks
 
 from helpers import (
     BIG,
+    assert_peak_within_checks,
     complete_graph,
     fake_address_space_limit,
     fake_physical_memory,
@@ -330,6 +331,17 @@ class TestComponents:
             lone, groups = components(m)
             assert lone.tolist() == [1, 5]
             assert [c.tolist() for c in groups] == [[0, 2], [3, 4]]
+
+    def test_listed_components_counted_within_the_checks(self):
+        # 50,000 disjoint pairs held as CSR: each listed pair's array object
+        # and split point, 160 bytes, outweigh csgraph's transpose of the 10^5
+        # entries and the node arrays, 56 bytes a node, so the check made
+        # once the labels are known bounds the peak
+        a = adjacency_matrix(build_graph(np.arange(10**5).reshape(-1, 2), 10**5))
+        components(a)
+        (lone, groups), needs = assert_peak_within_checks(("graph",), lambda: components(a))
+        assert lone.size == 0 and len(groups) == 50000
+        assert needs == [16 * 10**5 + 40 * 10**5, 40 * 10**5 + 160 * 50000]
 
     def test_lone_nodes_of_a_million_node_identity_are_one_array(self):
         lone, groups = components(sp.eye_array(10**6, format="csr"))

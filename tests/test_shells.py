@@ -33,8 +33,10 @@ from shellprop import (
 )
 
 from shellprop.graph import _bfs_levels, stores_dense
+from shellprop.shells import _distance_bytes
 
 from helpers import (
+    assert_peak_within_checks,
     complete_graph,
     dense_adjacency,
     dense_fused,
@@ -547,6 +549,14 @@ class TestDistanceShells:
         assert np.array_equal(p.values, fuse_shells(tuple_backed(d), 2.0).matrix.values)
         assert np.array_equal(p.values, dense_fused(g, 2.0))
 
+    def test_switch_in_a_later_bfs_block_gives_the_oracle_bit_for_bit(self):
+        # at cap 88 a 300-path's P turns dense at level 79 of its second BFS
+        # block, sources 256-299, after 44528 pairs were kept as CSR
+        g = path_graph(300)
+        d = shell_decompose(g, 88)
+        assert d.shells.distances.dtype == np.uint8
+        assert np.array_equal(fuse_shells(d, 2.0).matrix.values, dense_fused(g, 2.0, 88))
+
     def test_replacing_the_shells_gives_a_tuple(self):
         g = random_connected_graph(5, 30, 0.15)
         d = shell_decompose(g)
@@ -637,27 +647,36 @@ class TestDistanceShells:
 
 
 class TestDecomposeBytes:
-    """The dense distance path is checked before any BFS; a capped or CSR
-    run is checked with the CSR P its record fills before each level's
-    pairs are kept, and again before its record becomes a distance
-    matrix."""
+    """The record streams as CSR, and before each level's pairs are kept it
+    is checked at the smaller of the two carriers' peaks; the moment P's
+    byte rule makes P dense, the distance matrix and the dense P are checked
+    before the matrix is allocated, and at every level after; a record that
+    ends as CSR is checked at the CSR peak before its sort."""
 
-    @pytest.mark.parametrize("g, need", [
-        # n = 300: n**2 of uint8 distances, 8 n**2 of P, 8 n * 3 of the
-        # fill's diagonal, node ids and level-0 row of r, 24 * 256 * n of
-        # one fill block
-        (path_graph(300), 90000 + 720000 + 7200 + 1843200),
-        # n = 40: a fill block of 40 rows
-        (complete_graph(40), 1600 + 12800 + 960 + 38400),
+    @pytest.mark.parametrize("g, levels, need", [
+        # n = 300: sources 0-255 store 512 - l pairs at level l up to 44 and
+        # 556 - 2 l beyond, 44554 by level 100, past the 44550 at which P
+        # turns dense; n**2 of uint8 distances, 8 n**2 of P, 8 n (2 * 100 + 3)
+        # of row counts and the fill's r table, diagonal and node ids, and
+        # 24 * 256 * n of one fill block
+        (path_graph(300), 100, 90000 + 720000 + 487200 + 1843200),
+        # n = 40: level 1 stores 1560 pairs and P turns dense; a fill block
+        # of 40 rows
+        (complete_graph(40), 1, 1600 + 12800 + 1600 + 38400),
     ], ids=["path-300", "complete-40"])
-    def test_dense_path_refused_before_any_bfs(self, monkeypatch, g, need):
-        def no_bfs(*args, **kwargs):
-            raise AssertionError("the BFS ran")
-
-        monkeypatch.setattr("shellprop.shells._bfs_levels", no_bfs)
-        fake_physical_memory(monkeypatch, 10 * 4096)
-        with pytest.raises(ResourceError, match=f"before any level, about {need} bytes"):
+    def test_dense_p_refused_where_it_turns_dense(self, monkeypatch, g, levels, need):
+        # the distance matrix is the one n x n array np.zeros makes
+        shapes, real_zeros = [], np.zeros
+        monkeypatch.setattr(np, "zeros", lambda shape, *a, **k: shapes.append(shape) or real_zeros(shape, *a, **k))
+        shell_decompose(g)
+        assert (g.n, g.n) in shapes
+        shapes.clear()
+        # every check before the switch, and the BFS block's, fits below it
+        fake_physical_memory(monkeypatch, (need - 1) // 4096 * 4096)
+        message = f"dense P of {g.n} nodes .* at {levels} levels, about {need} bytes"
+        with pytest.raises(ResourceError, match=message):
             shell_decompose(g)
+        assert (g.n, g.n) not in shapes
 
     def test_dense_path_refused_where_the_distances_widen(self, monkeypatch):
         # level 256 of a 300-path widens the uint8 distances to uint16, so
@@ -679,6 +698,44 @@ class TestDecomposeBytes:
         with pytest.raises(ResourceError, match=r"store 47001 pairs, about 2480041 bytes"):
             shell_decompose(path_graph(1000), 30)
 
+    def test_capped_p_turning_dense_mid_stream_is_checked_as_dense(self):
+        # a 1500-node random graph at cap 6, with 1830332 pairs: P turns
+        # dense in its fourth BFS block, sources 768-1023, once 1122750 are
+        # stored.  No check asks more than the distance matrix and the dense
+        # P it fills, and that figure bounds the peak of decomposing and
+        # fusing
+        g = random_graph(1, 1500, 4 / 1500)
+        fuse_shells(shell_decompose(g, 6), 2.0)
+
+        def run():
+            d = shell_decompose(g, 6)
+            return d, fuse_shells(d, 2.0).matrix
+
+        (d, p), needs = assert_peak_within_checks(("graph", "shells"), run)
+        assert d.l_max == 6 and sum(d.shell_sizes) == 1830332
+        assert isinstance(d.shells.distances, np.ndarray) and isinstance(p, DenseMatrix)
+        assert max(needs) <= _distance_bytes(g.n, 6)
+
+    def test_capped_p_staying_csr_is_checked_as_csr_before_its_sort(self, monkeypatch):
+        # the same graph at cap 5 stores 1109350 pairs: P stays CSR, 1110850
+        # entries against the 1124250 at which it turns dense, so every
+        # stream check asks the smaller _distance_bytes(1500, 5) = 29622000.
+        # Sorting the record holds 29 bytes an entry, and with 8 n (2 * 5 + 4)
+        # of row counts, r table, node ids and row pointers that is 32382650
+        g = random_graph(1, 1500, 4 / 1500)
+        fuse_shells(shell_decompose(g, 5), 2.0)
+
+        def run():
+            d = shell_decompose(g, 5)
+            return d, fuse_shells(d, 2.0).matrix
+
+        (d, p), needs = assert_peak_within_checks(("graph", "shells"), run)
+        assert sum(d.shell_sizes) == 1109350 and sp.issparse(p)
+        assert max(needs) == 32382650 > _distance_bytes(g.n, 5) == 29622000
+        monkeypatch.setattr("shellprop.shells.require_memory", refuse_above(31000000))
+        with pytest.raises(ResourceError, match="store 1109350 pairs as CSR, about 32382650 bytes"):
+            shell_decompose(g, 5)
+
     def test_csr_full_diameter_checks_its_pairs(self, monkeypatch):
         # 500 disjoint edges: P is CSR, and 1000 pairs at one level and the
         # 1000 diagonal entries take 41 * 2000 + 8 * 1000 * (2 + 4) = 130000
@@ -692,9 +749,11 @@ class TestDecomposeBytes:
 
     def test_capped_dense_p_checked_before_the_distances(self, monkeypatch):
         # 88 is the least cap at which a 300-path's P is dense: it stores
-        # 44968 pairs, more than half of P's 90000 entries.  The stream's
-        # checks need at most 41 * (300 + 44968) + 8 * 300 * (2 * 88 + 4) =
-        # 2287988 bytes, then the distance matrix and the dense P
+        # 44968 pairs, more than half of P's 90000 entries.  Sources 0-255
+        # store 40150 of them and sources 256-299 the rest, 44528 by level 78
+        # of the second block, whose check needs 41 * (300 + 44528) +
+        # 8 * 300 * (2 * 88 + 4) = 2269948 bytes.  Level 79 brings 44572
+        # pairs, P turns dense, and the distance matrix and the dense P need
         # _distance_bytes(300, 88) = 3082800
         monkeypatch.setattr("shellprop.shells.require_memory", refuse_above(2500000))
         with pytest.raises(ResourceError, match="dense P of 300 nodes .* at 88 levels, about 3082800 bytes"):
