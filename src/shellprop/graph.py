@@ -8,6 +8,11 @@ product either the ``csr_array`` itself or the plain 2-D float64 values.
 All containers here are frozen and their buffers (a ``csr_array``'s
 ``data``, ``indices`` and ``indptr``) are marked read-only, so they are
 safe to share across threads and worker processes.
+
+Hop distances come from one bit-parallel BFS per block of sources
+(``_bfs_blocks``).  A block keeps, for each level, the nodes it reached and
+their source bits; its distances are unpacked as bit-sliced planes, one
+per bit of its depth, and its pairs one level at a time.
 """
 from __future__ import annotations
 
@@ -262,60 +267,143 @@ def read_edge_list(path) -> list[tuple[int, int]]:
     return edges
 
 
-def _level_mask(words: np.ndarray, b: int, out: np.ndarray) -> np.ndarray:
-    """The contiguous (b, n) bool mask whose entry (s, i) is bit s of node
-    i's (n, w) uint64 words, written over the first 64 w rows of the uint8
-    ``out``."""
-    # in little-endian order, byte j of a node's words holds bits 8j .. 8j + 7
+def _unpack(words: np.ndarray, b: int, out: np.ndarray) -> np.ndarray:
+    """The contiguous (b, m) bool mask whose entry (s, i) is bit s of row i
+    of the (m, w) uint64 ``words``, written over the first 64 w m bytes of
+    the flat uint8 buffer ``out``."""
+    # in little-endian order, byte j of a row's words holds bits 8j .. 8j + 7
     by_byte = np.ascontiguousarray(words.astype("<u8", copy=False).view(np.uint8).T)
-    mask = out[: 8 * by_byte.shape[0]]
+    mask = out[: 8 * by_byte.size].reshape(8 * by_byte.shape[0], by_byte.shape[1])
     for k in range(8):
         np.right_shift(by_byte, k, out=mask[k::8])
     mask &= 1
     return mask[:b].view(bool)
 
 
-def _bfs_levels(
+@dataclass(frozen=True, eq=False)
+class _BfsBlock:
+    """The BFS of one block of consecutive sources, as the levels it reached.
+
+    ``levels[l-1]`` is (nodes, words, counts) for the pairs first reached
+    at level l: the ascending nodes reached, each one's w uint64 words with
+    bit s set for ``sources[s]``, and each one's count of those bits.
+    ``sizes[l-1]`` is the level's pair count.  ``need`` is the bytes the
+    stream checked last for the block: its working set, its levels and the
+    last block's; a slab is checked on top of it.  ``buffer`` is the stream's one unpack buffer, so only
+    one mask of a stream is valid at a time.
+    """
+
+    sources: np.ndarray
+    n: int
+    levels: list[tuple[np.ndarray, np.ndarray, np.ndarray]]
+    sizes: list[int]
+    need: int
+    buffer: np.ndarray
+
+    @property
+    def depth(self) -> int:
+        return len(self.levels)
+
+    def slab(self) -> np.ndarray:
+        """The (b, n) levels of the block's pairs, in the narrowest unsigned
+        type that holds its depth, 0 for each source itself and for pairs
+        not reached.  The levels are bit-sliced: plane k ORs the words of
+        every level whose bit k is set, and each of the depth.bit_length()
+        planes is unpacked once.  ResourceError is raised first when the
+        block's bytes, the plane, the slab and one shifted plane exceed
+        ``require_memory``'s bound."""
+        b, n = len(self.sources), self.n
+        w, dtype = -(-b // 64), np.min_scalar_type(self.depth)
+        require_memory(
+            self.need + 8 * w * n + 2 * dtype.itemsize * b * n,
+            f"the {b} x {n} distances of a BFS block at {self.depth} levels",
+        )
+        slab = np.zeros((b, n), dtype=dtype)
+        plane, shifted = np.empty((n, w), dtype=np.uint64), np.empty_like(slab)
+        for k in range(self.depth.bit_length()):
+            plane.fill(0)
+            for level, (nodes, words, _) in enumerate(self.levels, start=1):
+                if level >> k & 1:
+                    plane[nodes] |= words
+            bits = _unpack(plane, b, self.buffer).view(np.uint8)
+            np.left_shift(bits, k, out=shifted, dtype=dtype)
+            slab |= shifted
+        return slab
+
+    def fill(self, out: np.ndarray) -> None:
+        """Write the block's distances over the (b, n) ``out``: 0 for each
+        source itself and its slab's level for each pair reached; a pair
+        not reached keeps its entry."""
+        slab = self.slab()
+        np.copyto(out, slab, where=slab > 0)
+        out[np.arange(len(self.sources)), self.sources] = 0
+
+    def positions(self) -> Iterator[tuple[int, np.ndarray]]:
+        """(level, flat) for each level: the row-major positions in the n x n
+        matrix of the pairs first reached there, ascending, from one unpack
+        of the level's reached nodes alone."""
+        start, b = int(self.sources[0]), len(self.sources)
+        for level, (nodes, words, _) in enumerate(self.levels, start=1):
+            flat = np.flatnonzero(_unpack(words, b, self.buffer))
+            at = flat % nodes.size
+            flat //= nodes.size
+            flat += start
+            flat *= self.n
+            flat += nodes[at]
+            yield level, flat
+
+
+def _bfs_blocks(
     g: SparseGraph, cap: int | None, block_size: int = _BFS_BLOCK, held: int = 0
-) -> Iterator[tuple[np.ndarray, int, np.ndarray]]:
-    """Stream BFS levels as (sources, level, new), blocks in ascending order.
+) -> Iterator[_BfsBlock]:
+    """Stream the BFS of every source, one ``_BfsBlock`` per block of
+    ``block_size`` sources, blocks in ascending order.
 
     The BFS of a block of b sources runs bit-parallel: each node holds
     w = ceil(b/64) uint64 words of ``seen`` and ``frontier`` bits, bit s for
     ``sources[s]``, and a level ORs each node's neighbours' frontier words.
-    ``new`` is the (b, n) bool mask of the pairs first reached at ``level``;
-    every level is written into one buffer, so a mask is valid only until
-    the next one is drawn, and a consumer that keeps one copies it.
-    Level 0 is the sources themselves; a block ends at its deepest level.
-    ResourceError is raised before the first block when its working set,
-    plus the ``held`` bytes a consumer keeps beside it, exceeds
-    ``require_memory``'s bound.
+    A block keeps only the nodes each level reaches and their words, and
+    ends at its deepest level, or at ``cap``.  ResourceError is raised
+    before the first block when its working set, plus the ``held`` bytes a
+    consumer keeps beside it, exceeds ``require_memory``'s bound, and again
+    before each level is kept, counting the levels the block keeps and
+    those of the block before it, which a consumer may still hold.
     """
     b = min(block_size, g.n)
     w = -(-b // 64)
     # six (n, w) word arrays while a level forms, the words gathered per edge
-    # entry, and a level's byte-transposed words and mask
+    # entry, and the unpack buffer's byte-transposed words and mask
     need = 8 * w * (6 * g.n + len(g.col_indices)) + 72 * w * g.n + held
     what = f"a BFS block of {b} sources over {g.n} nodes holds its bit frontier"
     require_memory(need, what + (f" beside {held} bytes of distances" if held else ""))
     has = np.diff(g.row_offsets) > 0
     starts = g.row_offsets[:-1][has]
-    masks = np.empty((64 * w, g.n), dtype=np.uint8)
+    buffer = np.empty(64 * w * g.n, dtype=np.uint8)
+    last = 0
     for start in range(0, g.n, block_size):
         sources = np.arange(start, min(start + block_size, g.n), dtype=np.int64)
-        b = len(sources)
-        bit = np.arange(b, dtype=np.uint64)
-        frontier = np.zeros((g.n, -(-b // 64)), dtype=np.uint64)
+        bit = np.arange(len(sources), dtype=np.uint64)
+        frontier = np.zeros((g.n, -(-len(sources) // 64)), dtype=np.uint64)
         frontier[sources, bit // 64] = np.uint64(1) << bit % 64
         seen, reached = frontier.copy(), np.zeros_like(frontier)
-        yield sources, 0, _level_mask(frontier, b, masks)
+        levels, sizes, kept = [], [], 0
         for level in range(1, g.n if cap is None else cap + 1):
             reached[has] = np.bitwise_or.reduceat(frontier[g.col_indices], starts)
             frontier = reached & ~seen
-            if not frontier.any():
+            nodes = np.flatnonzero(frontier.any(axis=1))
+            if not nodes.size:
                 break
+            # a reached node's id, count and words, and a level's three arrays and tuple
+            kept += (16 + 8 * w) * nodes.size + 512
+            require_memory(need + last + kept, f"{what} and the nodes of the {level} levels it reached")
             seen |= frontier
-            yield sources, level, _level_mask(frontier, b, masks)
+            words = frontier[nodes]
+            counts = np.bitwise_count(words).sum(axis=1, dtype=np.int64)
+            levels.append((nodes, words, counts))
+            sizes.append(int(counts.sum()))
+        del frontier, seen, reached
+        yield _BfsBlock(sources, g.n, levels, sizes, need + last + kept, buffer)
+        last = kept
 
 
 def distance_blocks(
@@ -327,35 +415,34 @@ def distance_blocks(
     ``dist_block`` is int32 with shape (len(sources), n) and UNREACHABLE
     beyond ``cap`` levels or outside the component.  Blocks are yielded in
     ascending source order, so concatenated output is identical regardless
-    of scheduling.  The stream's byte check counts two blocks: the one it
-    fills and the one a consumer still holds from the last step.
+    of scheduling.  The stream's byte checks count the block it fills, the
+    mask of the pairs its slab reached, and the block a consumer still
+    holds from the last step.
     """
-    sources = block = None
-    held = 8 * min(block_size, g.n) * g.n
-    for level_sources, level, new in _bfs_levels(g, cap, block_size, held=held):
-        if level == 0:
-            if block is not None:
-                yield sources, block
-            sources = level_sources
-            block = np.full(new.shape, UNREACHABLE, dtype=np.int32)
-        np.copyto(block, level, where=new)
-    yield sources, block
+    b = min(block_size, g.n)
+    for block in _bfs_blocks(g, cap, block_size, held=9 * b * g.n):
+        dist = np.full((len(block.sources), g.n), UNREACHABLE, dtype=np.int32)
+        block.fill(dist)
+        yield block.sources, dist
 
 
 def distance_matrix(g: SparseGraph, cap: int | None = None) -> np.ndarray:
     """Full all-pairs distance matrix (n x n, int32, UNREACHABLE sentinel),
-    filled block by block; the BFS stream's byte check counts it."""
+    filled block by block; the BFS stream's byte checks count it and one
+    block's mask of reached pairs."""
     d = None
-    for sources, level, new in _bfs_levels(g, cap, held=4 * g.n * g.n):
+    b = min(_BFS_BLOCK, g.n)
+    for block in _bfs_blocks(g, cap, held=4 * g.n * g.n + b * g.n):
         if d is None:  # allocated once the stream's check has passed
             d = np.full((g.n, g.n), UNREACHABLE, dtype=np.int32)
-        np.copyto(d[sources[0] : sources[-1] + 1], level, where=new)
+        block.fill(d[block.sources[0] : block.sources[-1] + 1])
     return d
 
 
 def diameter(g: SparseGraph) -> int:
-    """Largest finite pairwise distance (per-component maximum eccentricity)."""
-    return max(level for _, level, _ in _bfs_levels(g, None))
+    """Largest finite pairwise distance (per-component maximum eccentricity),
+    the deepest level of any block's word BFS; nothing is unpacked."""
+    return max(block.depth for block in _bfs_blocks(g, None))
 
 
 def is_connected(g: SparseGraph) -> bool:
@@ -363,8 +450,8 @@ def is_connected(g: SparseGraph) -> bool:
 
 
 def component_count(g: SparseGraph) -> int:
-    lone, groups = components(adjacency_matrix(g))
-    return lone.size + len(groups)
+    lone, _, offsets = components(adjacency_matrix(g))
+    return lone.size + len(offsets) - 1
 
 
 #: Frontier rows one step of ``_bfs_forest`` reads at a time.
@@ -393,12 +480,6 @@ def _bfs_forest(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return root, parent
 
 
-#: Bytes ``components`` holds for each component it lists beside its nodes:
-#: the array object ``np.split`` cuts and its list slot, about 120, and the
-#: int64 scalar and list slots of the split point, about 40.
-_LISTED_BYTES = 160
-
-
 def _components_bytes(a: sp.csr_array, zeros: bool) -> int:
     """Bytes that ``components`` holds for a CSR a: csgraph's float64
     transpose of a, 16 bytes an entry, 8 more when it casts a's values to
@@ -409,20 +490,22 @@ def _components_bytes(a: sp.csr_array, zeros: bool) -> int:
     return per_entry * a.nnz + 40 * a.shape[0]
 
 
-def components(a: sp.csr_array | np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+def components(a: sp.csr_array | np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The connected components of the nonzero pattern of a + a^T, as
-    (lone, groups): the nodes of every one-node component in one ascending
-    array, and the ascending nodes of each larger component, in the order
-    of their smallest nodes.
+    (lone, grouped, offsets): the nodes of every one-node component in one
+    ascending array, and the ascending nodes of each larger component one
+    after another, in the order of their smallest nodes, component c being
+    ``grouped[offsets[c]:offsets[c + 1]]``.
 
     The labels come from csgraph on a CSR a, or from ``_bfs_forest`` for a
-    dense a, which is not copied into CSR; the lists come from one stable
-    argsort and the label counts, so a lone node costs no Python object of
+    dense a, which is not copied into CSR; the groups come from one stable
+    argsort and the label counts, so no component costs a Python object of
     its own.  csgraph reads a CSR a itself unless it stores zeros, and
     ResourceError is raised first when the bytes it holds
     (``_components_bytes``) exceed ``require_memory``'s bound, and again,
     once the labels give the number of components, when 40 bytes a node
-    and ``_LISTED_BYTES`` a listed component do.
+    and 16 a listed component, for its offset and the sum it comes from,
+    do.
     """
     if sp.issparse(a):
         # imported on first use: csgraph adds about 75 ms and 11 MB to every CLI start-up
@@ -443,12 +526,11 @@ def components(a: sp.csr_array | np.ndarray) -> tuple[np.ndarray, list[np.ndarra
     counts = np.bincount(labels)
     listed = counts[counts > 1]
     n = labels.size
-    require_memory(40 * n + _LISTED_BYTES * listed.size, f"{listed.size} components of {n} nodes are listed")
+    require_memory(40 * n + 16 * listed.size, f"{listed.size} components of {n} nodes are listed")
     size = counts[labels]
     order = np.argsort(labels, kind="stable")
     grouped = order[size[order] > 1]
-    ends = np.cumsum(listed)[:-1]
-    return np.flatnonzero(size == 1), np.split(grouped, ends) if grouped.size else []
+    return np.flatnonzero(size == 1), grouped, np.concatenate([[0], np.cumsum(listed)])
 
 
 def spmm(m: Matrix, x: np.ndarray) -> np.ndarray:

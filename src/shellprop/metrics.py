@@ -311,10 +311,10 @@ def _spectrum(a: sp.csr_array | np.ndarray, k_max: int) -> list[tuple]:
     if k_max == 1:
         require_memory(depths, f"sas_trajectory holds one depth of a {n} x {n} matrix")
         return []
-    lone, groups = components(a)
-    sizes = [nodes.size for nodes in groups]
-    largest = max(sizes, default=0)
-    held = 8 * sum(c * c for c in sizes) + depths
+    lone, grouped, offsets = components(a)
+    sizes = np.diff(offsets)
+    largest = int(sizes.max(initial=0))
+    held = 8 * int(sizes @ sizes) + depths
     # syevd writes V over the block it decomposes but needs 2 |C|**2 doubles
     # of workspace; syevr keeps V apart in |C|**2, so it decomposes the
     # components that fit only that way
@@ -329,7 +329,8 @@ def _spectrum(a: sp.csr_array | np.ndarray, k_max: int) -> list[tuple]:
 
     # a lone node is its own eigenpair, eigenvalue M_ii and eigenvector 1
     spectra = [(lone, a.diagonal()[lone], None)]
-    for nodes in groups:
+    for start, end in zip(offsets[:-1], offsets[1:]):
+        nodes = grouped[start:end]
         s = _dense_block(a, nodes)
         if not np.array_equal(s, s.T):
             s = _symmetric_block(s, nodes)

@@ -7,12 +7,14 @@ shells are combined with geometrically decaying coefficients into a single
 propagation operator P, built once and applied as one product.  A pair lies
 in one shell only, so a decomposition is one record of hop levels, held in
 P's carrier and with P's structure; P is filled as values on it, and a
-shell is built from it only when read.  Shells, normalized shells and a
-sparse P are read-only scipy ``csr_array``s with int64 indices.
+shell is built from it only when read.  The record reads the BFS one block
+of sources at a time: a block whose own pairs make its rows dense by P's
+byte rule as one slab of levels, any other level by level.  Shells,
+normalized shells and a sparse P are read-only scipy ``csr_array``s with
+int64 indices.
 """
 from __future__ import annotations
 
-from collections import defaultdict
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field, replace
 from itertools import chain
@@ -22,7 +24,7 @@ import scipy.sparse as sp
 
 from .errors import ConfigError, InputError
 from .graph import (
-    DenseMatrix, Matrix, SparseGraph, _bfs_levels, _freeze, from_array, frozen_csr, is_symmetric,
+    DenseMatrix, Matrix, SparseGraph, _bfs_blocks, _freeze, from_array, frozen_csr, is_symmetric,
     require_memory, spmm, stores_dense,
 )
 
@@ -140,62 +142,87 @@ def shell_decompose(g: SparseGraph, l_cap: int | None = None) -> ShellDecomposit
     the pairs arrive.
     """
     _check_cap(l_cap)
-    return _level_record(g.n, _bfs_pairs(g, l_cap))
+    return _level_record(g.n, _bfs_parts(g, l_cap))
 
 
-def _bfs_pairs(g: SparseGraph, l_cap: int | None) -> Iterator[tuple]:
-    """The levels past 0 of ``_bfs_levels`` as ``_level_record`` reads them."""
-    for sources, level, new in _bfs_levels(g, l_cap):
-        if level:
-            yield sources, level, np.count_nonzero(new, axis=1), np.flatnonzero(new)
+def _bfs_parts(g: SparseGraph, l_cap: int | None) -> Iterator[tuple]:
+    """The BFS blocks as ``_level_record`` reads them.  A block whose own
+    pairs make its rows dense by P's byte rule comes as one slab of levels;
+    any other comes level by level, as its pairs' positions."""
+    for block in _bfs_blocks(g, l_cap):
+        b = len(block.sources)
+        tally = [(level, nodes, counts) for level, (nodes, _, counts) in enumerate(block.levels, start=1)]
+        if stores_dense((b, g.n), b + sum(block.sizes)):
+            yield tally, int(block.sources[0]), block.slab()
+        else:
+            for counted, (level, flat) in zip(tally, block.positions()):
+                yield [counted], level, flat
 
 
-def _level_record(n: int, levels: Iterable[tuple]) -> ShellDecomposition:
-    """The decomposition of a stream of (sources, level, counts, flat): the
-    pairs first reached at ``level`` from a block of consecutive rows, by
-    their row-major positions in the block and their counts per row, each
-    row's pairs coming level by level and each level by column.
+def _level_record(n: int, parts: Iterable[tuple]) -> ShellDecomposition:
+    """The decomposition of a stream of parts (tally, at, pairs): either a
+    level's pairs, ``at`` the level and ``pairs`` their ascending row-major
+    positions, each row's pairs coming level by level; or a slab, the (b, n)
+    levels of rows ``at`` .. ``at`` + b - 1, 0 where no pair is.  ``tally``
+    lists (level, nodes, counts) of the part's pairs: ``counts[i]`` of them
+    in node ``nodes[i]``'s row, or, for a BFS block, in its column, which
+    sums over all blocks to the same row counts because distances are
+    symmetric.
 
     The record streams as CSR, led by each row's diagonal at level 0, and is
-    sorted stably by row at the end into rows that hold exactly a CSR P's
-    entries.  The moment ``stores_dense`` makes P dense, also before any
-    pair, the pairs kept so far move into an n x n distance matrix, uint8
-    until a level passes 255, which takes every later level.  Before each
-    level's pairs are kept, ResourceError is raised when ``require_memory``
-    refuses the record and the P it fills: while the stream is CSR, the
-    smaller of the two carriers' peaks (``_csr_bytes``, ``_distance_bytes``),
-    a lower bound whichever way the rule turns; from the move on, and before
-    the matrix is allocated, ``_distance_bytes``.  A stream that ends as CSR
-    is checked at ``_csr_bytes`` before its sort."""
+    sorted stably by row and level at the end into rows that hold exactly a
+    CSR P's entries; a slab is kept whole until then.  The moment
+    ``stores_dense`` makes P dense, also before any pair, the pairs and
+    slabs kept so far move into an n x n distance matrix, uint8 until a
+    level passes 255, which takes every later part.  Before each part is
+    kept, ResourceError is raised when ``require_memory`` refuses the record
+    and the P it fills: while the stream is CSR, the smaller of the two
+    carriers' peaks (``_csr_bytes``, ``_distance_bytes``), a lower bound
+    whichever way the rule turns; from the move on, and before the matrix
+    is allocated, ``_distance_bytes``.  A stream that ends as CSR is checked
+    at ``_csr_bytes`` before its sort."""
     # each CSR row starts with its diagonal, at level 0, as P's rows do
-    diagonal = (None, 0, None, np.arange(n) * (n + 1))
-    row_counts, cols, data, stored, distances = [], [], [], 0, None
-    for sources, level, counts, flat in chain([diagonal], levels):
-        if level:
-            stored += int(counts.sum())
+    diagonal = ([], 0, np.arange(n) * (n + 1))
+    row_counts, cols, data, slabs, stored, distances = [], [], [], [], 0, None
+    for tally, at, pairs in chain([diagonal], parts):
+        for level, nodes, counts in tally:
             if level > len(row_counts):
                 row_counts.append(np.zeros(n, dtype=np.int64))
-            row_counts[level - 1][sources] = counts
-            flat += sources[0] * n
+            row_counts[level - 1][nodes] += counts
+            stored += int(counts.sum())
         top, what = len(row_counts), f"the levels of {n} nodes and their P store {stored} pairs"
         if distances is None and not stores_dense((n, n), n + stored):
             require_memory(min(_csr_bytes(n, top, stored), _distance_bytes(n, top)), what)
-            cols.append(flat)
-            data.append(np.full(len(flat), level, dtype=np.min_scalar_type(level)))
+            if pairs.ndim == 2:
+                slabs.append((at, pairs))
+            else:
+                cols.append(pairs)
+                data.append(np.full(len(pairs), at, dtype=np.min_scalar_type(at)))
             continue
         require_memory(_distance_bytes(n, top), f"a dense P of {n} nodes and its distances at {top} levels")
-        if distances is None:  # P has turned dense: the kept pairs move into the matrix
+        if distances is None:  # P has turned dense: the kept pairs and slabs move into the matrix
             distances = np.zeros((n, n), dtype=np.min_scalar_type(top))
-            for at, tags in zip(cols, data):
-                distances.reshape(-1)[at] = tags
-            cols = data = None
+            for flat, tags in zip(cols, data):
+                distances.reshape(-1)[flat] = tags
+            for start, slab in slabs:
+                distances[start : start + len(slab)] = slab
+            cols = data = slabs = None
         distances = distances.astype(np.min_scalar_type(top), copy=False)
-        distances.reshape(-1)[flat] = level
+        if pairs.ndim == 2:
+            distances[at : at + len(pairs)] = pairs
+        else:
+            distances.reshape(-1)[pairs] = at
     if distances is None:  # P stays CSR: its record is sorted, and P filled, as CSR
         require_memory(_csr_bytes(n, top, stored), f"{what} as CSR")
+        while slabs:  # a slab's pairs by position; the sort puts each row's in level order
+            start, slab = slabs.pop()
+            flat = np.flatnonzero(slab)
+            data.append(slab.reshape(-1)[flat])
+            flat += start * n
+            cols.append(flat)
         flat, tags = np.concatenate(cols), np.concatenate(data)
         del cols, data
-        order = np.argsort(flat // n, kind="stable")
+        order = np.argsort(flat // n * (top + 1) + tags, kind="stable")
         flat %= n
         offsets = np.concatenate([[0], np.cumsum(sum(row_counts, np.ones(n, dtype=np.int64)))])
         distances = frozen_csr(tags[order], flat[order], offsets)
@@ -337,7 +364,7 @@ def fuse_shells(decomposition: ShellDecomposition, alpha: float) -> FusedPropaga
     if not isinstance(shells, _DistanceShells):
         rows = np.arange(n)
         shells = _level_record(n, (
-            (rows, l, np.diff(t.indptr), np.repeat(rows * n, np.diff(t.indptr)) + t.indices)
+            ([(l, rows, np.diff(t.indptr))], l, np.repeat(rows * n, np.diff(t.indptr)) + t.indices)
             for l, t in enumerate(shells, start=1)
         )).shells
     return FusedPropagator(n, replace(shells, normalized=True), theta, float(alpha))
@@ -361,14 +388,15 @@ def shell_union(d: ShellDecomposition) -> sp.csr_array:
 def shell_report(g: SparseGraph, l_cap: int | None = None) -> dict:
     """JSON-ready shell summary: sizes, per-layer average degree, diameter.
 
-    One BFS stream is counted level by level, so no pair is stored: the sizes
-    and l_max are those of ``shell_decompose(g, l_cap)``, and the diameter
-    is the deepest level."""
+    One BFS stream is counted level by level from each block's bit counts,
+    so no pair is stored or unpacked: the sizes and l_max are those of
+    ``shell_decompose(g, l_cap)``, and the diameter is the deepest level."""
     _check_cap(l_cap)
-    counts = defaultdict(int)
-    for _, level, new in _bfs_levels(g, None):
-        counts[level] += int(np.count_nonzero(new))
-    sizes = [counts[level] for level in range(1, len(counts))]
+    sizes = []
+    for block in _bfs_blocks(g, None):
+        sizes += [0] * (block.depth - len(sizes))
+        for level, size in enumerate(block.sizes):
+            sizes[level] += size
     kept = sizes[:l_cap]
     return {
         "n": g.n,

@@ -143,17 +143,25 @@ def fake_address_space_limit(monkeypatch, soft) -> None:
     monkeypatch.setattr(resource, "getrlimit", getrlimit)
 
 
-def assert_peak_within_checks(modules, call, slack: int = 16384):
+def assert_peak_within_checks(modules, call, slack: int = 16384, apart: bool = False):
     """Run ``call()`` under tracemalloc with ``require_memory`` spied on (and
     still enforced) in each ``shellprop.<module>`` named in ``modules``, and
     assert that the traced peak is at most the largest figure checked plus
-    ``slack`` bytes.  Returns the call's result and the figures checked, in
-    order.  Warm the call up first where a first run imports or caches."""
-    needs = []
+    ``slack`` bytes; with ``apart``, where each module checks its own
+    allocations held beside the others' (a BFS block beside the record it
+    feeds), at most the sum of each module's largest figure plus ``slack``.
+    Returns the call's result and the figures checked, in order.  Warm the
+    call up first where a first run imports or caches."""
+    needs, bound = [], {}
     with ExitStack() as stack:
         for name in modules:
             real = importlib.import_module(f"shellprop.{name}").require_memory
-            spy = lambda need, what, real=real: needs.append(need) or real(need, what)
+
+            def spy(need, what, real=real, name=name):
+                needs.append(need)
+                bound[name] = max(bound.get(name, 0), need)
+                real(need, what)
+
             stack.enter_context(mock.patch(f"shellprop.{name}.require_memory", spy))
         tracemalloc.start()
         try:
@@ -162,7 +170,8 @@ def assert_peak_within_checks(modules, call, slack: int = 16384):
         finally:
             tracemalloc.stop()
     assert needs, "no byte check ran"
-    assert peak <= max(needs) + slack, f"peak {peak} bytes above the largest check {max(needs)}"
+    limit = sum(bound.values()) if apart else max(needs)
+    assert peak <= limit + slack, f"peak {peak} bytes above the checks' {limit}"
     return result, needs
 
 

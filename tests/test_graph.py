@@ -22,7 +22,8 @@ from shellprop import (
     shell_report,
     spmm,
 )
-from shellprop.graph import _bfs_levels, components, distance_blocks
+from shellprop import graph
+from shellprop.graph import _bfs_blocks, components, distance_blocks
 
 from helpers import (
     BIG,
@@ -196,13 +197,13 @@ class TestBlockEdges:
 class TestBfsWorkingSet:
     # one edge on 1000 nodes: a block of 256 sources holds 4 words a node,
     # 8 * 4 * (6 * 1000 + 2) + 72 * 4 * 1000 = 480064 bytes, and the distance
-    # matrix 4 * 1000**2 more
+    # matrix 4 * 1000**2 and one block's mask of reached pairs 256 * 1000 more
     def test_distance_block_counted_only_where_it_is_held(self, monkeypatch):
         g = build_graph([(0, 999)], 1000)
         fake_physical_memory(monkeypatch, 200 * 4096)
         assert shell_decompose(g).shell_sizes == (2,)
         assert diameter(g) == 1
-        with pytest.raises(ResourceError, match=r"about 4480064 bytes, but physical memory is 819200 "):
+        with pytest.raises(ResourceError, match=r"about 4736064 bytes, but physical memory is 819200 "):
             distance_matrix(g)
 
     def test_refused_before_the_first_block(self, monkeypatch):
@@ -218,19 +219,24 @@ class TestBfsWorkingSet:
     def test_address_space_limit_bounds_when_lower(self, monkeypatch, soft, bound):
         fake_physical_memory(monkeypatch, 200 * 4096)
         fake_address_space_limit(monkeypatch, soft)
-        with pytest.raises(ResourceError, match=f"about 4480064 bytes, but {bound}"):
+        with pytest.raises(ResourceError, match=f"about 4736064 bytes, but {bound}"):
             distance_matrix(build_graph([(0, 999)], 1000))
 
     def test_stream_peak_within_its_check(self, monkeypatch):
         # 500 disjoint edges: a block of 256 sources over 1000 nodes is
         # checked at 8 * 4 * (6 * 1000 + 1000) + 72 * 4 * 1000 = 512000
-        # bytes, one level mask among them; a consumer still holds the last
-        # mask while the next level forms
+        # bytes before the first block, and again before it keeps its one
+        # level: 256 nodes reached (232 in the last block) at 16 + 8 * 4
+        # bytes each and 512 for the level's arrays, and from the second
+        # block on the level of the block before, which a consumer may still
+        # hold.  A consumer that reads the pairs unpacks one level at a time
+        # into the stream's buffer
         g = build_graph([(2 * i, 2 * i + 1) for i in range(500)], 1000)
 
         def drain():
-            for _, _, new in _bfs_levels(g, None):
-                assert new.shape[1] == 1000
+            for block in _bfs_blocks(g, None):
+                for level, flat in block.positions():
+                    assert level == 1 and flat.size == block.sizes[0]
 
         needs = []
         monkeypatch.setattr("shellprop.graph.require_memory", lambda need, what: needs.append(need))
@@ -243,11 +249,16 @@ class TestBfsWorkingSet:
                 peak = tracemalloc.get_traced_memory()[1] - before
             finally:
                 tracemalloc.stop()
-            assert needs == [512000] and peak <= needs[0]
+            full, last = 48 * 256 + 512, 48 * 232 + 512
+            assert needs == [512000, 512000 + full] + [512000 + 2 * full] * 2 + [512000 + full + last]
+            assert peak <= max(needs)
 
     def test_distance_stream_counts_the_block_a_consumer_holds(self, monkeypatch):
-        # 500 disjoint edges: the working set of 512000 bytes, the block being
-        # filled and the one the consumer still holds, 2 * 4 * 256 * 1000
+        # 500 disjoint edges: the working set of 512000 bytes, the int32
+        # block being filled, the mask of its reached pairs and the block the
+        # consumer still holds, 9 * 256 * 1000; the kept level as above; and
+        # before each block's distances, one plane of 8 * 4 * 1000 bytes and
+        # the uint8 slab and shifted plane, 2 * b * 1000
         g = build_graph([(2 * i, 2 * i + 1) for i in range(500)], 1000)
         needs, held = [], []
         monkeypatch.setattr("shellprop.graph.require_memory", lambda need, what: needs.append(need))
@@ -259,11 +270,16 @@ class TestBfsWorkingSet:
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
-        assert needs == [512000 + 2048000] and peak <= needs[0] + 16384
+        base, full, last = 512000 + 2304000, 48 * 256 + 512, 48 * 232 + 512
+        assert needs == [base, base + full, base + full + 32000 + 512000] + [
+            base + 2 * full, base + 2 * full + 32000 + 512000
+        ] * 2 + [base + full + last, base + full + last + 32000 + 464000]
+        assert peak <= max(needs) + 16384
 
     def test_distance_matrix_is_filled_within_its_check(self, monkeypatch):
-        # the working set of 512000 bytes and the 4 * 1000**2 of the matrix,
-        # with no block or concatenation beside it
+        # the working set of 512000 bytes, the 4 * 1000**2 of the matrix and
+        # one block's mask of reached pairs, with no block or concatenation
+        # beside it; the kept level and the slab as above
         g = build_graph([(2 * i, 2 * i + 1) for i in range(500)], 1000)
         want = distance_matrix(g)
         needs = []
@@ -276,7 +292,63 @@ class TestBfsWorkingSet:
         finally:
             tracemalloc.stop()
         assert np.array_equal(d, want) and d.dtype == np.int32
-        assert needs == [512000 + 4000000] and peak <= needs[0] + 16384
+        base, full, last = 512000 + 4000000 + 256000, 48 * 256 + 512, 48 * 232 + 512
+        assert needs == [base, base + full, base + full + 32000 + 512000] + [
+            base + 2 * full, base + 2 * full + 32000 + 512000
+        ] * 2 + [base + full + last, base + full + last + 32000 + 464000]
+        assert peak <= max(needs) + 16384
+
+    @given(g=sparse_graphs(), cap=st.one_of(st.none(), st.integers(1, 5)))
+    @settings(max_examples=40, deadline=None)
+    def test_every_consumer_within_its_checks(self, g, cap):
+        # the stream's checks count what a consumer holds beside it; the
+        # record and the BFS block feeding it are each checked on their own
+        def blocks():
+            for _ in distance_blocks(g, cap):
+                pass
+
+        for call in (blocks, lambda: distance_matrix(g, cap), lambda: shell_report(g, cap)):
+            call()
+            assert_peak_within_checks(("graph",), call)
+        shell_decompose(g, cap)
+        assert_peak_within_checks(("graph", "shells"), lambda: shell_decompose(g, cap), apart=True)
+
+
+class TestBfsWork:
+    """What a block unpacks: its distances as bit-sliced planes, one unpack
+    per bit of its depth, or its pairs one level at a time."""
+
+    @staticmethod
+    def counted_unpacks(monkeypatch):
+        calls = []
+        real = graph._unpack
+        monkeypatch.setattr(graph, "_unpack", lambda *args: calls.append(args) or real(*args))
+        return calls
+
+    def test_diameter_unpacks_nothing(self, monkeypatch):
+        calls = self.counted_unpacks(monkeypatch)
+        for g in (path_graph(300), random_graph(3, 200, 0.02), build_graph([], 5)):
+            want = floyd_warshall(g)
+            assert diameter(g) == int(want[want < BIG].max())
+        assert calls == []
+
+    def test_dense_block_unpacks_each_bit_of_its_depth_once(self, monkeypatch):
+        # a 300-path at full diameter: both blocks, sources 0-255 and
+        # 256-299, reach depth 299, a uint16 slab of (299).bit_length() = 9
+        # planes of all 300 nodes each; one mask per level would be 299 each
+        calls = self.counted_unpacks(monkeypatch)
+        d = shell_decompose(path_graph(300))
+        assert d.shells.distances.dtype == np.uint16 and d.l_max == 299
+        assert [b for _, b, _ in calls] == [256] * 9 + [44] * 9
+        assert all(words.shape[0] == 300 for words, _, _ in calls)
+
+    def test_sparse_block_unpacks_each_level_once(self, monkeypatch):
+        # 500 disjoint edges: each of the 4 blocks reaches one level, whose
+        # pairs are read from its 256 (last block 232) reached nodes alone
+        calls = self.counted_unpacks(monkeypatch)
+        d = shell_decompose(build_graph([(2 * i, 2 * i + 1) for i in range(500)], 1000))
+        assert d.shell_sizes == (1000,)
+        assert [words.shape[0] for words, _, _ in calls] == [256, 256, 256, 232]
 
 
 class TestDiameter:
@@ -315,39 +387,42 @@ class TestComponents:
     @settings(max_examples=40, deadline=None)
     def test_nodes_of_each_component_against_floyd_warshall(self, g):
         reach = floyd_warshall(g) < BIG
-        lone, groups = components(adjacency_matrix(g))
+        lone, grouped, offsets = components(adjacency_matrix(g))
         assert np.array_equal(lone, np.flatnonzero(reach.sum(axis=1) == 1))
+        groups = [grouped[start:end] for start, end in zip(offsets[:-1], offsets[1:])]
         assert [int(c[0]) for c in groups] == sorted(int(c[0]) for c in groups)
         for nodes in groups:
             assert nodes.size > 1 and np.all(np.diff(nodes) > 0)
             assert np.array_equal(nodes, np.flatnonzero(reach[nodes[0]]))
-        assert lone.size + sum(c.size for c in groups) == g.n
+        assert offsets[0] == 0 and offsets[-1] == grouped.size
+        assert lone.size + grouped.size == g.n
+        assert component_count(g) == lone.size + len(groups)
 
     def test_dense_and_one_sided_patterns(self):
         # entries (0, 2) and (4, 3) join their nodes one way only; the zero
         # stored at (1, 5) joins nothing
         a = sp.csr_array(([1.0, 2.0, 0.0], ([0, 4, 1], [2, 3, 5])), shape=(6, 6))
         for m in (a, a.toarray()):
-            lone, groups = components(m)
+            lone, grouped, offsets = components(m)
             assert lone.tolist() == [1, 5]
-            assert [c.tolist() for c in groups] == [[0, 2], [3, 4]]
+            assert grouped.tolist() == [0, 2, 3, 4] and offsets.tolist() == [0, 2, 4]
 
     def test_listed_components_counted_within_the_checks(self):
-        # 50,000 disjoint pairs held as CSR: each listed pair's array object
-        # and split point, 160 bytes, outweigh csgraph's transpose of the 10^5
-        # entries and the node arrays, 56 bytes a node, so the check made
-        # once the labels are known bounds the peak
+        # 50,000 disjoint pairs held as CSR: csgraph's transpose of the 10^5
+        # entries and the node arrays, 56 bytes a node, bound the peak; once
+        # the labels are known, the node arrays and each listed pair's offset
+        # and the sum it comes from, 16 bytes, are checked again
         a = adjacency_matrix(build_graph(np.arange(10**5).reshape(-1, 2), 10**5))
         components(a)
-        (lone, groups), needs = assert_peak_within_checks(("graph",), lambda: components(a))
-        assert lone.size == 0 and len(groups) == 50000
-        assert needs == [16 * 10**5 + 40 * 10**5, 40 * 10**5 + 160 * 50000]
+        (lone, grouped, offsets), needs = assert_peak_within_checks(("graph",), lambda: components(a))
+        assert lone.size == 0 and grouped.size == 10**5 and offsets.size == 50001
+        assert needs == [16 * 10**5 + 40 * 10**5, 40 * 10**5 + 16 * 50000]
 
     def test_lone_nodes_of_a_million_node_identity_are_one_array(self):
-        lone, groups = components(sp.eye_array(10**6, format="csr"))
+        lone, grouped, offsets = components(sp.eye_array(10**6, format="csr"))
         assert type(lone) is np.ndarray and lone.shape == (10**6,)
         assert np.array_equal(lone, np.arange(10**6))
-        assert groups == []
+        assert grouped.size == 0 and offsets.tolist() == [0]
 
 
 class TestSpmm:

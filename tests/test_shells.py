@@ -1,4 +1,6 @@
 import dataclasses
+import functools
+import sys
 import tracemalloc
 from unittest import mock
 
@@ -15,6 +17,7 @@ from shellprop import (
     InputError,
     ResourceError,
     ShellDecomposition,
+    SparseGraph,
     adjacency_matrix,
     build_graph,
     cumulative_matrix,
@@ -32,10 +35,11 @@ from shellprop import (
     sym_norm_propagator,
 )
 
-from shellprop.graph import _bfs_levels, stores_dense
-from shellprop.shells import _distance_bytes
+from shellprop.graph import _bfs_blocks, stores_dense
+from shellprop.shells import _csr_bytes, _distance_bytes
 
 from helpers import (
+    BIG,
     assert_peak_within_checks,
     complete_graph,
     dense_adjacency,
@@ -462,11 +466,12 @@ class TestShellSummaries:
 
 
 @st.composite
-def component_graphs(draw):
-    """Graphs of 1 to 40 nodes under a random labelling: a random tree plus
-    extra edges on a drawn share of the nodes, often three quarters or
-    more, so that P is dense, and the rest in small components or isolated."""
-    n = draw(st.integers(1, 40))
+def component_graphs(draw, max_nodes: int = 40):
+    """Graphs of 1 to ``max_nodes`` nodes under a random labelling: a random
+    tree plus extra edges on a drawn share of the nodes, often three
+    quarters or more, so that P is dense, and the rest in small components
+    or isolated."""
+    n = draw(st.integers(1, max_nodes))
     big = draw(st.one_of(st.integers(-(-3 * n // 4), n), st.integers(1, n)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     tree = [(int(rng.integers(0, i)), i) for i in range(1, big)]
@@ -646,28 +651,107 @@ class TestDistanceShells:
         assert held <= 8 * p.nnz + 16384
 
 
+def oracle_record(g: SparseGraph, l_cap: int | None):
+    """The record of hop levels by its rule, from Floyd-Warshall: an n x n
+    distance matrix in the narrowest unsigned type of its levels when
+    ``stores_dense`` makes P dense, else CSR rows that start with their
+    diagonal at level 0 and list their pairs by level, then column; and
+    each level's row counts."""
+    d = floyd_warshall(g)
+    d[(d >= BIG) | (d > (l_cap or g.n))] = 0
+    top = int(d.max())
+    counts = [np.count_nonzero(d == level, axis=1) for level in range(1, top + 1)]
+    levels = d.astype(np.min_scalar_type(top))
+    if stores_dense((g.n, g.n), g.n + int(np.count_nonzero(d))):
+        return levels, counts
+    rows = [[i] + sorted(np.flatnonzero(d[i]), key=lambda j: (d[i, j], j)) for i in range(g.n)]
+    cols = np.concatenate(rows)
+    offsets = np.concatenate([[0], np.cumsum([len(r) for r in rows])])
+    return sp.csr_array((levels[np.repeat(np.arange(g.n), np.diff(offsets)), cols], cols, offsets)), counts
+
+
+class TestRecordByBlock:
+    """A BFS block whose own pairs make its rows dense by P's byte rule
+    comes as one slab of levels, any other level by level; the record is
+    the same either way."""
+
+    @given(
+        g=component_graphs(max_nodes=150),
+        block_size=st.sampled_from([1, 3, 64, 256]),
+        l_cap=st.sampled_from([None, 1, 2, 3]),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_record_is_that_of_its_rule_at_any_block_size(self, g, block_size, l_cap):
+        blocks = functools.partial(_bfs_blocks, block_size=block_size)
+        with mock.patch("shellprop.shells._bfs_blocks", blocks):
+            d = shell_decompose(g, l_cap)
+        want, counts = oracle_record(g, l_cap)
+        got = d.shells.distances
+        assert type(got) is type(want) and got.dtype == want.dtype
+        if sp.issparse(want):
+            for mine, theirs in ((got.data, want.data), (got.indices, want.indices), (got.indptr, want.indptr)):
+                assert mine.dtype == theirs.dtype and np.array_equal(mine, theirs)
+        else:
+            assert np.array_equal(got, want)
+        assert len(d.shells.row_counts) == len(counts)
+        for mine, theirs in zip(d.shells.row_counts, counts):
+            assert mine.dtype == np.int64 and np.array_equal(mine, theirs)
+
+    def test_hand_built_sparse_shells_keep_no_slab(self):
+        # a 20,000-node path at cap 2, its two shells built by hand: the one
+        # record builder reads them level by level, so its largest check is
+        # the CSR record's, and no n x n or block-wide array is made
+        n = 20000
+        shells = tuple(
+            adjacency_matrix(build_graph([(i, i + hop) for i in range(n - hop)], n)) for hop in (1, 2)
+        )
+        d = ShellDecomposition(n, shells, 2, tuple(t.nnz for t in shells))
+        fuse_shells(d, 2.0)
+        p, needs = assert_peak_within_checks(("graph", "shells"), lambda: fuse_shells(d, 2.0).matrix)
+        assert sp.issparse(p) and max(needs) == _csr_bytes(n, 2, 4 * n - 6)
+        assert max(needs) < _distance_bytes(n, 2)
+        want = fuse_shells(shell_decompose(path_graph(n), 2), 2.0).matrix
+        for mine, theirs in ((p.data, want.data), (p.indices, want.indices), (p.indptr, want.indptr)):
+            assert np.array_equal(mine, theirs)
+
+
+def spider_graph(arm: int) -> SparseGraph:
+    """Four paths of ``arm`` nodes from node 0, numbered outward: node
+    4 (d - 1) + a + 1 lies on arm a, d hops from node 0."""
+    edges = [(max(0, node - 4), node) for node in range(1, 4 * arm + 1)]
+    return build_graph(edges, 4 * arm + 1)
+
+
 class TestDecomposeBytes:
-    """The record streams as CSR, and before each level's pairs are kept it
-    is checked at the smaller of the two carriers' peaks; the moment P's
-    byte rule makes P dense, the distance matrix and the dense P are checked
-    before the matrix is allocated, and at every level after; a record that
-    ends as CSR is checked at the CSR peak before its sort."""
+    """The record streams as CSR, and before each part, a block's slab or
+    one level's pairs, is kept it is checked at the smaller of the two
+    carriers' peaks; the moment P's byte rule makes P dense, the distance
+    matrix and the dense P are checked before the matrix is allocated, and
+    at every part after; a record that ends as CSR is checked at the CSR
+    peak before its sort."""
 
     @pytest.mark.parametrize("g, levels, need", [
-        # n = 300: sources 0-255 store 512 - l pairs at level l up to 44 and
-        # 556 - 2 l beyond, 44554 by level 100, past the 44550 at which P
-        # turns dense; n**2 of uint8 distances, 8 n**2 of P, 8 n (2 * 100 + 3)
-        # of row counts and the fill's r table, diagonal and node ids, and
-        # 24 * 256 * n of one fill block
-        (path_graph(300), 100, 90000 + 720000 + 487200 + 1843200),
+        # n = 300: sources 0-255 reach all 299 levels and come as one slab of
+        # 76544 pairs, past the 44550 at which P turns dense; 3 n**2 of
+        # distances, uint8 and widened to uint16, 8 n**2 of P, 8 n (2 * 299
+        # + 3) of row counts and the fill's r table, diagonal and node ids,
+        # and 24 * 256 * n of one fill block
+        (path_graph(300), 299, 270000 + 720000 + 1442400 + 1843200),
         # n = 40: level 1 stores 1560 pairs and P turns dense; a fill block
         # of 40 rows
         (complete_graph(40), 1, 1600 + 12800 + 1600 + 38400),
     ], ids=["path-300", "complete-40"])
     def test_dense_p_refused_where_it_turns_dense(self, monkeypatch, g, levels, need):
-        # the distance matrix is the one n x n array np.zeros makes
+        # the distance matrix is the one n x n array that shells' np.zeros
+        # makes; a block's slab of all 40 rows is made in graph
         shapes, real_zeros = [], np.zeros
-        monkeypatch.setattr(np, "zeros", lambda shape, *a, **k: shapes.append(shape) or real_zeros(shape, *a, **k))
+
+        def zeros(shape, *args, **kwargs):
+            if sys._getframe(1).f_globals["__name__"] == "shellprop.shells":
+                shapes.append(shape)
+            return real_zeros(shape, *args, **kwargs)
+
+        monkeypatch.setattr(np, "zeros", zeros)
         shell_decompose(g)
         assert (g.n, g.n) in shapes
         shapes.clear()
@@ -679,15 +763,23 @@ class TestDecomposeBytes:
         assert (g.n, g.n) not in shapes
 
     def test_dense_path_refused_where_the_distances_widen(self, monkeypatch):
-        # level 256 of a 300-path widens the uint8 distances to uint16, so
-        # 3 n**2 of distances and 8 n (2 * 256 + 3) of row counts and r
-        # table: 4069200 bytes; at 255 levels 3884400 fit in 970 pages
-        fake_physical_memory(monkeypatch, 970 * 4096)
-        with pytest.raises(ResourceError, match="at 256 levels, about 4069200 bytes"):
-            shell_decompose(path_graph(300))
+        # four 128-node arms: sources 0-255 lie within 64 hops of node 0 and
+        # reach 192 levels, and their 131072 pairs make P dense in uint8;
+        # sources 256-511 reach 255 levels, and source 512, an arm's tip,
+        # reaches 256, which widens the distances to uint16: 3 n**2 of
+        # distances, 8 n**2 of P, 8 n (2 * 256 + 3) of row counts and r table
+        # and 24 * 256 n of a fill block, 8160291 bytes; at 255 levels
+        # 7625745 fit in 1992 pages, as do the BFS blocks' checks
+        g = spider_graph(128)
+        d = shell_decompose(g)
+        assert d.l_max == 256 and d.shells.distances.dtype == np.uint16
+        assert np.array_equal(fuse_shells(d, 2.0).matrix.values, dense_fused(g, 2.0))
+        fake_physical_memory(monkeypatch, 1992 * 4096)
+        with pytest.raises(ResourceError, match="at 256 levels, about 8160291 bytes"):
+            shell_decompose(g)
 
     def test_capped_shells_refused_mid_stream(self, monkeypatch):
-        # a 1000-path at cap 30 passes the BFS block's check (544 kB); its
+        # a 1000-path at cap 30 passes the BFS blocks' checks (at most 973 kB); its
         # sources 0-255 store 512 - l pairs at level l, sources 256-767 512
         # and sources 768-999 464 - l.  With 30 levels found, 41 bytes an
         # entry (the pairs and 1000 diagonal entries, all in one fill block)
@@ -750,8 +842,9 @@ class TestDecomposeBytes:
     def test_capped_dense_p_checked_before_the_distances(self, monkeypatch):
         # 88 is the least cap at which a 300-path's P is dense: it stores
         # 44968 pairs, more than half of P's 90000 entries.  Sources 0-255
-        # store 40150 of them and sources 256-299 the rest, 44528 by level 78
-        # of the second block, whose check needs 41 * (300 + 44528) +
+        # store 40150 of them, which make their own rows dense, so they come
+        # as one slab, kept beside the CSR stream; sources 256-299 come level
+        # by level, 44528 pairs by level 78, whose check needs 41 * (300 + 44528) +
         # 8 * 300 * (2 * 88 + 4) = 2269948 bytes.  Level 79 brings 44572
         # pairs, P turns dense, and the distance matrix and the dense P need
         # _distance_bytes(300, 88) = 3082800
@@ -790,10 +883,10 @@ class TestShellReportCounts:
 
         def counted(*args, **kwargs):
             streams.append(args)
-            return _bfs_levels(*args, **kwargs)
+            return _bfs_blocks(*args, **kwargs)
 
-        monkeypatch.setattr("shellprop.graph._bfs_levels", counted)
-        monkeypatch.setattr("shellprop.shells._bfs_levels", counted)
+        monkeypatch.setattr("shellprop.graph._bfs_blocks", counted)
+        monkeypatch.setattr("shellprop.shells._bfs_blocks", counted)
         report = shell_report(path_graph(10), 2)
         assert report["shell_sizes"] == [18, 16] and report["diameter"] == 9
         assert len(streams) == 1
