@@ -261,6 +261,11 @@ def _symmetric_block(m: np.ndarray, nodes: np.ndarray) -> np.ndarray:
 
 #: Depths whose diagonals one matrix product computes.
 _DEPTH_BLOCK = 128
+#: Bytes that each listed component's spectrum holds beside its arrays'
+#: data: its tuple and list slot, its node view, its eigenvalue and
+#: eigenvector array objects and its split point (about 490 under
+#: tracemalloc).
+_COMPONENT_BYTES = 512
 
 
 def _decompose_bytes(c: int, driver: str) -> int:
@@ -305,7 +310,8 @@ def _spectrum(a: sp.csr_array | np.ndarray, k_max: int) -> list[tuple]:
     V * V) per connected component of a's pattern, of its symmetric form
     S_C = V diag(lam) V^T, and one block of the lone nodes with V * V None.
     None is needed at k_max 1, so none is computed there.  The bytes the
-    trajectory holds are checked first."""
+    trajectory holds, with 16 a node for its id and eigenvalue and
+    ``_COMPONENT_BYTES`` a listed component, are checked first."""
     n = a.shape[0]
     depths = 24 * (min(k_max, _DEPTH_BLOCK) + 1) * n
     if k_max == 1:
@@ -314,7 +320,7 @@ def _spectrum(a: sp.csr_array | np.ndarray, k_max: int) -> list[tuple]:
     lone, grouped, offsets = components(a)
     sizes = np.diff(offsets)
     largest = int(sizes.max(initial=0))
-    held = 8 * int(sizes @ sizes) + depths
+    held = 8 * int(sizes @ sizes) + 16 * n + _COMPONENT_BYTES * sizes.size + depths
     # syevd writes V over the block it decomposes but needs 2 |C|**2 doubles
     # of workspace; syevr keeps V apart in |C|**2, so it decomposes the
     # components that fit only that way
@@ -392,14 +398,17 @@ def sas_trajectory(
     the check counts.  Past depth 1 the components are found first.  Each
     component C of two or more nodes keeps its squared eigenvectors,
     8 |C|**2 bytes, in the dense block it was copied into: for ``rw`` S is
-    written over that copy, and ``syevd`` writes V over S.  The one being
-    decomposed holds ``syevd``'s workspace beside them, 1 + 6 |C| +
-    2 |C|**2 doubles and 3 + 5 |C| int32, and its |C| eigenvalues.  So the
-    check is 8 (sum |C|**2 + 2 max |C|**2 + 10 max |C|) + 24 (D + 1) n
-    bytes.  When that exceeds the memory limit the components go to
-    ``syevr`` instead, which keeps V apart in |C|**2 doubles beside about
-    34 |C| of workspace, and the check is 8 (sum |C|**2 + max |C|**2 +
-    40 max |C|) + 24 (D + 1) n; the largest component that fits is the one
+    written over that copy, and ``syevd`` writes V over S.  Every node keeps
+    its id and its eigenvalue, 16 n bytes, and each of the K listed
+    components about 512 bytes of objects: its tuple, node view, array
+    objects and split point.  The one being decomposed holds ``syevd``'s
+    workspace beside them, 1 + 6 |C| + 2 |C|**2 doubles and 3 + 5 |C|
+    int32, and its |C| eigenvalues.  So the check is 8 (sum |C|**2 +
+    2 max |C|**2 + 10 max |C|) + 16 n + 512 K + 24 (D + 1) n bytes.  When
+    that exceeds the memory limit the components go to ``syevr`` instead,
+    which keeps V apart in |C|**2 doubles beside about 34 |C| of workspace,
+    and the check is 8 (sum |C|**2 + max |C|**2 + 40 max |C|) + 16 n +
+    512 K + 24 (D + 1) n; the largest component that fits is the one
     ``syevr`` alone fits.  Below a few hundred nodes, 20 * 256 max |C|
     bytes, the row blocks the symmetric-form checks copy, stand in for the
     solver's bytes when larger.

@@ -16,14 +16,17 @@ pattern and a dense X draws all n * d values in C order.
 
 A loss reads only its masked rows of P @ z and a score only its scored
 rows, so only those rows of P are multiplied: an epoch of ``train`` costs
-two products with P's |train| rows (the forward pass and its adjoint)
-and one with its |val| rows, not two n x n products, and ``evaluate``
-reads its mask's rows in blocks of at most 256.  ``forward`` alone reads
-all of P.  On a CSR P the row slice, and the column slice that carries
-the adjoint, give the full products' entries bit for bit; on a dense P
-they are smaller BLAS products, so the gradients, and with them the
-trained parameters, differ from a full-width product's in the last bits
-(about 1e-16).
+two products of P's |train| rows with h columns (the forward pass and its
+adjoint, where the second dropout mask sits between P and W2) and one of
+its |val| rows with C columns, about 2 |train| n h + |val| n C
+multiply-adds in P, not two n x n products.  A score has no dropout, so it
+multiplies P's rows by z @ W2, n x C, instead of z, and its logits differ
+from (P @ z) @ W2 + b2 by rounding only; ``evaluate`` reads its mask's rows
+in blocks of at most 256.  ``forward`` alone reads all of P.  On a CSR P
+the row slice, and the column slice that carries the adjoint, give the
+full products' entries bit for bit; on a dense P they are smaller BLAS
+products, so the gradients, and with them the trained parameters, differ
+from a full-width product's in the last bits (about 1e-16).
 """
 from __future__ import annotations
 
@@ -137,9 +140,11 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
-def _dropout_mask(rng, shape, rate: float) -> np.ndarray:
+def _dropout_mask(uniforms: np.ndarray, rate: float) -> np.ndarray:
+    """The inverted-dropout scale of each uniform draw: 1 / (1 - rate) where
+    it keeps the entry, else 0."""
     keep = 1.0 - rate
-    return (rng.random(shape) < keep).astype(np.float64) / keep
+    return (uniforms < keep).astype(np.float64) / keep
 
 
 def _features(x: np.ndarray | Matrix, params: ModelParams) -> np.ndarray | sp.csr_array:
@@ -159,9 +164,9 @@ def _dropped(x: np.ndarray | sp.csr_array, rng, rate: float) -> np.ndarray | sp.
     of a CSR x's ``data``, in place in its pattern, or per entry of a dense x
     in C order."""
     if sp.issparse(x):
-        kept = x.data * _dropout_mask(rng, x.data.shape, rate)
+        kept = x.data * _dropout_mask(rng.random(x.data.shape), rate)
         return sp.csr_array((kept, x.indices, x.indptr), shape=x.shape)
-    return x * _dropout_mask(rng, x.shape, rate)
+    return x * _dropout_mask(rng.random(x.shape), rate)
 
 
 @dataclass(frozen=True, eq=False)
@@ -199,11 +204,14 @@ def _row_blocks(p: FusedPropagator, index: np.ndarray) -> Iterator[np.ndarray | 
 def _row_logits(
     params: ModelParams, x: np.ndarray | Matrix, blocks: Iterable[np.ndarray | sp.csr_array]
 ) -> np.ndarray:
-    """The dropout-free logits of the rows of P @ z that ``blocks``, row
-    blocks of P, select, one block's product at a time; z is the first
-    stage's output on every node."""
+    """The dropout-free logits (P @ z) @ W2 + b2 of the rows that ``blocks``,
+    row blocks of P, select, one block's product at a time; z is the first
+    stage's output on every node.  With no dropout between P and W2 they are
+    P[rows] @ (z @ W2) + b2, so each block multiplies the n x C operand
+    z @ W2, not the n x h z; the two orders agree to rounding."""
     z = np.maximum(_features(x, params) @ params.w1 + params.b1, 0.0)
-    return np.concatenate([spmm(rows, z) @ params.w2 + params.b2 for rows in blocks])
+    scores = z @ params.w2
+    return np.concatenate([spmm(rows, scores) + params.b2 for rows in blocks])
 
 
 def _forward_cache(
@@ -226,8 +234,9 @@ def _forward_cache(
     z = np.maximum(a1, 0.0)
     s = spmm(rows.matrix, z)
     if dropout > 0.0:
-        # drawn over every node, as on all of P, so the rng stream is the same
-        mask2 = _dropout_mask(rng, z.shape, dropout)[rows.index]
+        # drawn over every node, as on all of P, so the rng stream is the
+        # same, and turned into a mask on ``rows`` only
+        mask2 = _dropout_mask(rng.random(z.shape)[rows.index], dropout)
         s_in = s * mask2
     else:
         mask2 = None

@@ -28,7 +28,8 @@ from .graph import (
     require_memory, spmm, stores_dense,
 )
 
-#: Rows of P that one block of the fill writes.
+#: Rows of P that one block of the fill writes, and for a dense P the
+#: columns of one of the block's tiles.
 _FILL_ROWS = 256
 
 
@@ -237,9 +238,9 @@ def _distance_bytes(n: int, levels: int) -> int:
     and b = min(256, n), n**2 bytes of uint8 distances, or (1 + w) n**2 once
     L passes 255, the uint8 matrix and its copy widened to w bytes a pair;
     8 n L of int64 row counts; 8 n**2 of P; 8 n (L + 3) for the fill's table
-    of r_l, its diagonal and node ids; and 24 b n for one fill block of b
-    rows: a gathered float64 operand, and numpy's intp buffers for the two
-    index operands it is gathered by, at most 16 bytes an entry."""
+    of r_l, its diagonal and node ids; and 24 b n for the fill, which holds
+    24 bytes an entry of one b x b tile: the tile, the intp index its
+    lookups read and one gathered float64 operand (``_entries``)."""
     width = 1 if levels <= 255 else 1 + np.min_scalar_type(levels).itemsize
     return width * n * n + 8 * n * n + 8 * n * (2 * levels + 3) + 24 * min(_FILL_ROWS, n) * n
 
@@ -252,8 +253,8 @@ def _csr_bytes(n: int, levels: int, pairs: int) -> int:
     entry: the stream's int64 column and level, the int64 row keys, their
     int64 order and at most 4 of sort buffer.  The fill holds the record's
     8 + w and P's 8 bytes an entry, and 24 an entry of one block of
-    b = min(256, n) rows: its int64 row ids, a gathered float64 operand and
-    numpy's intp buffer for the levels it is gathered by.  With L =
+    b = min(256, n) rows: its int64 row ids, the intp index its lookups
+    read and one gathered float64 operand (``_entries``).  With L =
     ``levels``, 8 n (2 L + 4) more hold the row counts, r, the diagonal,
     the node ids and the row pointers."""
     entries, width = n + pairs, np.min_scalar_type(levels).itemsize
@@ -304,18 +305,29 @@ def _fuse(theta: np.ndarray, shells: _DistanceShells) -> Matrix:
     diagonal P[i, j] = theta_d * (r_d[i] * r_d[j]) for d the pair's level,
     and the diagonal sums theta_l * (r_l * r_l) over l = 1..l_max in order,
     also past a node's own eccentricity.  ``_entries`` computes the
-    off-diagonal rule over blocks of ``_FILL_ROWS`` rows of either carrier,
-    with weight 0 at level 0, and the diagonal is then written over each
-    row's level-0 entry; both do these operations in this order, as
-    ``normalize_shell`` does, so both carriers hold the same bits.  A CSR P
-    shares the record's read-only indices and row pointers, whose rows
-    start with their diagonal.
+    off-diagonal rule, with weight 0 at level 0: over blocks of
+    ``_FILL_ROWS`` rows of a CSR record, and over the tiles of
+    ``_FILL_ROWS`` rows and columns on and right of a dense record's
+    diagonal, each tile also written, transposed, over its mirror.  The
+    distances are symmetric and fl(a * b) = fl(b * a), so the mirror holds
+    the bits its own entries would.  The diagonal is then written over each
+    row's level-0 entry; both carriers do these operations in this order, as
+    ``normalize_shell`` does, so both hold the same bits.  A CSR P shares
+    the record's read-only indices and row pointers, whose rows start with
+    their diagonal.  ResourceError is raised first when ``require_memory``
+    refuses the record, P and the fill's temporaries, at the figure the
+    record's own stream ends on (``_csr_bytes`` or ``_distance_bytes``).
     """
     d = shells.distances
-    n = d.shape[0]
+    n, csr = d.shape[0], sp.issparse(d)
+    levels = len(theta)
+    require_memory(
+        _csr_bytes(n, levels, d.nnz - n) if csr else _distance_bytes(n, levels),
+        f"a {'CSR' if csr else 'dense'} P of {n} nodes filled from {levels} levels",
+    )
     weight = np.concatenate([[0.0], theta])
     r, diag = _r_table(n, shells.row_counts, theta)
-    csr, ids = sp.issparse(d), np.arange(n)
+    ids = np.arange(n)
     p = np.empty(d.nnz if csr else (n, n))
     for start in range(0, n, _FILL_ROWS):
         rows = slice(start, start + _FILL_ROWS)
@@ -323,8 +335,13 @@ def _fuse(theta: np.ndarray, shells: _DistanceShells) -> Matrix:
             ptr = d.indptr[start : start + _FILL_ROWS + 1]
             at = slice(ptr[0], ptr[-1])
             _entries(d.data[at], np.repeat(ids[rows], np.diff(ptr)), d.indices[at], r, weight, p[at])
-        else:
-            _entries(d[rows], ids[rows, None], ids, r, weight, p[rows])
+            continue
+        for corner in range(start, n, _FILL_ROWS):
+            cols = slice(corner, corner + _FILL_ROWS)
+            tile = np.empty((ids[rows].size, ids[cols].size))
+            _entries(d[rows, cols], ids[rows, None], ids[cols], r, weight, tile)
+            p[rows, cols] = tile
+            p[cols, rows] = tile.T
     if csr:
         p[d.indptr[:-1]] = diag
         return frozen_csr(p, d.indices, d.indptr)
@@ -335,8 +352,9 @@ def _fuse(theta: np.ndarray, shells: _DistanceShells) -> Matrix:
 def _r_table(
     n: int, row_counts: Sequence[np.ndarray], theta: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The (L + 1) x n table r of the fill, r[0] = 1 and r[l] = r_l, and P's
-    diagonal, theta_l * (r_l * r_l) summed over l = 1..L in order."""
+    """The (L + 1) x n table r of the fill, r[0] = 1 and r[l] = r_l, so that
+    r_d[j] is entry d n + j of its flat view, and P's diagonal,
+    theta_l * (r_l * r_l) summed over l = 1..L in order."""
     r, diag = np.ones((len(theta) + 1, n)), np.zeros(n)
     for level, (theta_l, k) in enumerate(zip(theta, row_counts), start=1):
         r[level] = 1.0 / np.sqrt(k + 1.0)
@@ -348,11 +366,27 @@ def _entries(
     levels: np.ndarray, rows: np.ndarray, cols: np.ndarray, r: np.ndarray, weight: np.ndarray,
     out: np.ndarray,
 ) -> None:
-    """Write weight[d] * (r[d, i] * r[d, j]) into ``out`` at each entry (i, j)
-    of level d, with ``rows`` and ``cols`` broadcast against ``levels``."""
-    out[...] = r[levels, rows]
-    out *= r[levels, cols]
-    out *= weight[levels]
+    """Write weight[d] * (r[d, i] * r[d, j]) into ``out``, a contiguous array
+    of ``levels``' shape, at each entry (i, j) of level d, with ``rows`` and
+    ``cols`` the intp node ids i and j broadcast against ``levels``.
+
+    Every lookup is a 1-D ``np.take`` through one intp index: d n + j, then
+    d n + i, then d; every index is in range, and ``clip`` lets numpy write
+    ``out`` in place.  Beside ``out`` that index and one gathered float64
+    operand hold 16 bytes an entry, and the broadcast sums' buffers, at most
+    8 more, are gone before the operand is made.
+    """
+    index = levels.astype(np.intp)
+    index *= r.shape[1]
+    index += cols
+    np.take(r, index, out=out, mode="clip")
+    index -= cols
+    index += rows
+    operand = np.take(r, index, mode="clip")
+    out *= operand  # r[d, j] * r[d, i], the bits of r[d, i] * r[d, j]
+    np.copyto(index, levels)
+    np.take(weight, index, out=operand, mode="clip")
+    out *= operand
 
 
 def fuse_shells(decomposition: ShellDecomposition, alpha: float) -> FusedPropagator:

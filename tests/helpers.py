@@ -225,6 +225,31 @@ def dense_fused(g: SparseGraph, alpha: float, l_cap: int | None = None) -> np.nd
     return out
 
 
+def reference_fill(g: SparseGraph, theta: np.ndarray, l_cap: int | None = None) -> np.ndarray:
+    """P = sum_l theta_l That_l written entry by entry from Floyd-Warshall
+    levels, pairs past ``l_cap`` or unreachable at level 0: with r_l =
+    (k_l + 1)**-1/2 for k_l each node's count of level-l pairs and weight
+    (0, theta_1, ..., theta_L), weight[d] * (r[d, i] * r[d, j]) at each pair
+    (i, j) of level d, and theta_l * (r_l[i] * r_l[i]) summed over l = 1..L
+    in order on the diagonal: the operations, in the order, that
+    normalizing each shell and summing theta_l That_l perform."""
+    levels = floyd_warshall(g)
+    levels[(levels >= BIG) | (levels > (l_cap or g.n))] = 0
+    weight = np.concatenate([[0.0], theta])
+    r = np.ones((len(weight), g.n))
+    for level in range(1, len(weight)):
+        r[level] = 1.0 / np.sqrt(np.count_nonzero(levels == level, axis=1) + 1.0)
+    p = np.zeros((g.n, g.n))
+    for i in range(g.n):
+        for j in range(g.n):
+            d = levels[i, j]
+            p[i, j] = weight[d] * (r[d, i] * r[d, j])
+        p[i, i] = 0.0
+        for level in range(1, len(weight)):
+            p[i, i] += weight[level] * (r[level, i] * r[level, i])
+    return p
+
+
 def exact_walk_total(g: SparseGraph, l: int) -> int:
     """Total of all entries of A^l by dense powers in Python integers."""
     a = dense_adjacency(g).astype(np.int64).astype(object)

@@ -35,6 +35,7 @@ import shellprop.metrics as metrics_module
 from shellprop.metrics import _residual_trajectories
 
 from helpers import (
+    assert_peak_within_checks,
     complete_graph,
     dense_adjacency,
     dense_fused,
@@ -258,11 +259,12 @@ class TestSasTrajectory:
     def test_dense_power_past_physical_memory_raises(self):
         # a path of 10**6 nodes is one component: past depth 1 syevd's
         # workspace does not fit, and syevr's dense block and V apart take
-        # 8 * (2 * (10**6)**2 + 40 * 10**6) bytes, 16 TB, and two depths
-        # beside the row sums 24 * 3 * 10**6 bytes more
+        # 8 * (2 * (10**6)**2 + 40 * 10**6) bytes, 16 TB, the node ids and
+        # eigenvalues 16 * 10**6, the component's objects 512, and two
+        # depths beside the row sums 24 * 3 * 10**6 bytes more
         ones = np.ones(10**6 - 1)
         path = sp.diags_array([ones, ones], offsets=[-1, 1], format="csr")
-        with pytest.raises(ResourceError, match="16000392000000 bytes"):
+        with pytest.raises(ResourceError, match="16000408000512 bytes"):
             sas_trajectory(path, 2)
 
     def test_path_of_a_million_nodes_at_depth_one_holds_no_block(self, monkeypatch):
@@ -327,9 +329,10 @@ class TestSasTrajectory:
 
     @pytest.mark.parametrize("make", [sym_norm_propagator, rw_norm_propagator])
     def test_syevr_decomposes_where_only_it_fits(self, monkeypatch, make):
-        # one 400-node component at k_max 2 holds its block and a depth block,
-        # 8 * 400**2 + 24 * 3 * 400 = 1308800 bytes; syevd adds
-        # 8 * 400 * (2 * 400 + 10) = 2592000 and syevr the larger of
+        # one 400-node component at k_max 2 holds its block, its node ids
+        # and eigenvalues, its objects and a depth block,
+        # 8 * 400**2 + 16 * 400 + 512 + 24 * 3 * 400 = 1315712 bytes; syevd
+        # adds 8 * 400 * (2 * 400 + 10) = 2592000 and syevr the larger of
         # 8 * 400 * (400 + 40) and 20 * 256 * 400, 2048000
         import scipy.linalg
 
@@ -352,13 +355,24 @@ class TestSasTrajectory:
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
-        assert drivers == ["evr"] and needs == [1308800 + 2048000]
+        assert drivers == ["evr"] and needs == [1315712 + 2048000]
         assert peak <= needs[0]
         assert [k for k, _ in got] == [1, 2]
         assert max(abs(x - y) for (_, x), (_, y) in zip(got, want)) <= 1e-10
         fake_physical_memory(monkeypatch, 819 * 4096)
-        with pytest.raises(ResourceError, match="about 3356800 bytes, but physical memory is 3354624 bytes"):
+        with pytest.raises(ResourceError, match="about 3363712 bytes, but physical memory is 3354624 bytes"):
             sas_trajectory(prop, 2)
+
+    @pytest.mark.parametrize("make", [sym_norm_propagator, rw_norm_propagator])
+    def test_many_components_within_the_checks(self, make):
+        # 5000 disjoint pairs: each listed component keeps a tuple, a node
+        # view and two small arrays, about 490 bytes beside its 48 of data,
+        # which the check counts with each node's id and eigenvalue
+        prop = make(build_graph([(2 * i, 2 * i + 1) for i in range(5000)], 10000))
+        sas_trajectory(prop, 2)
+        report, needs = assert_peak_within_checks(("graph", "metrics"), lambda: sas_trajectory(prop, 2))
+        assert [k for k, _ in report.sas_trajectory] == [1, 2]
+        assert max(needs) == 8 * 4 * 5000 + 16 * 10000 + 512 * 5000 + 24 * 3 * 10000 + 20 * 256 * 2
 
     def test_identity_of_a_million_nodes_runs(self):
         # 10**6 lone nodes hold no dense block, only the 48 MB of one depth

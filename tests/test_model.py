@@ -32,7 +32,7 @@ from shellprop import (
 )
 from shellprop.data import Dataset, Split
 from shellprop.graph import as_array, by_bytes, from_array, stores_dense
-from shellprop.model import _dropped, _forward_cache, _rows_of
+from shellprop.model import _dropped, _forward_cache, _row_blocks, _row_logits, _rows_of
 
 from helpers import bag_of_words, dense_fused, random_connected_graph, reference_forward
 
@@ -604,19 +604,20 @@ def reference_train(ds, config: TrainConfig, prop: FusedPropagator):
     return best[2], losses, val_accs, best[1]
 
 
-def spy_products(monkeypatch) -> list[tuple[int, int]]:
-    """The shapes of the matrices that the model multiplies through ``spmm``."""
+def spy_products(monkeypatch) -> list[tuple[tuple[int, int], int]]:
+    """The shape of each matrix that the model multiplies through ``spmm``,
+    with the width of the operand it multiplies."""
     import shellprop.model as model_module
 
-    shapes = []
+    products = []
     real = model_module.spmm
 
     def spmm(m, x):
-        shapes.append(m.shape)
+        products.append((m.shape, x.shape[1]))
         return real(m, x)
 
     monkeypatch.setattr("shellprop.model.spmm", spmm)
-    return shapes
+    return products
 
 
 class TestRowRestriction:
@@ -664,23 +665,51 @@ class TestRowRestriction:
 
     @pytest.mark.parametrize("l_cap", [None, 1], ids=["dense", "csr"])
     def test_no_product_reads_all_of_p(self, monkeypatch, l_cap):
-        # 300 nodes and 15 train rows; scoring all 300 takes two row blocks
+        # 300 nodes and 15 train rows; scoring all 300 takes two row blocks.
+        # An epoch's forward pass and adjoint read the train rows at the
+        # hidden width, 64; validation and evaluate read their rows at the
+        # 3 classes' width
         ds = synth_planted_partition(100, 3, 0.05, 0.005, seed=3, labels_per_block=5)
         n, train_size = ds.n, ds.split.train.size
         prop = fuse_shells(shell_decompose(ds.graph, l_cap), 2.0)
-        shapes = spy_products(monkeypatch)
+        products = spy_products(monkeypatch)
         params, _ = train(ds, TrainConfig(alpha=2.0, epochs=3, patience=3), prop)
+        trained = len(products)
         evaluate(params, ds, prop, ds.split.test)
         evaluate(params, ds, prop, np.arange(n))
+        shapes = [shape for shape, _ in products]
         assert shapes and (n, n) not in shapes
         assert {(train_size, n), (n, train_size), (256, n), (n - 256, n)} <= set(shapes)
         assert all(shape in {(train_size, n), (n, train_size)} or shape[0] <= 256 for shape in shapes)
+        epoch = [((train_size, n), 64), ((n, train_size), 64), ((ds.split.val.size, n), 3)]
+        assert products[:trained] == epoch * 3
+        assert all(width == 3 for _, width in products[trained:])
 
     def test_backward_multiplies_only_the_loss_rows(self, monkeypatch):
         _, x, y, mask, prop, params = small_instance(5, n=20)
-        shapes = spy_products(monkeypatch)
+        products = spy_products(monkeypatch)
         backward(params, x, prop, y, mask, rng=np.random.default_rng(0))
-        assert shapes == [(mask.size, 20), (20, mask.size)]
+        assert products == [((mask.size, 20), 8), ((20, mask.size), 8)]
+
+    @given(case=split_datasets(), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_class_width_scores_are_the_hidden_width_logits_to_rounding(self, case, seed):
+        # each order of (P z) W2 is within (n + h) u (|P| |z|) |W2| of the
+        # exact product, to first order, with u = eps / 2
+        ds, prop = case
+        rng = np.random.default_rng(seed)
+        params = init_params(4, 6, 3, rng)
+        params = ModelParams(params.w1, rng.standard_normal(6), params.w2, np.zeros(3))
+        rows = np.sort(rng.choice(ds.n, size=rng.integers(1, ds.n + 1), replace=False))
+        got = _row_logits(params, ds.features, _row_blocks(prop, rows))
+        p = as_array(prop.matrix)[rows]
+        p = p.toarray() if sp.issparse(p) else p
+        z = np.maximum(ds.features @ params.w1 + params.b1, 0.0)
+        want = (p @ z) @ params.w2
+        bound = (ds.n + 6) * np.finfo(float).eps * ((np.abs(p) @ z) @ np.abs(params.w2))
+        assert got.shape == want.shape and np.all(np.abs(got - want) <= bound)
+        shifted = ModelParams(params.w1, params.b1, params.w2, rng.standard_normal(3))
+        assert np.array_equal(_row_logits(shifted, ds.features, _row_blocks(prop, rows)), got + shifted.b2)
 
 
 _BAD_MASKS = [

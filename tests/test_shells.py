@@ -52,6 +52,7 @@ from helpers import (
     random_connected_graph,
     random_graph,
     random_tree,
+    reference_fill,
     star_graph,
     to_dense,
 )
@@ -499,9 +500,6 @@ class TestDistanceShells:
     def test_operator_is_that_of_the_shells_bit_for_bit(self, g, alpha, l_cap):
         d = shell_decompose(g, l_cap)
         p = fuse_shells(d, alpha).matrix
-        # fill blocks of 3 rows end on empty rows and lone nodes in both carriers
-        with mock.patch("shellprop.shells._FILL_ROWS", 3):
-            assert np.array_equal(to_dense(fuse_shells(d, alpha).matrix), to_dense(p))
         dense = stores_dense((g.n, g.n), g.n + sum(d.shell_sizes))
         assert isinstance(p, DenseMatrix if dense else sp.csr_array)
         # the record's carrier is P's carrier
@@ -517,6 +515,35 @@ class TestDistanceShells:
         if alpha == 2.0:
             assert np.array_equal(to_dense(p), dense_fused(g, alpha, l_cap))
         assert np.max(np.abs(to_dense(p) - dense_fused(g, alpha, l_cap)), initial=0) < 1e-15
+
+    @given(
+        g=component_graphs(),
+        alpha=st.sampled_from([1.5, 2.0, 5.0]),
+        l_cap=st.sampled_from([None, 1, 2, 3]),
+        fill_rows=st.sampled_from([1, 3, 256]),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_fill_is_the_entry_by_entry_rule_bit_for_bit(self, g, alpha, l_cap, fill_rows):
+        # a dense P fills the tiles on and right of its diagonal and mirrors
+        # them, a CSR P fills every entry; blocks of 1 or 3 rows end on empty
+        # rows and lone nodes in both carriers
+        d = shell_decompose(g, l_cap)
+        with mock.patch("shellprop.shells._FILL_ROWS", fill_rows):
+            p = fuse_shells(d, alpha).matrix
+        assert np.array_equal(to_dense(p), reference_fill(g, ppr_coefficients(alpha, d.l_max), l_cap))
+        if isinstance(p, DenseMatrix):
+            assert np.array_equal(p.values, p.values.T)
+
+    @given(g=component_graphs(), l_cap=st.sampled_from([None, 1, 2, 3]))
+    @settings(max_examples=60, deadline=None)
+    def test_fill_within_its_check(self, g, l_cap):
+        # fusing checks the figure the record's stream ends on, which counts
+        # the record, P and the fill's temporaries
+        d = shell_decompose(g, l_cap)
+        fuse_shells(d, 2.0)
+        p, needs = assert_peak_within_checks(("shells",), lambda: fuse_shells(d, 2.0).matrix)
+        pairs = sum(d.shell_sizes)
+        assert needs == [_csr_bytes(g.n, d.l_max, pairs) if sp.issparse(p) else _distance_bytes(g.n, d.l_max)]
 
     @given(g=component_graphs(), l_cap=st.sampled_from([None, 1, 2, 3]))
     @settings(max_examples=60, deadline=None)
