@@ -305,15 +305,16 @@ def _vetted(m: Matrix, k_max: int) -> tuple[sp.csr_array | np.ndarray, np.ndarra
     return a, _row_sums(a @ np.ones(m.shape[0]), 1)
 
 
-def _spectrum(a: sp.csr_array | np.ndarray, k_max: int) -> list[tuple]:
+def _spectrum(a: sp.csr_array | np.ndarray, k_max: int, beside: int = 0) -> list[tuple]:
     """The eigenpairs that depths 2..k_max read: a block (nodes, eigenvalues,
     V * V) per connected component of a's pattern, of its symmetric form
     S_C = V diag(lam) V^T, and one block of the lone nodes with V * V None.
     None is needed at k_max 1, so none is computed there.  The bytes the
     trajectory holds, with 16 a node for its id and eigenvalue and
-    ``_COMPONENT_BYTES`` a listed component, are checked first."""
+    ``_COMPONENT_BYTES`` a listed component, and ``beside`` bytes that the
+    caller holds for it, are checked first."""
     n = a.shape[0]
-    depths = 24 * (min(k_max, _DEPTH_BLOCK) + 1) * n
+    depths = 24 * (min(k_max, _DEPTH_BLOCK) + 1) * n + beside
     if k_max == 1:
         require_memory(depths, f"sas_trajectory holds one depth of a {n} x {n} matrix")
         return []
@@ -428,15 +429,21 @@ def _residual_trajectories(
     by the same a as M is of S, and that matrix has S's eigenvectors and the
     eigenvalues beta lam + 1 - beta.  So both trajectories read p's
     spectrum, and the residual's scores equal those of its own
-    decomposition to rounding.  Costs and checks are those of one
-    ``sas_trajectory``.
+    decomposition to rounding.  p's trajectory is read first; then each
+    eigenvalue array is shifted in place, so no second spectrum is held.
+    Costs and checks are those of one ``sas_trajectory`` and the residual
+    matrix, which is held beside p's spectrum and read by its products.
     """
     residual = residual_propagator(p, beta)
     r, r_sums = _vetted(residual.matrix, k_max)
     a, sums = _vetted(p.matrix, k_max)
-    spectra = _spectrum(a, k_max)
-    shifted = [(nodes, beta * lam + (1.0 - beta), squares) for nodes, lam, squares in spectra]
-    return _read(r, r_sums, shifted, k_max, None), _read(a, sums, spectra, k_max, None)
+    held = r.data.nbytes + r.indices.nbytes + r.indptr.nbytes if sp.issparse(r) else r.nbytes
+    spectra = _spectrum(a, k_max, held)
+    baseline = _read(a, sums, spectra, k_max, None)
+    for _, lam, _ in spectra:
+        lam *= beta
+        lam += 1.0 - beta
+    return _read(r, r_sums, spectra, k_max, None), baseline
 
 
 def aggregation_bounds_check(g: SparseGraph) -> AggregationBoundsVerdict:

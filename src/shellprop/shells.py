@@ -40,15 +40,28 @@ class ShellDecomposition:
     ``shells[l-1]`` is the binary read-only csr_array of ordered pairs at
     distance exactly l; the diagonal is empty in every shell.  For a
     connected graph the shell sizes sum to n*(n-1).  Trailing levels past
-    the largest realized distance are never materialized.  ``shells`` is a
-    view of one record of hop levels (``_DistanceShells``), or any sequence
-    of binary shells in a decomposition built by hand.
+    the largest realized distance are never materialized.  ``shells`` is
+    always a view of one record of hop levels (``_DistanceShells``): binary
+    csr shells given any other way, by hand or by ``dataclasses.replace``
+    with a slice of another decomposition's shells, go through
+    ``_level_record`` on construction as one block of all rows, each shell
+    one level, so that the record is checked as the stream's records are.
     """
 
     n: int
     shells: Sequence[sp.csr_array]
     l_max: int
     shell_sizes: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        if isinstance(self.shells, _DistanceShells):
+            return
+        n, rows = self.n, np.arange(self.n)
+        record = _level_record(n, (
+            ([(l, rows, np.diff(t.indptr))], l, np.repeat(rows * n, np.diff(t.indptr)) + t.indices)
+            for l, t in enumerate(self.shells, start=1)
+        ))
+        object.__setattr__(self, "shells", record.shells)
 
 
 @dataclass(frozen=True, eq=False)
@@ -119,8 +132,9 @@ class FusedPropagator:
 def cumulative_matrix(g: SparseGraph, l: int) -> sp.csr_array:
     """Binary reachability-within-l matrix: entry (i, j) iff dist(i, j) <= l.
 
-    The identity plus the union of the shells up to l.  The diagonal is
-    always present (dist(i, i) = 0), and l = 0 yields the identity.
+    The identity plus ``shell_union`` of the decomposition capped at l, read
+    off its record with no shell built.  The diagonal is always present
+    (dist(i, i) = 0), and l = 0 yields the identity.
     """
     if l < 0:
         raise InputError(f"hop count must be non-negative, got {l}")
@@ -170,21 +184,23 @@ def _level_record(n: int, parts: Iterable[tuple]) -> ShellDecomposition:
     sums over all blocks to the same row counts because distances are
     symmetric.
 
-    The record streams as CSR, led by each row's diagonal at level 0, and is
-    sorted stably by row and level at the end into rows that hold exactly a
-    CSR P's entries; a slab is kept whole until then.  The moment
-    ``stores_dense`` makes P dense, also before any pair, the pairs and
-    slabs kept so far move into an n x n distance matrix, uint8 until a
-    level passes 255, which takes every later part.  Before each part is
-    kept, ResourceError is raised when ``require_memory`` refuses the record
-    and the P it fills: while the stream is CSR, the smaller of the two
-    carriers' peaks (``_csr_bytes``, ``_distance_bytes``), a lower bound
-    whichever way the rule turns; from the move on, and before the matrix
-    is allocated, ``_distance_bytes``.  A stream that ends as CSR is checked
-    at ``_csr_bytes`` before its sort."""
+    The parts P has not placed yet are kept in one list, as they came.
+    While the stream is CSR every part is kept there; a stream that ends as
+    CSR turns each kept part, one at a time, into positions and level tags,
+    led by each row's diagonal at level 0, and sorts them stably by row and
+    level into rows that hold exactly a CSR P's entries.  The moment
+    ``stores_dense`` makes P dense, also before any pair, an n x n distance
+    matrix is made, uint8 until a level passes 255, and from then on one
+    loop writes the kept parts, and each later part as it comes, into it.
+    As each part comes, and before it is placed, ResourceError is raised
+    when ``require_memory`` refuses the record and the P it fills: while the
+    stream is CSR, the smaller of the two carriers' peaks (``_csr_bytes``,
+    ``_distance_bytes``), a lower bound whichever way the rule turns; from
+    the switch on, and before the matrix is allocated, ``_distance_bytes``.
+    A stream that ends as CSR is checked at ``_csr_bytes`` before its sort."""
     # each CSR row starts with its diagonal, at level 0, as P's rows do
     diagonal = ([], 0, np.arange(n) * (n + 1))
-    row_counts, cols, data, slabs, stored, distances = [], [], [], [], 0, None
+    row_counts, kept, stored, distances = [], [], 0, None
     for tally, at, pairs in chain([diagonal], parts):
         for level, nodes, counts in tally:
             if level > len(row_counts):
@@ -192,35 +208,34 @@ def _level_record(n: int, parts: Iterable[tuple]) -> ShellDecomposition:
             row_counts[level - 1][nodes] += counts
             stored += int(counts.sum())
         top, what = len(row_counts), f"the levels of {n} nodes and their P store {stored} pairs"
+        kept.append((at, pairs))
         if distances is None and not stores_dense((n, n), n + stored):
             require_memory(min(_csr_bytes(n, top, stored), _distance_bytes(n, top)), what)
-            if pairs.ndim == 2:
-                slabs.append((at, pairs))
-            else:
-                cols.append(pairs)
-                data.append(np.full(len(pairs), at, dtype=np.min_scalar_type(at)))
             continue
         require_memory(_distance_bytes(n, top), f"a dense P of {n} nodes and its distances at {top} levels")
-        if distances is None:  # P has turned dense: the kept pairs and slabs move into the matrix
+        if distances is None:
             distances = np.zeros((n, n), dtype=np.min_scalar_type(top))
-            for flat, tags in zip(cols, data):
-                distances.reshape(-1)[flat] = tags
-            for start, slab in slabs:
-                distances[start : start + len(slab)] = slab
-            cols = data = slabs = None
         distances = distances.astype(np.min_scalar_type(top), copy=False)
-        if pairs.ndim == 2:
-            distances[at : at + len(pairs)] = pairs
-        else:
-            distances.reshape(-1)[pairs] = at
+        for start, part in kept:  # a slab of rows, or a level's pairs by position
+            if part.ndim == 2:
+                distances[start : start + len(part)] = part
+            else:
+                distances.reshape(-1)[part] = start
+        kept.clear()
     if distances is None:  # P stays CSR: its record is sorted, and P filled, as CSR
         require_memory(_csr_bytes(n, top, stored), f"{what} as CSR")
-        while slabs:  # a slab's pairs by position; the sort puts each row's in level order
-            start, slab = slabs.pop()
-            flat = np.flatnonzero(slab)
-            data.append(slab.reshape(-1)[flat])
-            flat += start * n
+        cols, data = [], []
+        while kept:  # a slab is freed as its pairs are listed; the sort orders each row's levels
+            start, part = kept.pop()
+            if part.ndim == 2:
+                flat = np.flatnonzero(part)
+                data.append(part.reshape(-1)[flat])
+                flat += start * n
+            else:
+                flat = part
+                data.append(np.full(len(part), start, dtype=np.min_scalar_type(start)))
             cols.append(flat)
+        del part
         flat, tags = np.concatenate(cols), np.concatenate(data)
         del cols, data
         order = np.argsort(flat // n * (top + 1) + tags, kind="stable")
@@ -238,11 +253,11 @@ def _distance_bytes(n: int, levels: int) -> int:
     and b = min(256, n), n**2 bytes of uint8 distances, or (1 + w) n**2 once
     L passes 255, the uint8 matrix and its copy widened to w bytes a pair;
     8 n L of int64 row counts; 8 n**2 of P; 8 n (L + 3) for the fill's table
-    of r_l, its diagonal and node ids; and 24 b n for the fill, which holds
-    24 bytes an entry of one b x b tile: the tile, the intp index its
-    lookups read and one gathered float64 operand (``_entries``)."""
+    of r_l, its diagonal and node ids; and 24 b**2 for the fill, which holds
+    24 bytes an entry of one b x b tile at a time: the tile, the intp index
+    its lookups read and one gathered float64 operand (``_entries``)."""
     width = 1 if levels <= 255 else 1 + np.min_scalar_type(levels).itemsize
-    return width * n * n + 8 * n * n + 8 * n * (2 * levels + 3) + 24 * min(_FILL_ROWS, n) * n
+    return width * n * n + 8 * n * n + 8 * n * (2 * levels + 3) + 24 * min(_FILL_ROWS, n) ** 2
 
 
 def _csr_bytes(n: int, levels: int, pairs: int) -> int:
@@ -390,18 +405,11 @@ def _entries(
 
 
 def fuse_shells(decomposition: ShellDecomposition, alpha: float) -> FusedPropagator:
-    """The fused propagator of a decomposition; its That_l are not kept beside
-    P.  Shells held other than as a record, such as a slice or a hand-built
-    tuple, first go through ``_level_record`` as one block of all rows."""
+    """The fused propagator of a decomposition, filled on its record of hop
+    levels; its That_l are not kept beside P."""
     theta = ppr_coefficients(alpha, decomposition.l_max)
-    n, shells = decomposition.n, decomposition.shells
-    if not isinstance(shells, _DistanceShells):
-        rows = np.arange(n)
-        shells = _level_record(n, (
-            ([(l, rows, np.diff(t.indptr))], l, np.repeat(rows * n, np.diff(t.indptr)) + t.indices)
-            for l, t in enumerate(shells, start=1)
-        )).shells
-    return FusedPropagator(n, replace(shells, normalized=True), theta, float(alpha))
+    shells = replace(decomposition.shells, normalized=True)
+    return FusedPropagator(decomposition.n, shells, theta, float(alpha))
 
 
 def fused_propagate(p: FusedPropagator, z: np.ndarray) -> np.ndarray:
@@ -415,8 +423,13 @@ def shell_degree_profile(d: ShellDecomposition) -> list[float]:
 
 
 def shell_union(d: ShellDecomposition) -> sp.csr_array:
-    """Binary union of all shells: every reachable ordered pair, i != j."""
-    return from_array(sum(d.shells, sp.csr_array((d.n, d.n))))
+    """Binary union of all shells: every reachable ordered pair, i != j.
+
+    Read off the pattern of the record's levels (level > 0), so no shell is
+    built.  A CSR record is copied first, since scipy sorts the operand of
+    a comparison in place and the record is read-only."""
+    levels = d.shells.distances
+    return from_array(levels.copy() > 0 if sp.issparse(levels) else sp.csr_array(levels > 0))
 
 
 def shell_report(g: SparseGraph, l_cap: int | None = None) -> dict:

@@ -1,5 +1,4 @@
 import resource
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -222,7 +221,7 @@ class TestBfsWorkingSet:
         with pytest.raises(ResourceError, match=f"about 4736064 bytes, but {bound}"):
             distance_matrix(build_graph([(0, 999)], 1000))
 
-    def test_stream_peak_within_its_check(self, monkeypatch):
+    def test_stream_peak_within_its_check(self):
         # 500 disjoint edges: a block of 256 sources over 1000 nodes is
         # checked at 8 * 4 * (6 * 1000 + 1000) + 72 * 4 * 1000 = 512000
         # bytes before the first block, and again before it keeps its one
@@ -238,65 +237,42 @@ class TestBfsWorkingSet:
                 for level, flat in block.positions():
                     assert level == 1 and flat.size == block.sizes[0]
 
-        needs = []
-        monkeypatch.setattr("shellprop.graph.require_memory", lambda need, what: needs.append(need))
         for consumer in (drain, lambda: diameter(g), lambda: shell_report(g)):
-            needs.clear()
-            tracemalloc.start()
-            try:
-                before = tracemalloc.get_traced_memory()[0]
-                consumer()
-                peak = tracemalloc.get_traced_memory()[1] - before
-            finally:
-                tracemalloc.stop()
+            _, needs = assert_peak_within_checks(("graph",), consumer, slack=0)
             full, last = 48 * 256 + 512, 48 * 232 + 512
             assert needs == [512000, 512000 + full] + [512000 + 2 * full] * 2 + [512000 + full + last]
-            assert peak <= max(needs)
 
-    def test_distance_stream_counts_the_block_a_consumer_holds(self, monkeypatch):
+    def test_distance_stream_counts_the_block_a_consumer_holds(self):
         # 500 disjoint edges: the working set of 512000 bytes, the int32
         # block being filled, the mask of its reached pairs and the block the
         # consumer still holds, 9 * 256 * 1000; the kept level as above; and
         # before each block's distances, one plane of 8 * 4 * 1000 bytes and
         # the uint8 slab and shifted plane, 2 * b * 1000
         g = build_graph([(2 * i, 2 * i + 1) for i in range(500)], 1000)
-        needs, held = [], []
-        monkeypatch.setattr("shellprop.graph.require_memory", lambda need, what: needs.append(need))
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
+        held = []
+
+        def consume():
             for _, block in distance_blocks(g):
                 held[:] = [block]
-            peak = tracemalloc.get_traced_memory()[1] - before
-        finally:
-            tracemalloc.stop()
+
+        _, needs = assert_peak_within_checks(("graph",), consume)
         base, full, last = 512000 + 2304000, 48 * 256 + 512, 48 * 232 + 512
         assert needs == [base, base + full, base + full + 32000 + 512000] + [
             base + 2 * full, base + 2 * full + 32000 + 512000
         ] * 2 + [base + full + last, base + full + last + 32000 + 464000]
-        assert peak <= max(needs) + 16384
 
-    def test_distance_matrix_is_filled_within_its_check(self, monkeypatch):
+    def test_distance_matrix_is_filled_within_its_check(self):
         # the working set of 512000 bytes, the 4 * 1000**2 of the matrix and
         # one block's mask of reached pairs, with no block or concatenation
         # beside it; the kept level and the slab as above
         g = build_graph([(2 * i, 2 * i + 1) for i in range(500)], 1000)
         want = distance_matrix(g)
-        needs = []
-        monkeypatch.setattr("shellprop.graph.require_memory", lambda need, what: needs.append(need))
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            d = distance_matrix(g)
-            peak = tracemalloc.get_traced_memory()[1] - before
-        finally:
-            tracemalloc.stop()
+        d, needs = assert_peak_within_checks(("graph",), lambda: distance_matrix(g))
         assert np.array_equal(d, want) and d.dtype == np.int32
         base, full, last = 512000 + 4000000 + 256000, 48 * 256 + 512, 48 * 232 + 512
         assert needs == [base, base + full, base + full + 32000 + 512000] + [
             base + 2 * full, base + 2 * full + 32000 + 512000
         ] * 2 + [base + full + last, base + full + last + 32000 + 464000]
-        assert peak <= max(needs) + 16384
 
     @given(g=sparse_graphs(), cap=st.one_of(st.none(), st.integers(1, 5)))
     @settings(max_examples=40, deadline=None)

@@ -1,4 +1,3 @@
-import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -31,7 +30,6 @@ from shellprop import (
     sym_norm_propagator,
 )
 from shellprop.graph import as_array
-import shellprop.metrics as metrics_module
 from shellprop.metrics import _residual_trajectories
 
 from helpers import (
@@ -267,45 +265,28 @@ class TestSasTrajectory:
         with pytest.raises(ResourceError, match="16000408000512 bytes"):
             sas_trajectory(path, 2)
 
-    def test_path_of_a_million_nodes_at_depth_one_holds_no_block(self, monkeypatch):
+    def test_path_of_a_million_nodes_at_depth_one_holds_no_block(self):
         # depth 1 is diag(M) / M 1: the check counts the vectors of one
         # depth, 48 * 10**6 bytes, and nothing more is held
         ones = np.ones(10**6 - 1)
         path = sp.diags_array([ones, ones], offsets=[-1, 1], format="csr")
-        needs = []
-        monkeypatch.setattr("shellprop.metrics.require_memory", lambda need, what: needs.append(need))
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            report = sas_trajectory(path, 1)
-            peak = tracemalloc.get_traced_memory()[1] - before
-        finally:
-            tracemalloc.stop()
+        report, needs = assert_peak_within_checks(("metrics",), lambda: sas_trajectory(path, 1), slack=0)
         assert report.sas_trajectory == [(1, 0.0)]
         assert needs == [48 * 10**6]
-        assert peak <= needs[0]
 
     @pytest.mark.parametrize("k_max", [1, 2, 30])
     @pytest.mark.parametrize("make", [sym_norm_propagator, rw_norm_propagator])
-    def test_peak_stays_within_the_check(self, monkeypatch, make, k_max):
+    def test_peak_stays_within_the_check(self, make, k_max):
         # one 300-node component: its dense block, for rw turned into S in
         # place, V written over it and syevd's workspace beside it
         prop = make(random_connected_graph(3, 300, 4.0 / 300))
         sas_trajectory(prop, k_max)
-        needs = []
-        monkeypatch.setattr("shellprop.metrics.require_memory", lambda need, what: needs.append(need))
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            sas_trajectory(prop, k_max)
-            peak = tracemalloc.get_traced_memory()[1] - before
-        finally:
-            tracemalloc.stop()
-        assert len(needs) == 1 and peak <= needs[0]
+        _, needs = assert_peak_within_checks(("metrics",), lambda: sas_trajectory(prop, k_max), slack=0)
+        assert len(needs) == 1
 
     @pytest.mark.parametrize("k_max", [2, 30])
     @pytest.mark.parametrize("cliques, size", [(1, 120), (200, 40)], ids=["clique-120", "cliques-200x40"])
-    def test_csr_components_within_the_checks(self, monkeypatch, cliques, size, k_max):
+    def test_csr_components_within_the_checks(self, cliques, size, k_max):
         # raw adjacency of disjoint cliques held as CSR: csgraph's transpose
         # of it, 16 bytes an entry, and 40 bytes a node are checked before
         # the components are found, and no copy of it is made beside
@@ -314,18 +295,8 @@ class TestSasTrajectory:
             cliques * size,
         ))
         sas_trajectory(a, k_max)
-        needs = []
-        for module in ("graph", "metrics"):
-            monkeypatch.setattr(f"shellprop.{module}.require_memory", lambda need, what: needs.append(need))
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            sas_trajectory(a, k_max)
-            peak = tracemalloc.get_traced_memory()[1] - before
-        finally:
-            tracemalloc.stop()
+        _, needs = assert_peak_within_checks(("graph", "metrics"), lambda: sas_trajectory(a, k_max))
         assert 16 * a.nnz + 40 * a.shape[0] in needs
-        assert peak <= max(needs) + 16384
 
     @pytest.mark.parametrize("make", [sym_norm_propagator, rw_norm_propagator])
     def test_syevr_decomposes_where_only_it_fits(self, monkeypatch, make):
@@ -338,25 +309,15 @@ class TestSasTrajectory:
 
         prop = make(random_connected_graph(3, 400, 8.0 / 400))
         want = sas_trajectory(prop, 2).sas_trajectory
-        drivers, needs = [], []
+        drivers = []
         real_eigh = scipy.linalg.eigh
         monkeypatch.setattr(
             "scipy.linalg.eigh", lambda *args, **kw: drivers.append(kw["driver"]) or real_eigh(*args, **kw)
         )
-        real_require = metrics_module.require_memory
-        monkeypatch.setattr(
-            "shellprop.metrics.require_memory", lambda need, what: needs.append(need) or real_require(need, what)
-        )
         fake_physical_memory(monkeypatch, 855 * 4096)
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            got = sas_trajectory(prop, 2).sas_trajectory
-            peak = tracemalloc.get_traced_memory()[1] - before
-        finally:
-            tracemalloc.stop()
+        report, needs = assert_peak_within_checks(("metrics",), lambda: sas_trajectory(prop, 2), slack=0)
+        got = report.sas_trajectory
         assert drivers == ["evr"] and needs == [1315712 + 2048000]
-        assert peak <= needs[0]
         assert [k for k, _ in got] == [1, 2]
         assert max(abs(x - y) for (_, x), (_, y) in zip(got, want)) <= 1e-10
         fake_physical_memory(monkeypatch, 819 * 4096)
@@ -373,6 +334,19 @@ class TestSasTrajectory:
         report, needs = assert_peak_within_checks(("graph", "metrics"), lambda: sas_trajectory(prop, 2))
         assert [k for k, _ in report.sas_trajectory] == [1, 2]
         assert max(needs) == 8 * 4 * 5000 + 16 * 10000 + 512 * 5000 + 24 * 3 * 10000 + 20 * 256 * 2
+
+    def test_residual_of_many_components_within_the_checks(self):
+        # the residual's trajectory reads the baseline's spectrum, shifted in
+        # place, so no second spectrum is held; the check counts the
+        # residual matrix beside it: 20000 entries of 16 bytes and 10001 row
+        # pointers, 400008 bytes
+        prop = sym_norm_propagator(build_graph([(2 * i, 2 * i + 1) for i in range(5000)], 10000))
+        _residual_trajectories(prop, 0.5, 2)
+        (residual, baseline), needs = assert_peak_within_checks(
+            ("graph", "metrics"), lambda: _residual_trajectories(prop, 0.5, 2)
+        )
+        assert [k for k, _ in residual.sas_trajectory] == [k for k, _ in baseline.sas_trajectory] == [1, 2]
+        assert max(needs) == 8 * 4 * 5000 + 16 * 10000 + 512 * 5000 + 24 * 3 * 10000 + 20 * 256 * 2 + 400008
 
     def test_identity_of_a_million_nodes_runs(self):
         # 10**6 lone nodes hold no dense block, only the 48 MB of one depth

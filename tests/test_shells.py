@@ -36,7 +36,7 @@ from shellprop import (
 )
 
 from shellprop.graph import _bfs_blocks, stores_dense
-from shellprop.shells import _csr_bytes, _distance_bytes
+from shellprop.shells import _csr_bytes, _DistanceShells, _distance_bytes
 
 from helpers import (
     BIG,
@@ -589,13 +589,13 @@ class TestDistanceShells:
         assert d.shells.distances.dtype == np.uint8
         assert np.array_equal(fuse_shells(d, 2.0).matrix.values, dense_fused(g, 2.0, 88))
 
-    def test_replacing_the_shells_gives_a_tuple(self):
+    def test_replacing_the_shells_gives_a_record(self):
         g = random_connected_graph(5, 30, 0.15)
         d = shell_decompose(g)
         dropped = dataclasses.replace(
             d, shells=d.shells[:-1], l_max=d.l_max - 1, shell_sizes=d.shell_sizes[:-1]
         )
-        assert type(dropped.shells) is tuple and len(dropped.shells) == d.l_max - 1
+        assert isinstance(dropped.shells, _DistanceShells) and len(dropped.shells) == d.l_max - 1
         p = fuse_shells(dropped, 2.0).matrix
         assert np.array_equal(p.values, dense_fused(g, 2.0, l_cap=d.l_max - 1))
 
@@ -678,6 +678,73 @@ class TestDistanceShells:
         assert held <= 8 * p.nnz + 16384
 
 
+def assert_same_csr(got: sp.csr_array, want: sp.csr_array) -> None:
+    for mine, theirs in ((got.data, want.data), (got.indices, want.indices), (got.indptr, want.indptr)):
+        assert mine.dtype == theirs.dtype and np.array_equal(mine, theirs)
+
+
+def oracle_pattern(mask: np.ndarray) -> sp.csr_array:
+    """The canonical binary float64 CSR array, int64 indices, of ``mask``."""
+    rows, cols = np.nonzero(mask)
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=len(mask)))])
+    return sp.csr_array((np.ones(len(cols)), cols.astype(np.int64), indptr.astype(np.int64)), shape=mask.shape)
+
+
+class TestOneRecord:
+    """Every decomposition holds one record of hop levels, also one given
+    as shells, and the shells' union is read off that record's pattern."""
+
+    @given(
+        g=component_graphs(),
+        l_cap=st.sampled_from([None, 1, 2, 3]),
+        dense=st.booleans(),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_union_and_cumulative_are_the_oracles_and_build_no_shell(self, g, l_cap, dense):
+        # the record's carrier is forced either way, so both are read
+        reads, real = [], _DistanceShells.__getitem__
+        with mock.patch("shellprop.shells.stores_dense", lambda shape, nnz: dense), mock.patch.object(
+            _DistanceShells, "__getitem__", lambda shells, l: reads.append(l) or real(shells, l)
+        ):
+            d = shell_decompose(g, l_cap)
+            assert isinstance(d.shells.distances, np.ndarray if dense else sp.csr_array)
+            union, within = shell_union(d), cumulative_matrix(g, l_cap or g.n)
+        assert reads == []
+        dist = floyd_warshall(g)
+        reached = (dist < BIG) & (dist <= (l_cap or g.n))
+        assert_same_csr(union, oracle_pattern(reached & (dist > 0)))
+        assert_same_csr(within, oracle_pattern(reached))
+
+    @given(g=component_graphs(), l_cap=st.sampled_from([None, 1, 2, 3]))
+    @settings(max_examples=60, deadline=None)
+    def test_given_shells_are_recorded_once(self, g, l_cap):
+        d = shell_decompose(g, l_cap)
+        given = {"tuple": (tuple_backed(d), d)}
+        if d.l_max >= 2:
+            dropped = dataclasses.replace(
+                d, shells=d.shells[:-1], l_max=d.l_max - 1, shell_sizes=d.shell_sizes[:-1]
+            )
+            given["replace"] = dropped, shell_decompose(g, d.l_max - 1)
+        for name, (mine, want) in given.items():
+            assert isinstance(mine.shells, _DistanceShells), name
+            # one block of all rows, level by level, is the stream's record
+            if sp.issparse(want.shells.distances):
+                assert_same_csr(mine.shells.distances, want.shells.distances)
+            else:
+                got = mine.shells.distances
+                assert got.dtype == want.shells.distances.dtype and np.array_equal(got, want.shells.distances)
+            assert len(mine.shells) == len(want.shells)
+            for t, w in zip(mine.shells, want.shells):
+                assert_same_csr(t, w)
+
+    def test_one_empty_shell_is_recorded(self):
+        empty = sp.csr_array(([], ([], [])), shape=(5, 5))
+        d = ShellDecomposition(5, (empty,), 1, (0,))
+        assert isinstance(d.shells, _DistanceShells) and len(d.shells) == 1
+        assert d.shells[0].nnz == 0 and d.shells[0].shape == (5, 5)
+        assert np.array_equal(to_dense(fuse_shells(d, 2.0).matrix), np.eye(5) / 2)
+
+
 def oracle_record(g: SparseGraph, l_cap: int | None):
     """The record of hop levels by its rule, from Floyd-Warshall: an n x n
     distance matrix in the narrowest unsigned type of its levels when
@@ -732,9 +799,14 @@ class TestRecordByBlock:
         shells = tuple(
             adjacency_matrix(build_graph([(i, i + hop) for i in range(n - hop)], n)) for hop in (1, 2)
         )
-        d = ShellDecomposition(n, shells, 2, tuple(t.nnz for t in shells))
-        fuse_shells(d, 2.0)
-        p, needs = assert_peak_within_checks(("graph", "shells"), lambda: fuse_shells(d, 2.0).matrix)
+
+        def build():
+            # the record is made on construction
+            d = ShellDecomposition(n, shells, 2, tuple(t.nnz for t in shells))
+            return fuse_shells(d, 2.0).matrix
+
+        build()
+        p, needs = assert_peak_within_checks(("graph", "shells"), build)
         assert sp.issparse(p) and max(needs) == _csr_bytes(n, 2, 4 * n - 6)
         assert max(needs) < _distance_bytes(n, 2)
         want = fuse_shells(shell_decompose(path_graph(n), 2), 2.0).matrix
@@ -762,10 +834,10 @@ class TestDecomposeBytes:
         # 76544 pairs, past the 44550 at which P turns dense; 3 n**2 of
         # distances, uint8 and widened to uint16, 8 n**2 of P, 8 n (2 * 299
         # + 3) of row counts and the fill's r table, diagonal and node ids,
-        # and 24 * 256 * n of one fill block
-        (path_graph(300), 299, 270000 + 720000 + 1442400 + 1843200),
-        # n = 40: level 1 stores 1560 pairs and P turns dense; a fill block
-        # of 40 rows
+        # and 24 * 256**2 of one fill tile
+        (path_graph(300), 299, 270000 + 720000 + 1442400 + 1572864),
+        # n = 40: level 1 stores 1560 pairs and P turns dense; a fill tile
+        # of 40 x 40
         (complete_graph(40), 1, 1600 + 12800 + 1600 + 38400),
     ], ids=["path-300", "complete-40"])
     def test_dense_p_refused_where_it_turns_dense(self, monkeypatch, g, levels, need):
@@ -791,18 +863,19 @@ class TestDecomposeBytes:
 
     def test_dense_path_refused_where_the_distances_widen(self, monkeypatch):
         # four 128-node arms: sources 0-255 lie within 64 hops of node 0 and
-        # reach 192 levels, and their 131072 pairs make P dense in uint8;
-        # sources 256-511 reach 255 levels, and source 512, an arm's tip,
-        # reaches 256, which widens the distances to uint16: 3 n**2 of
+        # reach 192 levels, and their 131072 pairs make P dense in uint8,
+        # checked at 5529633 bytes; sources 256-511 take in three arm tips,
+        # which reach 256 levels and widen the distances to uint16: 3 n**2 of
         # distances, 8 n**2 of P, 8 n (2 * 256 + 3) of row counts and r table
-        # and 24 * 256 n of a fill block, 8160291 bytes; at 255 levels
-        # 7625745 fit in 1992 pages, as do the BFS blocks' checks
+        # and 24 * 256**2 of a fill tile, 6581283 bytes.  That block's own
+        # slab is checked at 6592000 before it, in graph, so the record's
+        # check is refused on its own
         g = spider_graph(128)
         d = shell_decompose(g)
         assert d.l_max == 256 and d.shells.distances.dtype == np.uint16
         assert np.array_equal(fuse_shells(d, 2.0).matrix.values, dense_fused(g, 2.0))
-        fake_physical_memory(monkeypatch, 1992 * 4096)
-        with pytest.raises(ResourceError, match="at 256 levels, about 8160291 bytes"):
+        monkeypatch.setattr("shellprop.shells.require_memory", refuse_above(6581282))
+        with pytest.raises(ResourceError, match="at 256 levels, about 6581283 bytes"):
             shell_decompose(g)
 
     def test_capped_shells_refused_mid_stream(self, monkeypatch):
@@ -835,10 +908,32 @@ class TestDecomposeBytes:
         assert isinstance(d.shells.distances, np.ndarray) and isinstance(p, DenseMatrix)
         assert max(needs) <= _distance_bytes(g.n, 6)
 
+    @pytest.mark.parametrize("g, apart", [
+        (random_graph(1, 1200, 6 / 1200), False),
+        (spider_graph(128), True),
+    ], ids=["random-1200", "spider-128"])
+    def test_dense_record_and_fill_within_one_tile(self, g, apart):
+        # the fill holds one 256 x 256 tile at a time, so the check counts
+        # 24 * 256**2 bytes of it, not 24 * 256 * n, and fusing stays within
+        # that figure alone.  Decomposing holds a BFS block beside the
+        # record, each checked on its own: on the spider, whose 256 levels
+        # need uint16, a block's slab and the record together pass either
+        # figure (7.23 MB against 6.59 and 6.58 MB), so there the bound is
+        # their sum
+        def run():
+            d = shell_decompose(g)
+            return d, fuse_shells(d, 2.0).matrix
+
+        run()
+        (d, p), needs = assert_peak_within_checks(("graph", "shells"), run, apart=apart)
+        assert isinstance(d.shells.distances, np.ndarray) and isinstance(p, DenseMatrix)
+        _, needs = assert_peak_within_checks(("shells",), lambda: fuse_shells(d, 2.0))
+        assert needs == [_distance_bytes(g.n, d.l_max)]
+
     def test_capped_p_staying_csr_is_checked_as_csr_before_its_sort(self, monkeypatch):
         # the same graph at cap 5 stores 1109350 pairs: P stays CSR, 1110850
         # entries against the 1124250 at which it turns dense, so every
-        # stream check asks the smaller _distance_bytes(1500, 5) = 29622000.
+        # stream check asks the smaller _distance_bytes(1500, 5) = 21978864.
         # Sorting the record holds 29 bytes an entry, and with 8 n (2 * 5 + 4)
         # of row counts, r table, node ids and row pointers that is 32382650
         g = random_graph(1, 1500, 4 / 1500)
@@ -850,7 +945,7 @@ class TestDecomposeBytes:
 
         (d, p), needs = assert_peak_within_checks(("graph", "shells"), run)
         assert sum(d.shell_sizes) == 1109350 and sp.issparse(p)
-        assert max(needs) == 32382650 > _distance_bytes(g.n, 5) == 29622000
+        assert max(needs) == 32382650 > _distance_bytes(g.n, 5) == 21978864
         monkeypatch.setattr("shellprop.shells.require_memory", refuse_above(31000000))
         with pytest.raises(ResourceError, match="store 1109350 pairs as CSR, about 32382650 bytes"):
             shell_decompose(g, 5)
@@ -874,9 +969,9 @@ class TestDecomposeBytes:
         # by level, 44528 pairs by level 78, whose check needs 41 * (300 + 44528) +
         # 8 * 300 * (2 * 88 + 4) = 2269948 bytes.  Level 79 brings 44572
         # pairs, P turns dense, and the distance matrix and the dense P need
-        # _distance_bytes(300, 88) = 3082800
+        # _distance_bytes(300, 88) = 2812464
         monkeypatch.setattr("shellprop.shells.require_memory", refuse_above(2500000))
-        with pytest.raises(ResourceError, match="dense P of 300 nodes .* at 88 levels, about 3082800 bytes"):
+        with pytest.raises(ResourceError, match="dense P of 300 nodes .* at 88 levels, about 2812464 bytes"):
             fuse_shells(shell_decompose(path_graph(300), 88), 2.0)
 
 
