@@ -22,11 +22,13 @@ its |val| rows with C columns, about 2 |train| n h + |val| n C
 multiply-adds in P, not two n x n products.  A score has no dropout, so it
 multiplies P's rows by z @ W2, n x C, instead of z, and its logits differ
 from (P @ z) @ W2 + b2 by rounding only; ``evaluate`` reads its mask's rows
-in blocks of at most 256.  ``forward`` alone reads all of P.  On a CSR P
-the row slice, and the column slice that carries the adjoint, give the
-full products' entries bit for bit; on a dense P they are smaller BLAS
-products, so the gradients, and with them the trained parameters, differ
-from a full-width product's in the last bits (about 1e-16).
+in blocks of at most 256.  ``forward`` alone reads all of P.  A CSR P is
+canonical, each row listing its columns in order, so its row slice, and
+that slice's transpose, which carries the adjoint, give the full
+products' entries bit for bit when the rows ascend; on a dense P they are
+smaller BLAS products, so the gradients, and with them the trained
+parameters, differ from a full-width product's in the last bits (about
+1e-16).
 """
 from __future__ import annotations
 
@@ -172,26 +174,21 @@ def _dropped(x: np.ndarray | sp.csr_array, rng, rate: float) -> np.ndarray | sp.
 @dataclass(frozen=True, eq=False)
 class _Rows:
     """The rows ``index`` of P that a forward pass reads: ``matrix`` is
-    P[index], and ``adjoint`` = P[index]^T carries a gradient on those rows
-    back to all n nodes.  For all of P, ``index`` is a full slice and both
-    are P itself, which is symmetric."""
+    P[index], whose transpose carries a gradient on those rows back to all
+    n nodes.  For all of P, ``index`` is a full slice and ``matrix`` P."""
 
     index: np.ndarray | slice
     matrix: np.ndarray | sp.csr_array
-    adjoint: np.ndarray | sp.csr_array
 
 
 def _rows_of(p: FusedPropagator, index: np.ndarray | None = None) -> _Rows:
-    """P's rows ``index``, or all of P when it is None.  A dense slice is a
-    copy whose transpose is a view; a CSR P gives its adjoint as the column
-    slice P[:, index], which keeps each row's summation order, so
-    P[:, index] @ d equals P @ d' bit for bit, d' being d on the rows
-    ``index`` and zero elsewhere."""
+    """P's rows ``index``, or all of P when it is None.  The transpose of
+    either slice is a view.  A CSR P is symmetric and lists each row's
+    columns in order, so for ascending ``index`` P[index]^T @ d sums each
+    row of P @ d' in its order and equals it bit for bit, d' being d on the
+    rows ``index`` and zero elsewhere."""
     m = as_array(p.matrix)
-    if index is None:
-        return _Rows(slice(None), m, m)
-    rows = m[index]
-    return _Rows(index, rows, m[:, index] if sp.issparse(m) else rows.T)
+    return _Rows(slice(None), m) if index is None else _Rows(index, m[index])
 
 
 def _row_blocks(p: FusedPropagator, index: np.ndarray) -> Iterator[np.ndarray | sp.csr_array]:
@@ -315,7 +312,7 @@ def _grads_from_cache(
     grad_b2 = g.sum(axis=0)
     ds_in = g @ params.w2.T
     ds = ds_in * cache["mask2"] if cache["mask2"] is not None else ds_in
-    dz = spmm(rows.adjoint, ds)
+    dz = spmm(rows.matrix.T, ds)
     da1 = dz * (cache["a1"] > 0.0)
     grad_w1 = cache["x_in"].T @ da1 + weight_decay * params.w1
     grad_b1 = da1.sum(axis=0)

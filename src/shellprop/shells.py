@@ -10,8 +10,8 @@ P's carrier and with P's structure; P is filled as values on it, and a
 shell is built from it only when read.  The record reads the BFS one block
 of sources at a time: a block whose own pairs make its rows dense by P's
 byte rule as one slab of levels, any other level by level.  Shells,
-normalized shells and a sparse P are read-only scipy ``csr_array``s with
-int64 indices.
+normalized shells, a CSR record and a sparse P are read-only canonical
+scipy ``csr_array``s with int64 indices, each row's columns in order.
 """
 from __future__ import annotations
 
@@ -71,9 +71,9 @@ class _DistanceShells(Sequence):
 
     ``distances`` holds each reachable pair's level, in the narrowest
     unsigned type that holds them, in P's carrier and with P's entries: an
-    n x n array, 0 for i = j and for an unreachable pair, or a csr_array
-    with int64 indices whose row i starts with (i, i) at level 0, then
-    lists its pairs level by level, each level by column.
+    n x n array, 0 for i = j and for an unreachable pair, or a canonical
+    csr_array with int64 indices, row i listing its pairs and (i, i), at
+    level 0, by column.
     ``row_counts[l-1]`` is each row's entry count in T_l.  All are read-only.
     """
 
@@ -132,14 +132,13 @@ class FusedPropagator:
 def cumulative_matrix(g: SparseGraph, l: int) -> sp.csr_array:
     """Binary reachability-within-l matrix: entry (i, j) iff dist(i, j) <= l.
 
-    The identity plus ``shell_union`` of the decomposition capped at l, read
-    off its record with no shell built.  The diagonal is always present
-    (dist(i, i) = 0), and l = 0 yields the identity.
+    The pattern of the decomposition capped at l with its diagonal, read off
+    its record with no shell built (``_pattern``).  The diagonal is always
+    present (dist(i, i) = 0), and l = 0 yields the identity.
     """
     if l < 0:
         raise InputError(f"hop count must be non-negative, got {l}")
-    union = shell_union(shell_decompose(g, l)) if l else sp.csr_array((g.n, g.n))
-    return from_array(sp.eye_array(g.n) + union)
+    return _pattern(shell_decompose(g, l) if l else ShellDecomposition(g.n, (), 0, ()), diagonal=True)
 
 
 def _check_cap(l_cap: int | None) -> None:
@@ -187,8 +186,8 @@ def _level_record(n: int, parts: Iterable[tuple]) -> ShellDecomposition:
     The parts P has not placed yet are kept in one list, as they came.
     While the stream is CSR every part is kept there; a stream that ends as
     CSR turns each kept part, one at a time, into positions and level tags,
-    led by each row's diagonal at level 0, and sorts them stably by row and
-    level into rows that hold exactly a CSR P's entries.  The moment
+    with each row's diagonal at level 0, and sorts them by position into
+    canonical rows that hold exactly a CSR P's entries.  The moment
     ``stores_dense`` makes P dense, also before any pair, an n x n distance
     matrix is made, uint8 until a level passes 255, and from then on one
     loop writes the kept parts, and each later part as it comes, into it.
@@ -198,7 +197,7 @@ def _level_record(n: int, parts: Iterable[tuple]) -> ShellDecomposition:
     ``_distance_bytes``), a lower bound whichever way the rule turns; from
     the switch on, and before the matrix is allocated, ``_distance_bytes``.
     A stream that ends as CSR is checked at ``_csr_bytes`` before its sort."""
-    # each CSR row starts with its diagonal, at level 0, as P's rows do
+    # each CSR row holds its diagonal, at level 0, as P's rows do
     diagonal = ([], 0, np.arange(n) * (n + 1))
     row_counts, kept, stored, distances = [], [], 0, None
     for tally, at, pairs in chain([diagonal], parts):
@@ -225,7 +224,7 @@ def _level_record(n: int, parts: Iterable[tuple]) -> ShellDecomposition:
     if distances is None:  # P stays CSR: its record is sorted, and P filled, as CSR
         require_memory(_csr_bytes(n, top, stored), f"{what} as CSR")
         cols, data = [], []
-        while kept:  # a slab is freed as its pairs are listed; the sort orders each row's levels
+        while kept:  # a slab is freed as its pairs are listed; the sort orders each row's columns
             start, part = kept.pop()
             if part.ndim == 2:
                 flat = np.flatnonzero(part)
@@ -238,10 +237,11 @@ def _level_record(n: int, parts: Iterable[tuple]) -> ShellDecomposition:
         del part
         flat, tags = np.concatenate(cols), np.concatenate(data)
         del cols, data
-        order = np.argsort(flat // n * (top + 1) + tags, kind="stable")
+        order = np.argsort(flat, kind="stable")  # unique keys; timsort merges the stream's ascending runs
+        flat = flat[order]
         flat %= n
         offsets = np.concatenate([[0], np.cumsum(sum(row_counts, np.ones(n, dtype=np.int64)))])
-        distances = frozen_csr(tags[order], flat[order], offsets)
+        distances = frozen_csr(tags[order], flat, offsets)
         del flat, tags, order
     sizes = tuple(int(k.sum()) for k in row_counts)
     return ShellDecomposition(n, _DistanceShells(distances, tuple(row_counts)), len(sizes), sizes)
@@ -262,16 +262,17 @@ def _distance_bytes(n: int, levels: int) -> int:
 
 def _csr_bytes(n: int, levels: int, pairs: int) -> int:
     """Bytes that a CSR record of ``pairs`` pairs and the n diagonal entries
-    its rows start with, e = n + pairs entries with w-byte levels, and the
-    CSR P filled from it hold at the peak of the sort that makes the record
-    or of the fill, whichever is larger.  The sort holds 28 + w bytes an
-    entry: the stream's int64 column and level, the int64 row keys, their
-    int64 order and at most 4 of sort buffer.  The fill holds the record's
-    8 + w and P's 8 bytes an entry, and 24 an entry of one block of
-    b = min(256, n) rows: its int64 row ids, the intp index its lookups
-    read and one gathered float64 operand (``_entries``).  With L =
-    ``levels``, 8 n (2 L + 4) more hold the row counts, r, the diagonal,
-    the node ids and the row pointers."""
+    among its rows, e = n + pairs entries with w-byte levels, and the CSR P
+    filled from it hold at the peak of the sort that makes the record or of
+    the fill, whichever is larger.  The sort holds at most 24 + w bytes an
+    entry, and 28 + w are counted: the stream's int64 position and level,
+    their int64 order, and 4 of sort buffer or, once that is freed, 8 of
+    the positions in order.  The fill holds the record's 8 + w and P's 8
+    bytes an entry, and 24 an entry of one block of b = min(256, n) rows:
+    its int64 row ids, the intp index its lookups read and one gathered
+    float64 operand (``_entries``).  With L = ``levels``, 8 n (2 L + 4) more
+    hold the row counts, r, the diagonal, the node ids and the row
+    pointers."""
     entries, width = n + pairs, np.min_scalar_type(levels).itemsize
     fill = (16 + width) * entries + 24 * min(entries, _FILL_ROWS * n)
     return max((28 + width) * entries, fill) + 8 * n * (2 * levels + 4)
@@ -321,17 +322,18 @@ def _fuse(theta: np.ndarray, shells: _DistanceShells) -> Matrix:
     and the diagonal sums theta_l * (r_l * r_l) over l = 1..l_max in order,
     also past a node's own eccentricity.  ``_entries`` computes the
     off-diagonal rule, with weight 0 at level 0: over blocks of
-    ``_FILL_ROWS`` rows of a CSR record, and over the tiles of
-    ``_FILL_ROWS`` rows and columns on and right of a dense record's
-    diagonal, each tile also written, transposed, over its mirror.  The
-    distances are symmetric and fl(a * b) = fl(b * a), so the mirror holds
-    the bits its own entries would.  The diagonal is then written over each
-    row's level-0 entry; both carriers do these operations in this order, as
-    ``normalize_shell`` does, so both hold the same bits.  A CSR P shares
-    the record's read-only indices and row pointers, whose rows start with
-    their diagonal.  ResourceError is raised first when ``require_memory``
-    refuses the record, P and the fill's temporaries, at the figure the
-    record's own stream ends on (``_csr_bytes`` or ``_distance_bytes``).
+    ``_FILL_ROWS`` rows of a CSR record, each block's diagonal then written
+    over its rows' level-0 entries, and over the tiles of ``_FILL_ROWS``
+    rows and columns on and right of a dense record's diagonal, each tile
+    also written, transposed, over its mirror, and the diagonal written
+    last.  The distances are symmetric and fl(a * b) = fl(b * a), so the
+    mirror holds the bits its own entries would; both carriers do these
+    operations in this order, as ``normalize_shell`` does, so both hold the
+    same bits.  A CSR P shares the record's read-only indices and row
+    pointers, so it is canonical too.  ResourceError is raised first when
+    ``require_memory`` refuses the record, P and the fill's temporaries, at
+    the figure the record's own stream ends on (``_csr_bytes`` or
+    ``_distance_bytes``).
     """
     d = shells.distances
     n, csr = d.shape[0], sp.issparse(d)
@@ -350,6 +352,7 @@ def _fuse(theta: np.ndarray, shells: _DistanceShells) -> Matrix:
             ptr = d.indptr[start : start + _FILL_ROWS + 1]
             at = slice(ptr[0], ptr[-1])
             _entries(d.data[at], np.repeat(ids[rows], np.diff(ptr)), d.indices[at], r, weight, p[at])
+            p[at][d.data[at] == 0] = diag[rows]
             continue
         for corner in range(start, n, _FILL_ROWS):
             cols = slice(corner, corner + _FILL_ROWS)
@@ -358,7 +361,6 @@ def _fuse(theta: np.ndarray, shells: _DistanceShells) -> Matrix:
             p[rows, cols] = tile
             p[cols, rows] = tile.T
     if csr:
-        p[d.indptr[:-1]] = diag
         return frozen_csr(p, d.indices, d.indptr)
     np.fill_diagonal(p, diag)
     return DenseMatrix(p)
@@ -426,10 +428,34 @@ def shell_union(d: ShellDecomposition) -> sp.csr_array:
     """Binary union of all shells: every reachable ordered pair, i != j.
 
     Read off the pattern of the record's levels (level > 0), so no shell is
-    built.  A CSR record is copied first, since scipy sorts the operand of
-    a comparison in place and the record is read-only."""
-    levels = d.shells.distances
-    return from_array(levels.copy() > 0 if sp.issparse(levels) else sp.csr_array(levels > 0))
+    built (``_pattern``)."""
+    return _pattern(d, diagonal=False)
+
+
+def _pattern(d: ShellDecomposition, diagonal: bool) -> sp.csr_array:
+    """The binary canonical csr_array of the record's pairs, and of each
+    (i, i) too when ``diagonal``, read once off its levels.
+
+    A CSR record's entries are its pairs and each row's diagonal, so with
+    ``diagonal`` the pattern shares the record's column indices; otherwise
+    the columns are read through a 1-byte mask of the record's entries, or
+    of a dense record's cells.  ResourceError is raised first when
+    ``require_memory`` refuses the record, its row counts, that mask and 16
+    bytes for each entry of the pattern, its int64 column and float64 one."""
+    levels, n = d.shells.distances, d.n
+    nnz, csr = sum(d.shell_sizes) + n * diagonal, sp.issparse(levels)
+    cells = levels.nnz if csr else n * n
+    need = (levels.dtype.itemsize + 1 + 8 * csr) * cells + 16 * nnz + 8 * n * (len(d.shells) + 3) + 16
+    require_memory(need, f"the pattern of {nnz} pairs of {n} nodes")
+    if csr:
+        cols = levels.indices if diagonal else levels.indices[levels.data > 0]
+    else:
+        mask = levels > 0
+        np.fill_diagonal(mask, diagonal)  # a dense record's diagonal is at level 0
+        cols = np.flatnonzero(mask)
+        cols %= n
+    counts = sum(d.shells.row_counts, np.full(n, int(diagonal)))
+    return frozen_csr(np.ones(nnz), cols, np.concatenate([[0], np.cumsum(counts)]))
 
 
 def shell_report(g: SparseGraph, l_cap: int | None = None) -> dict:

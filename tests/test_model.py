@@ -649,7 +649,7 @@ class TestRowRestriction:
         padded = np.zeros((ds.n, 5))
         padded[rows] = d
         assert np.array_equal(sliced.matrix @ z, (p @ z)[rows])
-        assert np.array_equal(sliced.adjoint @ d, p @ padded)
+        assert np.array_equal(sliced.matrix.T @ d, p @ padded)
 
     @pytest.mark.parametrize("dense", [True, False], ids=["dense", "csr"])
     def test_forward_through_all_of_p_is_the_full_product(self, dense):

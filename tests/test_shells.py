@@ -41,6 +41,7 @@ from shellprop.shells import _csr_bytes, _DistanceShells, _distance_bytes
 from helpers import (
     BIG,
     assert_peak_within_checks,
+    bag_of_words,
     complete_graph,
     dense_adjacency,
     dense_fused,
@@ -96,6 +97,26 @@ class TestCumulativeMatrix:
             want = (running > 0).astype(float)
             np.fill_diagonal(want, 0)
             assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("build, need", [
+        # a star of 501 nodes at 2 hops, the largest check: a dense uint8
+        # record and a bool mask of its cells, 2 bytes a cell; 16 bytes for
+        # each of the e pairs and diagonal entries; 8 n (2 + 3) of row
+        # counts, each row's count and the row pointers
+        (lambda: cumulative_matrix(star_graph(500), 2), lambda e: 2 * 501**2 + 16 * e + 8 * 501 * 5 + 16),
+        # a 600-node tree at 3 hops: a CSR record of e + 600 entries, uint8
+        # levels, int64 columns and a bool mask, 10 bytes an entry; 16 bytes
+        # for each of the e pairs; 8 n (3 + 3)
+        (
+            lambda: shell_union(shell_decompose(random_tree(7, 600), 3)),
+            lambda e: 10 * (e + 600) + 16 * e + 8 * 600 * 6 + 16,
+        ),
+    ], ids=["dense-record", "csr-record"])
+    def test_pattern_is_read_once_within_its_check(self, build, need):
+        # the pattern is checked last, beside its record, before it is made
+        build()
+        pattern, needs = assert_peak_within_checks(("graph", "shells"), build)
+        assert needs[-1] == need(pattern.nnz)
 
 
 class TestShellDecompose:
@@ -405,31 +426,60 @@ class TestOperatorBackend:
         assert not scaled.values.flags.writeable
 
 
+def built_csr() -> dict[str, sp.csr_array]:
+    """Each csr_array the library builds, by name, on a 30-node path: its
+    full-diameter record is dense and its record at 3 hops CSR."""
+    g = path_graph(30)
+    d, capped = shell_decompose(g), shell_decompose(g, 3)
+    sym = sym_norm_propagator(g)
+    return {
+        "binary shell": d.shells[1],
+        "adjacency_matrix": adjacency_matrix(g),
+        "normalize_shell": normalize_shell(d.shells[1]),
+        "sym": sym.matrix,
+        "rw": rw_norm_propagator(g).matrix,
+        "residual": residual_propagator(sym, 0.5).matrix,
+        "capped record": capped.shells.distances,
+        "capped fused": fuse_shells(capped, 2.0).matrix,
+        "shell_union": shell_union(d),
+        "capped shell_union": shell_union(capped),
+        "cumulative_matrix": cumulative_matrix(g, 2),
+        "feature_matrix": bag_of_words(1).feature_matrix,
+    }
+
+
+def columns_ascend(m: sp.csr_array) -> bool:
+    """Whether each row of ``m`` lists its columns in strictly increasing
+    order, read off its buffers as stored."""
+    rows = np.repeat(np.arange(m.shape[0]), np.diff(m.indptr))
+    return bool(np.all((np.diff(rows) > 0) | (np.diff(m.indices) > 0)))
+
+
 class TestReadOnlyCsr:
-    """Every sparse builder returns a csr_array with int64, read-only buffers."""
+    """Every sparse builder returns a canonical csr_array with int64,
+    read-only buffers."""
 
     def test_every_sparse_builder(self):
-        g = path_graph(30)
-        d = shell_decompose(g)
-        sym = sym_norm_propagator(g)
-        built = {
-            "binary shell": d.shells[1],
-            "adjacency_matrix": adjacency_matrix(g),
-            "normalize_shell": normalize_shell(d.shells[1]),
-            "sym": sym.matrix,
-            "rw": rw_norm_propagator(g).matrix,
-            "residual": residual_propagator(sym, 0.5).matrix,
-            "capped fused": fuse_shells(shell_decompose(g, 3), 2.0).matrix,
-            "shell_union": shell_union(d),
-            "cumulative_matrix": cumulative_matrix(g, 2),
-        }
-        for name, m in built.items():
+        for name, m in built_csr().items():
             assert type(m) is sp.csr_array, name
             assert m.indices.dtype == np.int64 and m.indptr.dtype == np.int64, name
             for buffer in (m.data, m.indices, m.indptr):
                 assert not buffer.flags.writeable, name
                 with pytest.raises(ValueError):
                     buffer[0] = buffer[0]
+
+    def test_every_csr_lists_each_rows_columns_in_order(self):
+        for name, m in built_csr().items():
+            assert columns_ascend(m), name
+
+    def test_the_read_only_record_compares_in_place(self):
+        # scipy sorts a comparison's operand first unless its rows are
+        # canonical, which a read-only record could not allow
+        record = shell_decompose(random_tree(7, 600), 3).shells.distances
+        assert isinstance(record, sp.csr_array)
+        reached = record > 0
+        assert np.array_equal(reached.toarray(), record.toarray() > 0)
+        assert reached.nnz == record.nnz - 600
 
 
 class TestShellSummaries:
@@ -656,10 +706,12 @@ class TestDistanceShells:
         assert isinstance(record, sp.csr_array) and isinstance(p, sp.csr_array)
         assert np.shares_memory(p.indices, record.indices)
         assert np.shares_memory(p.indptr, record.indptr)
-        # every record row starts with its diagonal, at level 0, as P's does
-        starts = record.indptr[:-1]
-        assert np.array_equal(record.indices[starts], np.arange(g.n))
-        assert np.flatnonzero(record.data == 0).tolist() == starts.tolist()
+        # every record row lists its columns in order, its diagonal among
+        # them at level 0, as P's does
+        assert columns_ascend(record)
+        rows = np.repeat(np.arange(g.n), np.diff(record.indptr))
+        assert np.array_equal(record.indices[record.data == 0], np.arange(g.n))
+        assert np.array_equal(rows[record.data == 0], np.arange(g.n))
 
     def test_capped_propagator_holds_only_values_beyond_its_record(self):
         # P's columns and row pointers are the record's, so fusing adds 8
@@ -748,9 +800,8 @@ class TestOneRecord:
 def oracle_record(g: SparseGraph, l_cap: int | None):
     """The record of hop levels by its rule, from Floyd-Warshall: an n x n
     distance matrix in the narrowest unsigned type of its levels when
-    ``stores_dense`` makes P dense, else CSR rows that start with their
-    diagonal at level 0 and list their pairs by level, then column; and
-    each level's row counts."""
+    ``stores_dense`` makes P dense, else canonical CSR rows of its pairs and
+    each row's diagonal, at level 0; and each level's row counts."""
     d = floyd_warshall(g)
     d[(d >= BIG) | (d > (l_cap or g.n))] = 0
     top = int(d.max())
@@ -758,10 +809,9 @@ def oracle_record(g: SparseGraph, l_cap: int | None):
     levels = d.astype(np.min_scalar_type(top))
     if stores_dense((g.n, g.n), g.n + int(np.count_nonzero(d))):
         return levels, counts
-    rows = [[i] + sorted(np.flatnonzero(d[i]), key=lambda j: (d[i, j], j)) for i in range(g.n)]
-    cols = np.concatenate(rows)
-    offsets = np.concatenate([[0], np.cumsum([len(r) for r in rows])])
-    return sp.csr_array((levels[np.repeat(np.arange(g.n), np.diff(offsets)), cols], cols, offsets)), counts
+    rows, cols = np.nonzero((d > 0) | np.eye(g.n, dtype=bool))
+    offsets = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=g.n))])
+    return sp.csr_array((levels[rows, cols], cols, offsets)), counts
 
 
 class TestRecordByBlock:
