@@ -25,7 +25,7 @@ from pathlib import Path
 import click
 
 from . import __version__
-from .data import load_dataset, load_graph, make_split
+from .data import Dataset, load_dataset, load_graph, make_split
 from .errors import ConfigError, InputError, ShellPropError
 from .graph import SparseGraph, build_graph, read_edge_list
 from .metrics import (
@@ -37,7 +37,7 @@ from .metrics import (
     sym_norm_propagator,
 )
 from .model import TrainConfig, evaluate, save_checkpoint, train
-from .shells import fuse_shells, shell_decompose, shell_report
+from .shells import ShellDecomposition, fuse_shells, shell_decompose, shell_report
 
 _KIND_FLAGS = ("sym", "rw", "residual", "fused")
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -121,17 +121,23 @@ def _load_graph(data_path: Path) -> SparseGraph:
     return build_graph(edges, n)
 
 
-def _fit(data: Path, config: TrainConfig, split_seed: int):
-    """Load, split, decompose, fuse, train and test one configuration.
-
-    Returns the trained parameters, the history, and the test accuracy and
-    macro-F1.  A dataset without ``split.json`` is split from ``split_seed``.
-    """
+def _split_dataset(data: Path, split_seed: int) -> Dataset:
+    """The dataset in ``data``; one without ``split.json`` is split from
+    ``split_seed``."""
     dataset = load_dataset(data)
     if dataset.split is None:
         split = make_split(dataset.labels, per_class=20, val=500, test=1000, seed=split_seed)
         dataset = replace(dataset, split=split)
-    propagator = fuse_shells(shell_decompose(dataset.graph, config.l_cap), config.alpha)
+    return dataset
+
+
+def _fit(dataset: Dataset, decomposition: ShellDecomposition, config: TrainConfig):
+    """Fuse, train and test one configuration on its cap's decomposition.
+
+    Returns the trained parameters, the history, and the test accuracy and
+    macro-F1.
+    """
+    propagator = fuse_shells(decomposition, config.alpha)
     params, history = train(dataset, config, propagator=propagator)
     test_acc, macro_f1 = evaluate(params, dataset, propagator, dataset.split.test)
     return params, history, test_acc, macro_f1
@@ -177,7 +183,8 @@ def cmd_train(data, out, **options):
     """Train the classifier; writes checkpoint, history CSV, and metrics JSON."""
     started = time.perf_counter()
     config = TrainConfig(**options)
-    params, history, test_acc, macro_f1 = _fit(data, config, config.seed)
+    dataset = _split_dataset(data, config.seed)
+    params, history, test_acc, macro_f1 = _fit(dataset, shell_decompose(dataset.graph, config.l_cap), config)
 
     out.mkdir(parents=True, exist_ok=True)
     checkpoint = out / "checkpoint.bin"
@@ -255,8 +262,19 @@ def _sweep_seed(base_seed: int, layers: int, alpha: float) -> int:
     return int.from_bytes(digest[:4], "little")
 
 
-def _sweep_one(data: Path, config: TrainConfig, split_seed: int) -> float:
-    return _fit(data, config, split_seed)[2]
+#: The dataset and each cap's decomposition that a sweep's combinations
+#: share, set once in each process that runs them by ``_sweep_init``.
+_sweep_inputs: tuple[Dataset, dict[int, ShellDecomposition]] | None = None
+
+
+def _sweep_init(dataset: Dataset, decompositions: dict[int, ShellDecomposition]) -> None:
+    global _sweep_inputs
+    _sweep_inputs = (dataset, decompositions)
+
+
+def _sweep_one(config: TrainConfig) -> float:
+    dataset, decompositions = _sweep_inputs
+    return _fit(dataset, decompositions[config.l_cap], config)[2]
 
 
 def _parse_number_list(text: str, cast, flag: str):
@@ -291,12 +309,16 @@ def cmd_sweep(data, layers, alphas, out, **options):
     except ValueError as err:
         raise ConfigError(f"SHELLPROP_THREADS must be an integer: {err}") from None
     workers = min(threads, len(configs), os.cpu_count() or 1)
-    fit = functools.partial(_sweep_one, data, split_seed=base.seed)
+    # loaded once and decomposed once per cap, so a data error stops the
+    # sweep before any worker starts
+    dataset = _split_dataset(data, base.seed)
+    shared = (dataset, {l: shell_decompose(dataset.graph, l) for l in sorted(set(layer_values))})
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            accuracies = list(pool.map(fit, configs))
+        with ProcessPoolExecutor(max_workers=workers, initializer=_sweep_init, initargs=shared) as pool:
+            accuracies = list(pool.map(_sweep_one, configs))
     else:
-        accuracies = list(map(fit, configs))
+        _sweep_init(*shared)
+        accuracies = list(map(_sweep_one, configs))
     out.mkdir(parents=True, exist_ok=True)
     csv_path = out / "sweep.csv"
     rows = ["layers,alpha,accuracy"]

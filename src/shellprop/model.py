@@ -15,20 +15,31 @@ dropout draws one uniform per stored entry of X, so a CSR X keeps its
 pattern and a dense X draws all n * d values in C order.
 
 A loss reads only its masked rows of P @ z and a score only its scored
-rows, so only those rows of P are multiplied: an epoch of ``train`` costs
-two products of P's |train| rows with h columns (the forward pass and its
-adjoint, where the second dropout mask sits between P and W2) and one of
-its |val| rows with C columns, about 2 |train| n h + |val| n C
-multiply-adds in P, not two n x n products.  A score has no dropout, so it
+rows, so only those rows of P are multiplied.  On a CSR P, ``train`` also
+narrows each slice to its support S, the ascending columns its rows store,
+and runs the first stage (input dropout, X @ W1, ReLU and the gradient
+X^T @ da1) on S only: an epoch costs two products of P's |train| rows with
+|S_T| h (the forward pass and its adjoint, where the second dropout mask
+sits between P and W2) and one of its |val| rows with |S_V| C, about
+2 |train| |S_T| h + |val| |S_V| C multiply-adds in P, plus a first stage
+over |S_T| and |S_V| nodes.  A dense P is not narrowed (its rows are
+dense), so there S is all n nodes.  Both dropout masks are still drawn over
+all of X and all n x h hidden units, and only the support's draws are kept,
+so the random stream does not depend on S.  A score has no dropout, so it
 multiplies P's rows by z @ W2, n x C, instead of z, and its logits differ
 from (P @ z) @ W2 + b2 by rounding only; ``evaluate`` reads its mask's rows
-in blocks of at most 256.  ``forward`` alone reads all of P.  A CSR P is
-canonical, each row listing its columns in order, so its row slice, and
-that slice's transpose, which carries the adjoint, give the full
-products' entries bit for bit when the rows ascend; on a dense P they are
-smaller BLAS products, so the gradients, and with them the trained
-parameters, differ from a full-width product's in the last bits (about
-1e-16).
+in blocks of at most 256, over all n nodes.  ``forward`` alone reads all of
+P.  A CSR P is canonical, each row listing its columns in order, so its
+narrowed row slice, and that slice's transpose, which carries the adjoint,
+give the full products' entries bit for bit when the rows ascend, and the
+gradient the adjoint drops off S is exactly 0.  With a CSR X, X[S] @ W1
+and X[S]^T @ da1 form each row and each sum as on all of X, so narrowing
+keeps every trained bit; the validation scores z[S] @ W2 are a shorter
+BLAS call, read only through an argmax.  On a dense P, and in
+X[S]^T @ da1 for a dense X, the products are smaller BLAS calls, so the
+gradients, and with them the trained parameters, differ from a full-width
+product's in the last bits (at most 3e-15 after 60 epochs on the
+benchmark graph with a dense X).
 """
 from __future__ import annotations
 
@@ -161,34 +172,77 @@ def _features(x: np.ndarray | Matrix, params: ModelParams) -> np.ndarray | sp.cs
     return x
 
 
-def _dropped(x: np.ndarray | sp.csr_array, rng, rate: float) -> np.ndarray | sp.csr_array:
-    """x after inverted dropout of its stored entries: one uniform per entry
-    of a CSR x's ``data``, in place in its pattern, or per entry of a dense x
-    in C order."""
-    if sp.issparse(x):
-        kept = x.data * _dropout_mask(rng.random(x.data.shape), rate)
-        return sp.csr_array((kept, x.indices, x.indptr), shape=x.shape)
-    return x * _dropout_mask(rng.random(x.shape), rate)
+@dataclass(frozen=True, eq=False)
+class _Inputs:
+    """The first stage's input on the nodes ``support`` of an n-node X:
+    ``matrix`` is X[support], and ``draws`` picks, from one uniform per
+    stored entry of all of X (``shape``), those that fall on ``matrix``'s
+    entries, in their order."""
+
+    matrix: np.ndarray | sp.csr_array
+    shape: tuple[int, ...]
+    draws: np.ndarray | slice
+    n: int
+
+
+def _inputs(
+    x: np.ndarray | Matrix, params: ModelParams, n: int, support: np.ndarray | slice = slice(None)
+) -> _Inputs:
+    """X's rows ``support``, X being n x d with the first stage's input width."""
+    x = _features(x, params)
+    if x.shape[0] != n:
+        raise InputError(f"shape mismatch: P has {n} rows, the feature matrix {x.shape[0]}")
+    if isinstance(support, slice):
+        return _Inputs(x, (x.data if sp.issparse(x) else x).shape, support, n)
+    if not sp.issparse(x):
+        return _Inputs(x[support], x.shape, support, n)
+    on = np.zeros(n, dtype=bool)
+    on[support] = True
+    return _Inputs(x[support], x.data.shape, np.flatnonzero(np.repeat(on, np.diff(x.indptr))), n)
+
+
+def _dropped(x: _Inputs, rng, rate: float) -> np.ndarray | sp.csr_array:
+    """x's rows after inverted dropout of their stored entries: the uniforms
+    are drawn for all of X, one per entry of a CSR X's ``data``, in place in
+    its pattern, or per entry of a dense X in C order, so the stream does not
+    depend on the rows kept."""
+    m = x.matrix
+    scale = _dropout_mask(rng.random(x.shape)[x.draws], rate)
+    if sp.issparse(m):
+        return sp.csr_array((m.data * scale, m.indices, m.indptr), shape=m.shape)
+    return m * scale
 
 
 @dataclass(frozen=True, eq=False)
 class _Rows:
-    """The rows ``index`` of P that a forward pass reads: ``matrix`` is
-    P[index], whose transpose carries a gradient on those rows back to all
-    n nodes.  For all of P, ``index`` is a full slice and ``matrix`` P."""
+    """The rows ``index`` of P that a forward pass reads, and the nodes
+    ``support`` whose first stage they read: ``matrix`` is P[index, support],
+    whose transpose carries a gradient on those rows back to the support.
+    For all of P, or any rows of a dense P, ``support`` is a full slice."""
 
     index: np.ndarray | slice
     matrix: np.ndarray | sp.csr_array
+    support: np.ndarray | slice
 
 
 def _rows_of(p: FusedPropagator, index: np.ndarray | None = None) -> _Rows:
-    """P's rows ``index``, or all of P when it is None.  The transpose of
-    either slice is a view.  A CSR P is symmetric and lists each row's
-    columns in order, so for ascending ``index`` P[index]^T @ d sums each
-    row of P @ d' in its order and equals it bit for bit, d' being d on the
-    rows ``index`` and zero elsewhere."""
+    """P's rows ``index``, or all of P when it is None.  A CSR slice is
+    narrowed to the ascending columns its rows store, renumbered in order,
+    so each row keeps its entries in their order and its product is the
+    full row's bit for bit; P is symmetric, so P[index, support]^T @ d is
+    P @ d' on the support, d' being d on the rows ``index`` and zero
+    elsewhere, with the same sums when ``index`` ascends, and P @ d' is 0
+    off it.  The transpose of either slice is a view."""
     m = as_array(p.matrix)
-    return _Rows(slice(None), m) if index is None else _Rows(index, m[index])
+    if index is None:
+        return _Rows(slice(None), m, slice(None))
+    m = m[index]
+    if not sp.issparse(m):
+        return _Rows(index, m, slice(None))
+    support = np.unique(m.indices)
+    columns = np.searchsorted(support, m.indices)
+    narrowed = sp.csr_array((m.data, columns, m.indptr), shape=(m.shape[0], support.size))
+    return _Rows(index, narrowed, support)
 
 
 def _row_blocks(p: FusedPropagator, index: np.ndarray) -> Iterator[np.ndarray | sp.csr_array]:
@@ -198,14 +252,27 @@ def _row_blocks(p: FusedPropagator, index: np.ndarray) -> Iterator[np.ndarray | 
         yield m[index[start : start + _SCORE_ROWS]]
 
 
+def _score_rows(
+    p: FusedPropagator, index: np.ndarray
+) -> tuple[np.ndarray | slice, list[np.ndarray | sp.csr_array]]:
+    """P's rows ``index`` as ``train`` scores them, and the nodes they read:
+    a CSR P's as one slice narrowed to its support, a dense P's in blocks of
+    ``_SCORE_ROWS`` over all n nodes."""
+    if sp.issparse(as_array(p.matrix)):
+        rows = _rows_of(p, index)
+        return rows.support, [rows.matrix]
+    return slice(None), list(_row_blocks(p, index))
+
+
 def _row_logits(
     params: ModelParams, x: np.ndarray | Matrix, blocks: Iterable[np.ndarray | sp.csr_array]
 ) -> np.ndarray:
     """The dropout-free logits (P @ z) @ W2 + b2 of the rows that ``blocks``,
     row blocks of P, select, one block's product at a time; z is the first
-    stage's output on every node.  With no dropout between P and W2 they are
-    P[rows] @ (z @ W2) + b2, so each block multiplies the n x C operand
-    z @ W2, not the n x h z; the two orders agree to rounding."""
+    stage's output on the nodes whose rows ``x`` holds, the blocks' columns.
+    With no dropout between P and W2 they are P[rows] @ (z @ W2) + b2, so
+    each block multiplies the C-column operand z @ W2, not the h-column z;
+    the two orders agree to rounding."""
     z = np.maximum(_features(x, params) @ params.w1 + params.b1, 0.0)
     scores = z @ params.w2
     return np.concatenate([spmm(rows, scores) + params.b2 for rows in blocks])
@@ -213,27 +280,27 @@ def _row_logits(
 
 def _forward_cache(
     params: ModelParams,
-    x: np.ndarray | Matrix,
+    x: _Inputs,
     rows: _Rows,
     dropout: float,
     rng,
 ) -> dict:
     """One forward pass, kept for its gradient, on P's ``rows``: the first
-    stage runs on every node, and the rest on those rows only."""
-    x = _features(x, params)
+    stage runs on the rows' support, ``x`` being X's rows there, and the
+    rest on those rows only."""
     if dropout > 0.0:
         if rng is None:
             raise InputError("dropout requires a seeded rng")
         x_in = _dropped(x, rng, dropout)
     else:
-        x_in = x
+        x_in = x.matrix
     a1 = x_in @ params.w1 + params.b1
     z = np.maximum(a1, 0.0)
     s = spmm(rows.matrix, z)
     if dropout > 0.0:
         # drawn over every node, as on all of P, so the rng stream is the
         # same, and turned into a mask on ``rows`` only
-        mask2 = _dropout_mask(rng.random(z.shape)[rows.index], dropout)
+        mask2 = _dropout_mask(rng.random((x.n, params.hidden))[rows.index], dropout)
         s_in = s * mask2
     else:
         mask2 = None
@@ -268,7 +335,7 @@ def forward(
     drops stored entries only.
     """
     rate = dropout if train_mode else 0.0
-    cache = _forward_cache(params, x, _rows_of(p), rate, rng)
+    cache = _forward_cache(params, _inputs(x, params, p.n), _rows_of(p), rate, rng)
     return cache["logits"], cache["probs"]
 
 
@@ -305,7 +372,8 @@ def _grads_from_cache(
     weight_decay: float,
 ) -> ModelParams:
     """Gradients of the summed loss of ``truth`` on the ``rows`` of P that
-    ``cache`` was formed on."""
+    ``cache`` was formed on; the first stage's lie on the rows' support, as
+    its forward pass did."""
     g = cache["probs"].copy()
     g[np.arange(truth.size), truth] -= 1.0
     grad_w2 = cache["s_in"].T @ g + weight_decay * params.w2
@@ -338,7 +406,7 @@ def backward(
     """
     mask = _mask(mask, p.n, "loss mask")
     rows = _rows_of(p, mask)
-    cache = _forward_cache(params, x, rows, dropout, rng)
+    cache = _forward_cache(params, _inputs(x, params, p.n, rows.support), rows, dropout, rng)
     return _grads_from_cache(cache, params, rows, np.asarray(y, dtype=np.int64)[mask], weight_decay)
 
 
@@ -418,12 +486,13 @@ def train(
         propagator = fuse_shells(decomposition, config.alpha)
     x = as_array(dataset.feature_matrix)
     y = np.asarray(dataset.labels, dtype=np.int64)
-    train_rows, train_truth = _rows_of(propagator, train_mask), y[train_mask]
-    val_blocks, val_truth = list(_row_blocks(propagator, val_mask)), y[val_mask]
-
     seeds = np.random.SeedSequence(config.seed).spawn(config.epochs + 1)
     params = init_params(x.shape[1], config.hidden, dataset.num_classes, np.random.default_rng(seeds[0]))
     adam = init_adam(params)
+    train_rows, train_truth = _rows_of(propagator, train_mask), y[train_mask]
+    train_x = _inputs(x, params, propagator.n, train_rows.support)
+    val_support, val_blocks = _score_rows(propagator, val_mask)
+    val_x, val_truth = _inputs(x, params, propagator.n, val_support).matrix, y[val_mask]
 
     losses: list[float] = []
     val_accs: list[float] = []
@@ -432,13 +501,13 @@ def train(
     best_params = params
     for epoch in range(config.epochs):
         rng = np.random.default_rng(seeds[epoch + 1])
-        cache = _forward_cache(params, x, train_rows, config.dropout, rng)
+        cache = _forward_cache(params, train_x, train_rows, config.dropout, rng)
         epoch_loss = _nll(cache["probs"], train_truth)
         if not np.isfinite(epoch_loss):
             raise NumericError(f"non-finite training loss at epoch {epoch}")
         grads = _grads_from_cache(cache, params, train_rows, train_truth, config.weight_decay)
         params, adam = adam_step(adam, params, grads, config.lr)
-        val_acc = float((_row_logits(params, x, val_blocks).argmax(axis=1) == val_truth).mean())
+        val_acc = float((_row_logits(params, val_x, val_blocks).argmax(axis=1) == val_truth).mean())
         losses.append(epoch_loss)
         val_accs.append(val_acc)
         if val_acc > best_acc:

@@ -355,6 +355,38 @@ class TestSweepCommand:
             tmp_path / "parallel" / "sweep.csv"
         ).read_bytes()
 
+    def test_loads_once_and_decomposes_once_per_cap(self, runner, toy_dataset, tmp_path, monkeypatch):
+        import shellprop.cli as cli
+
+        loads, caps = [], []
+        real_load, real_decompose = cli.load_dataset, cli.shell_decompose
+        monkeypatch.setattr(cli, "load_dataset", lambda path: loads.append(path) or real_load(path))
+        monkeypatch.setattr(
+            cli, "shell_decompose", lambda g, cap: caps.append(cap) or real_decompose(g, cap)
+        )
+        monkeypatch.setenv("SHELLPROP_THREADS", "1")
+        result = run(
+            runner,
+            ["sweep", "--data", toy_dataset, "--layers", "2,1,2", "--alphas", "2,5",
+             "--epochs", 5, "--patience", 5, "--out", tmp_path / "sw"],
+        )
+        assert result.exit_code == 0
+        assert len((tmp_path / "sw" / "sweep.csv").read_text().strip().splitlines()) == 5
+        assert loads == [toy_dataset] and caps == [1, 2]
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_malformed_edges_exit_3_naming_the_file(self, runner, toy_dataset, tmp_path, monkeypatch, threads):
+        (toy_dataset / "edges.tsv").write_text("0\t1\n1\tx\n")
+        monkeypatch.setenv("SHELLPROP_THREADS", threads)
+        result = runner.invoke(
+            main,
+            ["sweep", "--data", str(toy_dataset), "--layers", "1,2", "--alphas", "2",
+             "--epochs", 5, "--out", str(tmp_path / "o")],
+        )
+        assert result.exit_code == 3
+        assert "edges.tsv" in result.output
+        assert "Traceback" not in result.output
+
 
 class TestManifests:
     def test_every_command_writes_manifest(self, runner, toy_dataset, p3_edges, tmp_path):

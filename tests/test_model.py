@@ -1,5 +1,6 @@
 import copy
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -32,7 +33,7 @@ from shellprop import (
 )
 from shellprop.data import Dataset, Split
 from shellprop.graph import as_array, by_bytes, from_array, stores_dense
-from shellprop.model import _dropped, _forward_cache, _row_blocks, _row_logits, _rows_of
+from shellprop.model import _dropped, _forward_cache, _inputs, _row_blocks, _row_logits, _rows_of, _softmax as softmax
 
 from helpers import bag_of_words, dense_fused, random_connected_graph, reference_forward
 
@@ -440,8 +441,9 @@ class TestSparseFeatures:
 
     def test_dropout_writes_only_inside_the_pattern(self):
         x = bag_of_words(1, n_per_class=20, features=60, words=3).feature_matrix
+        params = init_params(x.shape[1], 4, 2, np.random.default_rng(0))
         rng = np.random.default_rng(4)
-        dropped = _dropped(x, rng, 0.5)
+        dropped = _dropped(_inputs(x, params, x.shape[0]), rng, 0.5)
         assert np.array_equal(dropped.indices, x.indices)
         assert np.array_equal(dropped.indptr, x.indptr)
         assert set(np.unique(dropped.data)) == {0.0, 2.0}
@@ -547,10 +549,11 @@ def in_carrier(prop: FusedPropagator, dense: bool) -> FusedPropagator:
 
 
 @st.composite
-def split_datasets(draw):
+def split_datasets(draw, sparse_features: bool = False):
     """A dataset of 3 to 60 nodes, about a tenth of them isolated and the rest
     often in several components, with Gaussian features, three classes and a
-    random split, and its P in a drawn carrier."""
+    random split, and its P in a drawn carrier.  With ``sparse_features``
+    each node keeps at most 2 of 8 feature columns, so X is held as CSR."""
     n = draw(st.integers(3, 60))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     ends = rng.integers(0, n, size=(int(draw(st.sampled_from([0.0, 0.5, 1, 2, 4])) * n / 2), 2))
@@ -564,34 +567,46 @@ def split_datasets(draw):
         np.sort(order[train_size : train_size + val_size]),
         np.sort(order[train_size + val_size :]),
     )
-    ds = Dataset(g, rng.standard_normal((n, 4)), rng.integers(0, 3, n), 3, split)
+    if sparse_features:
+        x = rng.standard_normal((n, 8))
+        x[rng.random((n, 8)).argsort(axis=1) >= 2] = 0.0
+        x[rng.random(n) < 0.2] = 0.0
+    else:
+        x = rng.standard_normal((n, 4))
+    ds = Dataset(g, x, rng.integers(0, 3, n), 3, split)
     prop = fuse_shells(shell_decompose(g, draw(st.sampled_from([None, 1, 2]))), 2.0)
     return ds, in_carrier(prop, draw(st.booleans()))
 
 
 def reference_train(ds, config: TrainConfig, prop: FusedPropagator):
-    """``train``'s loop on all of P: the full forward pass, the gradient of
-    the loss rows padded with zeros and carried back through all of P, and
-    validation on every row of the logits."""
-    x, y = ds.features, ds.labels
+    """``train``'s loop on all of P: the first stage on every node, P @ z on
+    every row, the gradient of the loss rows padded with zeros and carried
+    back through all of P to every node, and validation on every row of the
+    logits.  The second stage, its loss and their gradients are formed on
+    the loss rows, as ``train`` forms them, so the two share those BLAS
+    products' shapes."""
+    x, y = ds.feature_matrix, ds.labels
     train_mask, val_mask = ds.split.train, ds.split.val
     p = as_array(prop.matrix)
     seeds = np.random.SeedSequence(config.seed).spawn(config.epochs + 1)
     params = init_params(x.shape[1], config.hidden, ds.num_classes, np.random.default_rng(seeds[0]))
+    inputs = _inputs(x, params, ds.n)
     adam = init_adam(params)
     losses, val_accs, best = [], [], (-1.0, 0, params)
     for epoch in range(config.epochs):
-        cache = _forward_cache(params, x, _rows_of(prop), config.dropout, np.random.default_rng(seeds[epoch + 1]))
-        losses.append(loss(cache["probs"], y, train_mask))
-        g = np.zeros_like(cache["probs"])
-        g[train_mask] = cache["probs"][train_mask]
-        g[train_mask, y[train_mask]] -= 1.0
-        ds_ = (g @ params.w2.T) * cache["mask2"]
-        da1 = (p @ ds_) * (cache["a1"] > 0.0)
+        cache = _forward_cache(params, inputs, _rows_of(prop), config.dropout, np.random.default_rng(seeds[epoch + 1]))
+        s_in = cache["s_in"][train_mask]
+        probs = softmax(s_in @ params.w2 + params.b2)
+        losses.append(loss(probs, y[train_mask], np.arange(train_mask.size)))
+        g = probs.copy()
+        g[np.arange(train_mask.size), y[train_mask]] -= 1.0
+        padded = np.zeros((ds.n, params.hidden))
+        padded[train_mask] = (g @ params.w2.T) * cache["mask2"][train_mask]
+        da1 = (p @ padded) * (cache["a1"] > 0.0)
         grads = ModelParams(
             cache["x_in"].T @ da1 + config.weight_decay * params.w1,
             da1.sum(axis=0),
-            cache["s_in"].T @ g + config.weight_decay * params.w2,
+            s_in.T @ g + config.weight_decay * params.w2,
             g.sum(axis=0),
         )
         params, adam = adam_step(adam, params, grads, config.lr)
@@ -636,6 +651,44 @@ class TestRowRestriction:
         for got, ref in zip(params.arrays(), want.arrays()):
             assert np.max(np.abs(got - ref)) <= 1e-12
 
+    @given(case=split_datasets(sparse_features=True), seed=st.integers(0, 3))
+    @settings(max_examples=40, deadline=None)
+    def test_csr_p_and_csr_x_give_the_checkpoint_of_all_of_p_bit_for_bit(self, case, seed):
+        # every product that narrowing shortens is a CSR one, which forms
+        # each row on its own; a term it drops is exactly 0
+        ds, prop = case
+        prop = in_carrier(prop, dense=False)
+        assert sp.issparse(ds.feature_matrix)
+        config = TrainConfig(alpha=2.0, hidden=6, epochs=8, patience=3, seed=seed)
+        params, hist = train(ds, config, prop)
+        want, losses, val_accs, best_epoch = reference_train(ds, config, prop)
+        assert hist.train_loss == losses
+        assert hist.val_accuracy == val_accs and hist.best_epoch == best_epoch
+        for got, ref in zip(params.arrays(), want.arrays()):
+            assert np.array_equal(got, ref)
+
+    @pytest.mark.parametrize("sparse_x", [False, True], ids=["dense-x", "csr-x"])
+    def test_an_epoch_draws_all_of_x_and_every_hidden_unit(self, monkeypatch, sparse_x):
+        # the first stage runs on fewer nodes than n, yet an epoch draws one
+        # uniform per stored entry of all of X and n * h for the second mask
+        ds = synth_planted_partition(100, 3, 0.05, 0.005, seed=3, labels_per_block=5)
+        if sparse_x:
+            x = np.zeros((ds.n, 20))
+            x[np.arange(ds.n), np.random.default_rng(0).integers(0, 20, ds.n)] = 1.0
+            ds = replace(ds, features=x)
+        x = as_array(ds.feature_matrix)
+        assert sp.issparse(x) == sparse_x
+        prop = fuse_shells(shell_decompose(ds.graph, 1), 2.0)
+        assert _rows_of(prop, ds.split.train).support.size < ds.n
+        real = np.random.default_rng
+        rngs = []
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: rngs.append(real(seed)) or rngs[-1])
+        train(ds, TrainConfig(alpha=2.0, hidden=5, epochs=1, seed=7), prop)
+        replay = real(np.random.SeedSequence(7).spawn(2)[1])
+        replay.random(x.nnz if sparse_x else x.size)
+        replay.random(ds.n * 5)
+        assert rngs[1].bit_generator.state == replay.bit_generator.state
+
     @given(case=split_datasets())
     @settings(max_examples=60, deadline=None)
     def test_csr_rows_and_adjoint_are_the_full_products_bit_for_bit(self, case):
@@ -643,13 +696,19 @@ class TestRowRestriction:
         prop = in_carrier(prop, dense=False)
         p, rows = prop.matrix, ds.split.train
         sliced = _rows_of(prop, rows)
+        support = sliced.support
+        assert np.array_equal(support, np.unique(p[rows].tocoo().coords[1]))
         rng = np.random.default_rng(rows.size)
         z = rng.standard_normal((ds.n, 5))
         d = rng.standard_normal((rows.size, 5))
         padded = np.zeros((ds.n, 5))
         padded[rows] = d
-        assert np.array_equal(sliced.matrix @ z, (p @ z)[rows])
-        assert np.array_equal(sliced.matrix.T @ d, p @ padded)
+        adjoint = p @ padded
+        assert np.array_equal(sliced.matrix @ z[support], (p @ z)[rows])
+        assert np.array_equal(sliced.matrix.T @ d, adjoint[support])
+        off = np.ones(ds.n, dtype=bool)
+        off[support] = False
+        assert np.all(adjoint[off] == 0.0)
 
     @pytest.mark.parametrize("dense", [True, False], ids=["dense", "csr"])
     def test_forward_through_all_of_p_is_the_full_product(self, dense):
@@ -669,9 +728,15 @@ class TestRowRestriction:
         # An epoch's forward pass and adjoint read the train rows at the
         # hidden width, 64; validation and evaluate read their rows at the
         # 3 classes' width
+        # on a CSR P they read only their rows' support, S_T and S_V
         ds = synth_planted_partition(100, 3, 0.05, 0.005, seed=3, labels_per_block=5)
-        n, train_size = ds.n, ds.split.train.size
+        n, train_size, val_size = ds.n, ds.split.train.size, ds.split.val.size
         prop = fuse_shells(shell_decompose(ds.graph, l_cap), 2.0)
+        if l_cap is None:
+            s_t = s_v = n
+        else:
+            s_t, s_v = (_rows_of(prop, mask).support.size for mask in (ds.split.train, ds.split.val))
+            assert s_t < n and s_v < n
         products = spy_products(monkeypatch)
         params, _ = train(ds, TrainConfig(alpha=2.0, epochs=3, patience=3), prop)
         trained = len(products)
@@ -679,9 +744,9 @@ class TestRowRestriction:
         evaluate(params, ds, prop, np.arange(n))
         shapes = [shape for shape, _ in products]
         assert shapes and (n, n) not in shapes
-        assert {(train_size, n), (n, train_size), (256, n), (n - 256, n)} <= set(shapes)
-        assert all(shape in {(train_size, n), (n, train_size)} or shape[0] <= 256 for shape in shapes)
-        epoch = [((train_size, n), 64), ((n, train_size), 64), ((ds.split.val.size, n), 3)]
+        assert {(train_size, s_t), (s_t, train_size), (256, n), (n - 256, n)} <= set(shapes)
+        assert all(shape in {(train_size, s_t), (s_t, train_size)} or shape[0] <= 256 for shape in shapes)
+        epoch = [((train_size, s_t), 64), ((s_t, train_size), 64), ((val_size, s_v), 3)]
         assert products[:trained] == epoch * 3
         assert all(width == 3 for _, width in products[trained:])
 
