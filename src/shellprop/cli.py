@@ -340,6 +340,9 @@ def cmd_rerun(manifest):
     argv = payload.get("argv") if isinstance(payload, dict) else None
     if not isinstance(argv, list) or not argv:
         raise InputError(f"{manifest}: manifest has no argv record")
+    if argv[0] == "rerun":
+        # no command records rerun, and replaying one could recurse forever
+        raise InputError(f"{manifest}: manifest records rerun, which no command writes")
     main.main(args=[str(a) for a in argv], standalone_mode=False)
 
 

@@ -15,31 +15,34 @@ dropout draws one uniform per stored entry of X, so a CSR X keeps its
 pattern and a dense X draws all n * d values in C order.
 
 A loss reads only its masked rows of P @ z and a score only its scored
-rows, so only those rows of P are multiplied.  On a CSR P, ``train`` also
-narrows each slice to its support S, the ascending columns its rows store,
-and runs the first stage (input dropout, X @ W1, ReLU and the gradient
-X^T @ da1) on S only: an epoch costs two products of P's |train| rows with
-|S_T| h (the forward pass and its adjoint, where the second dropout mask
-sits between P and W2) and one of its |val| rows with |S_V| C, about
-2 |train| |S_T| h + |val| |S_V| C multiply-adds in P, plus a first stage
-over |S_T| and |S_V| nodes.  A dense P is not narrowed (its rows are
-dense), so there S is all n nodes.  Both dropout masks are still drawn over
-all of X and all n x h hidden units, and only the support's draws are kept,
-so the random stream does not depend on S.  A score has no dropout, so it
-multiplies P's rows by z @ W2, n x C, instead of z, and its logits differ
-from (P @ z) @ W2 + b2 by rounding only; ``evaluate`` reads its mask's rows
-in blocks of at most 256, over all n nodes.  ``forward`` alone reads all of
-P.  A CSR P is canonical, each row listing its columns in order, so its
+rows, so only those rows of P are multiplied.  Each read of P is one row
+slice (``_rows_of``), which also picks the nodes S the slice reads, holds
+X's rows on S and the dropout draws that fall there, and checks X, once per
+call: ``forward`` reads all of P, ``backward`` its loss rows, and ``train``
+its train rows and its validation rows, each as one slice in either
+carrier.  On a CSR P a slice is narrowed to its support S, the ascending
+columns its rows store, and the first stage (input dropout, X @ W1, ReLU
+and the gradient X^T @ da1) runs on S only: an epoch costs two products of
+P's |train| rows with |S_T| h (the forward pass and its adjoint, where the
+second dropout mask sits between P and W2) and one of its |val| rows with
+|S_V| C, about 2 |train| |S_T| h + |val| |S_V| C multiply-adds in P, plus a
+first stage over |S_T| and |S_V| nodes.  A dense P is not narrowed (its
+rows are dense), so there S is all n nodes.  Both dropout masks are still
+drawn over all of X and all n x h hidden units, and only the support's
+draws are kept, so the random stream does not depend on S.  A score has no
+dropout, so it multiplies P's rows by z @ W2, n x C, instead of z, and its
+logits differ from (P @ z) @ W2 + b2 by rounding only; ``evaluate`` is not
+narrowed and reads its mask's rows in blocks of at most 256, over all n
+nodes.  A CSR P is canonical, each row listing its columns in order, so its
 narrowed row slice, and that slice's transpose, which carries the adjoint,
 give the full products' entries bit for bit when the rows ascend, and the
-gradient the adjoint drops off S is exactly 0.  With a CSR X, X[S] @ W1
-and X[S]^T @ da1 form each row and each sum as on all of X, so narrowing
-keeps every trained bit; the validation scores z[S] @ W2 are a shorter
-BLAS call, read only through an argmax.  On a dense P, and in
-X[S]^T @ da1 for a dense X, the products are smaller BLAS calls, so the
-gradients, and with them the trained parameters, differ from a full-width
-product's in the last bits (at most 3e-15 after 60 epochs on the
-benchmark graph with a dense X).
+gradient the adjoint drops off S is exactly 0.  With a CSR X, X[S] @ W1 and
+X[S]^T @ da1 form each row and each sum as on all of X, so narrowing keeps
+every trained bit; the validation scores z[S] @ W2 are a shorter BLAS call,
+read only through an argmax.  On a dense P, and in X[S]^T @ da1 for a dense
+X, the products are smaller BLAS calls, so the gradients, and with them the
+trained parameters, differ from a full-width product's in the last bits (at
+most 3e-15 after 60 epochs on the benchmark graph with a dense X).
 """
 from __future__ import annotations
 
@@ -59,7 +62,7 @@ from .shells import FusedPropagator, fuse_shells, shell_decompose
 _CHECKPOINT_MAGIC = b"SHLP"
 _CHECKPOINT_VERSION = 1
 
-#: Rows of P that one product of ``evaluate`` and of validation reads.
+#: Rows of P that one product of ``evaluate`` reads.
 _SCORE_ROWS = 256
 
 
@@ -93,14 +96,14 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.lr <= 0:
-            raise ConfigError(f"lr must be positive, got {self.lr}")
+        if not np.isfinite(self.lr) or self.lr <= 0:
+            raise ConfigError(f"lr must be finite and positive, got {self.lr}")
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
         if not np.isfinite(self.alpha) or self.alpha <= 1.0:
             raise ConfigError(f"alpha must be > 1, got {self.alpha}")
-        if self.weight_decay < 0:
-            raise ConfigError(f"weight_decay must be >= 0, got {self.weight_decay}")
+        if not np.isfinite(self.weight_decay) or self.weight_decay < 0:
+            raise ConfigError(f"weight_decay must be finite and >= 0, got {self.weight_decay}")
         if self.hidden < 1:
             raise ConfigError(f"hidden width must be >= 1, got {self.hidden}")
         if self.epochs < 1:
@@ -160,89 +163,74 @@ def _dropout_mask(uniforms: np.ndarray, rate: float) -> np.ndarray:
     return (uniforms < keep).astype(np.float64) / keep
 
 
-def _features(x: np.ndarray | Matrix, params: ModelParams) -> np.ndarray | sp.csr_array:
+def _features(x: np.ndarray | Matrix, params: ModelParams, n: int) -> np.ndarray | sp.csr_array:
     """The array or csr_array that the first stage multiplies, once it is
-    2-D with the first stage's input width."""
+    n x d, d being the first stage's input width."""
     x = as_array(x) if isinstance(x, (DenseMatrix, sp.csr_array)) else np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != params.w1.shape[0]:
-        raise InputError(
-            f"feature matrix must be 2-D with {params.w1.shape[0]} columns,"
-            f" got shape {x.shape}"
-        )
+    if x.shape != (n, params.w1.shape[0]):
+        raise InputError(f"feature matrix must be {n} x {params.w1.shape[0]}, as P and W1 are, got {x.shape}")
     return x
 
 
 @dataclass(frozen=True, eq=False)
-class _Inputs:
-    """The first stage's input on the nodes ``support`` of an n-node X:
-    ``matrix`` is X[support], and ``draws`` picks, from one uniform per
-    stored entry of all of X (``shape``), those that fall on ``matrix``'s
-    entries, in their order."""
+class _Rows:
+    """The rows ``index`` of P that a pass reads and the first stage's input
+    on the nodes ``support`` whose rows of X they read: ``matrix`` is
+    P[index, support], whose transpose carries a gradient on those rows back
+    to the support, and ``x`` is X[support].  ``draws`` picks, from one
+    uniform per stored entry of all of X (``shape``), those that fall on
+    ``x``'s entries, in their order; the second dropout mask is drawn over
+    all n x h hidden units.  For all of P, or any rows of a dense P,
+    ``support`` is a full slice."""
 
+    index: np.ndarray | slice
     matrix: np.ndarray | sp.csr_array
+    support: np.ndarray | slice
+    x: np.ndarray | sp.csr_array
     shape: tuple[int, ...]
     draws: np.ndarray | slice
     n: int
 
 
-def _inputs(
-    x: np.ndarray | Matrix, params: ModelParams, n: int, support: np.ndarray | slice = slice(None)
-) -> _Inputs:
-    """X's rows ``support``, X being n x d with the first stage's input width."""
-    x = _features(x, params)
-    if x.shape[0] != n:
-        raise InputError(f"shape mismatch: P has {n} rows, the feature matrix {x.shape[0]}")
-    if isinstance(support, slice):
-        return _Inputs(x, (x.data if sp.issparse(x) else x).shape, support, n)
-    if not sp.issparse(x):
-        return _Inputs(x[support], x.shape, support, n)
-    on = np.zeros(n, dtype=bool)
-    on[support] = True
-    return _Inputs(x[support], x.data.shape, np.flatnonzero(np.repeat(on, np.diff(x.indptr))), n)
-
-
-def _dropped(x: _Inputs, rng, rate: float) -> np.ndarray | sp.csr_array:
-    """x's rows after inverted dropout of their stored entries: the uniforms
-    are drawn for all of X, one per entry of a CSR X's ``data``, in place in
-    its pattern, or per entry of a dense X in C order, so the stream does not
-    depend on the rows kept."""
-    m = x.matrix
-    scale = _dropout_mask(rng.random(x.shape)[x.draws], rate)
-    if sp.issparse(m):
-        return sp.csr_array((m.data * scale, m.indices, m.indptr), shape=m.shape)
-    return m * scale
-
-
-@dataclass(frozen=True, eq=False)
-class _Rows:
-    """The rows ``index`` of P that a forward pass reads, and the nodes
-    ``support`` whose first stage they read: ``matrix`` is P[index, support],
-    whose transpose carries a gradient on those rows back to the support.
-    For all of P, or any rows of a dense P, ``support`` is a full slice."""
-
-    index: np.ndarray | slice
-    matrix: np.ndarray | sp.csr_array
-    support: np.ndarray | slice
-
-
-def _rows_of(p: FusedPropagator, index: np.ndarray | None = None) -> _Rows:
-    """P's rows ``index``, or all of P when it is None.  A CSR slice is
-    narrowed to the ascending columns its rows store, renumbered in order,
-    so each row keeps its entries in their order and its product is the
-    full row's bit for bit; P is symmetric, so P[index, support]^T @ d is
-    P @ d' on the support, d' being d on the rows ``index`` and zero
-    elsewhere, with the same sums when ``index`` ascends, and P @ d' is 0
-    off it.  The transpose of either slice is a view."""
+def _rows_of(
+    p: FusedPropagator, x: np.ndarray | Matrix, params: ModelParams, index: np.ndarray | None = None
+) -> _Rows:
+    """P's rows ``index``, or all of P when it is None, and X's rows on the
+    nodes they read, X being n x d with the first stage's input width d.  A
+    CSR slice is narrowed to the ascending columns its rows store,
+    renumbered in order, so each row keeps its entries in their order and
+    its product is the full row's bit for bit; P is symmetric, so
+    P[index, support]^T @ d is P @ d' on the support, d' being d on the rows
+    ``index`` and zero elsewhere, with the same sums when ``index`` ascends,
+    and P @ d' is 0 off it.  The transpose of either slice is a view."""
+    x = _features(x, params, p.n)
+    shape = (x.data if sp.issparse(x) else x).shape
     m = as_array(p.matrix)
-    if index is None:
-        return _Rows(slice(None), m, slice(None))
-    m = m[index]
-    if not sp.issparse(m):
-        return _Rows(index, m, slice(None))
+    if index is not None:
+        m = m[index]
+    if index is None or not sp.issparse(m):
+        return _Rows(slice(None) if index is None else index, m, slice(None), x, shape, slice(None), p.n)
     support = np.unique(m.indices)
     columns = np.searchsorted(support, m.indices)
     narrowed = sp.csr_array((m.data, columns, m.indptr), shape=(m.shape[0], support.size))
-    return _Rows(index, narrowed, support)
+    draws = support
+    if sp.issparse(x):
+        on = np.zeros(p.n, dtype=bool)
+        on[support] = True
+        draws = np.flatnonzero(np.repeat(on, np.diff(x.indptr)))
+    return _Rows(index, narrowed, support, x[support], shape, draws, p.n)
+
+
+def _dropped(rows: _Rows, rng, rate: float) -> np.ndarray | sp.csr_array:
+    """The rows' X after inverted dropout of their stored entries: the
+    uniforms are drawn for all of X, one per entry of a CSR X's ``data``, in
+    place in its pattern, or per entry of a dense X in C order, so the
+    stream does not depend on the rows kept."""
+    m = rows.x
+    scale = _dropout_mask(rng.random(rows.shape)[rows.draws], rate)
+    if sp.issparse(m):
+        return sp.csr_array((m.data * scale, m.indices, m.indptr), shape=m.shape)
+    return m * scale
 
 
 def _row_blocks(p: FusedPropagator, index: np.ndarray) -> Iterator[np.ndarray | sp.csr_array]:
@@ -252,55 +240,36 @@ def _row_blocks(p: FusedPropagator, index: np.ndarray) -> Iterator[np.ndarray | 
         yield m[index[start : start + _SCORE_ROWS]]
 
 
-def _score_rows(
-    p: FusedPropagator, index: np.ndarray
-) -> tuple[np.ndarray | slice, list[np.ndarray | sp.csr_array]]:
-    """P's rows ``index`` as ``train`` scores them, and the nodes they read:
-    a CSR P's as one slice narrowed to its support, a dense P's in blocks of
-    ``_SCORE_ROWS`` over all n nodes."""
-    if sp.issparse(as_array(p.matrix)):
-        rows = _rows_of(p, index)
-        return rows.support, [rows.matrix]
-    return slice(None), list(_row_blocks(p, index))
-
-
 def _row_logits(
-    params: ModelParams, x: np.ndarray | Matrix, blocks: Iterable[np.ndarray | sp.csr_array]
+    params: ModelParams, x: np.ndarray | sp.csr_array, blocks: Iterable[np.ndarray | sp.csr_array]
 ) -> np.ndarray:
     """The dropout-free logits (P @ z) @ W2 + b2 of the rows that ``blocks``,
     row blocks of P, select, one block's product at a time; z is the first
-    stage's output on the nodes whose rows ``x`` holds, the blocks' columns.
+    stage's output on ``x``, X's rows on the blocks' columns.
     With no dropout between P and W2 they are P[rows] @ (z @ W2) + b2, so
     each block multiplies the C-column operand z @ W2, not the h-column z;
     the two orders agree to rounding."""
-    z = np.maximum(_features(x, params) @ params.w1 + params.b1, 0.0)
+    z = np.maximum(x @ params.w1 + params.b1, 0.0)
     scores = z @ params.w2
     return np.concatenate([spmm(rows, scores) + params.b2 for rows in blocks])
 
 
-def _forward_cache(
-    params: ModelParams,
-    x: _Inputs,
-    rows: _Rows,
-    dropout: float,
-    rng,
-) -> dict:
+def _forward_cache(params: ModelParams, rows: _Rows, dropout: float, rng) -> dict:
     """One forward pass, kept for its gradient, on P's ``rows``: the first
-    stage runs on the rows' support, ``x`` being X's rows there, and the
-    rest on those rows only."""
+    stage runs on the rows' support and the rest on those rows only."""
     if dropout > 0.0:
         if rng is None:
             raise InputError("dropout requires a seeded rng")
-        x_in = _dropped(x, rng, dropout)
+        x_in = _dropped(rows, rng, dropout)
     else:
-        x_in = x.matrix
+        x_in = rows.x
     a1 = x_in @ params.w1 + params.b1
     z = np.maximum(a1, 0.0)
     s = spmm(rows.matrix, z)
     if dropout > 0.0:
         # drawn over every node, as on all of P, so the rng stream is the
         # same, and turned into a mask on ``rows`` only
-        mask2 = _dropout_mask(rng.random((x.n, params.hidden))[rows.index], dropout)
+        mask2 = _dropout_mask(rng.random((rows.n, params.hidden))[rows.index], dropout)
         s_in = s * mask2
     else:
         mask2 = None
@@ -335,7 +304,7 @@ def forward(
     drops stored entries only.
     """
     rate = dropout if train_mode else 0.0
-    cache = _forward_cache(params, _inputs(x, params, p.n), _rows_of(p), rate, rng)
+    cache = _forward_cache(params, _rows_of(p, x, params), rate, rng)
     return cache["logits"], cache["probs"]
 
 
@@ -405,8 +374,8 @@ def backward(
     are multiplied, and the mask must hold distinct node ids.
     """
     mask = _mask(mask, p.n, "loss mask")
-    rows = _rows_of(p, mask)
-    cache = _forward_cache(params, _inputs(x, params, p.n, rows.support), rows, dropout, rng)
+    rows = _rows_of(p, x, params, mask)
+    cache = _forward_cache(params, rows, dropout, rng)
     return _grads_from_cache(cache, params, rows, np.asarray(y, dtype=np.int64)[mask], weight_decay)
 
 
@@ -444,7 +413,8 @@ def evaluate(params: ModelParams, dataset, p: FusedPropagator, mask) -> tuple[fl
     rows of P are read, ``_SCORE_ROWS`` at a time.
     """
     mask = _mask(mask, p.n, "evaluation mask")
-    logits = _row_logits(params, dataset.feature_matrix, _row_blocks(p, mask))
+    x = _features(dataset.feature_matrix, params, p.n)
+    logits = _row_logits(params, x, _row_blocks(p, mask))
     if not np.all(np.isfinite(logits)):
         raise NumericError("non-finite values in logits")
     preds = logits.argmax(axis=1)
@@ -467,8 +437,9 @@ def train(
     The shell decomposition happens once, before the epoch loop.  Parameters
     from the best validation epoch are returned; runs are deterministic for
     a fixed seed.  Each split part must hold distinct node ids.  P's train
-    and validation rows are sliced once; an epoch multiplies only the train
-    rows, forward and adjoint, and scores only the validation rows.
+    and validation rows are sliced once, each as one slice; an epoch
+    multiplies only the train rows, forward and adjoint, and scores only the
+    validation rows.
     """
     started = time.perf_counter()
     split = dataset.split
@@ -484,15 +455,13 @@ def train(
     if propagator is None:
         decomposition = shell_decompose(dataset.graph, config.l_cap)
         propagator = fuse_shells(decomposition, config.alpha)
-    x = as_array(dataset.feature_matrix)
+    x = dataset.feature_matrix
     y = np.asarray(dataset.labels, dtype=np.int64)
     seeds = np.random.SeedSequence(config.seed).spawn(config.epochs + 1)
     params = init_params(x.shape[1], config.hidden, dataset.num_classes, np.random.default_rng(seeds[0]))
     adam = init_adam(params)
-    train_rows, train_truth = _rows_of(propagator, train_mask), y[train_mask]
-    train_x = _inputs(x, params, propagator.n, train_rows.support)
-    val_support, val_blocks = _score_rows(propagator, val_mask)
-    val_x, val_truth = _inputs(x, params, propagator.n, val_support).matrix, y[val_mask]
+    train_rows, train_truth = _rows_of(propagator, x, params, train_mask), y[train_mask]
+    val_rows, val_truth = _rows_of(propagator, x, params, val_mask), y[val_mask]
 
     losses: list[float] = []
     val_accs: list[float] = []
@@ -501,13 +470,14 @@ def train(
     best_params = params
     for epoch in range(config.epochs):
         rng = np.random.default_rng(seeds[epoch + 1])
-        cache = _forward_cache(params, train_x, train_rows, config.dropout, rng)
+        cache = _forward_cache(params, train_rows, config.dropout, rng)
         epoch_loss = _nll(cache["probs"], train_truth)
         if not np.isfinite(epoch_loss):
             raise NumericError(f"non-finite training loss at epoch {epoch}")
         grads = _grads_from_cache(cache, params, train_rows, train_truth, config.weight_decay)
         params, adam = adam_step(adam, params, grads, config.lr)
-        val_acc = float((_row_logits(params, val_x, val_blocks).argmax(axis=1) == val_truth).mean())
+        val_logits = _row_logits(params, val_rows.x, [val_rows.matrix])
+        val_acc = float((val_logits.argmax(axis=1) == val_truth).mean())
         losses.append(epoch_loss)
         val_accs.append(val_acc)
         if val_acc > best_acc:

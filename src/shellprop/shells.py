@@ -68,6 +68,8 @@ class ShellDecomposition:
 class _DistanceShells(Sequence):
     """The shells T_1..T_L of one record of hop levels, built anew on each
     read and normalized (That_l) when ``normalized``; a slice gives a tuple.
+    A read is the record's pattern at its level (``_pattern``), checked
+    before it is built.
 
     ``distances`` holds each reachable pair's level, in the narrowest
     unsigned type that holds them, in P's carrier and with P's entries: an
@@ -91,11 +93,7 @@ class _DistanceShells(Sequence):
         if isinstance(l, slice):
             return tuple(self[i] for i in range(*l.indices(len(self))))
         level = range(1, len(self) + 1)[l]
-        d = self.distances
-        offsets = np.concatenate([[0], np.cumsum(self.row_counts[level - 1])])
-        cols = d.indices[d.data == level] if sp.issparse(d) else np.nonzero(d == level)[1]
-        t = frozen_csr(np.ones(len(cols)), cols, offsets)
-        return normalize_shell(t) if self.normalized else t
+        return _pattern(self, diagonal=self.normalized, level=level, normalized=self.normalized)
 
 
 @dataclass(frozen=True, eq=False)
@@ -138,7 +136,8 @@ def cumulative_matrix(g: SparseGraph, l: int) -> sp.csr_array:
     """
     if l < 0:
         raise InputError(f"hop count must be non-negative, got {l}")
-    return _pattern(shell_decompose(g, l) if l else ShellDecomposition(g.n, (), 0, ()), diagonal=True)
+    d = shell_decompose(g, l) if l else ShellDecomposition(g.n, (), 0, ())
+    return _pattern(d.shells, diagonal=True)
 
 
 def _check_cap(l_cap: int | None) -> None:
@@ -429,33 +428,50 @@ def shell_union(d: ShellDecomposition) -> sp.csr_array:
 
     Read off the pattern of the record's levels (level > 0), so no shell is
     built (``_pattern``)."""
-    return _pattern(d, diagonal=False)
+    return _pattern(d.shells, diagonal=False)
 
 
-def _pattern(d: ShellDecomposition, diagonal: bool) -> sp.csr_array:
-    """The binary canonical csr_array of the record's pairs, and of each
-    (i, i) too when ``diagonal``, read once off its levels.
+def _pattern(
+    shells: _DistanceShells, diagonal: bool, level: int | None = None, normalized: bool = False
+) -> sp.csr_array:
+    """The binary canonical csr_array of the record's pairs, or of its pairs
+    at ``level`` only, and of each (i, i) too when ``diagonal``, read once
+    off its levels.  With ``normalized`` (and ``diagonal``) it is That_l, the
+    level's shell normalized as ``normalize_shell`` does: with r = (k + 1)**-1/2,
+    k each node's degree in T_l, entry (i, j) is r[i] * r[j].
 
     A CSR record's entries are its pairs and each row's diagonal, so with
-    ``diagonal`` the pattern shares the record's column indices; otherwise
-    the columns are read through a 1-byte mask of the record's entries, or
-    of a dense record's cells.  ResourceError is raised first when
-    ``require_memory`` refuses the record, its row counts, that mask and 16
-    bytes for each entry of the pattern, its int64 column and float64 one."""
-    levels, n = d.shells.distances, d.n
-    nnz, csr = sum(d.shell_sizes) + n * diagonal, sp.issparse(levels)
-    cells = levels.nnz if csr else n * n
-    need = (levels.dtype.itemsize + 1 + 8 * csr) * cells + 16 * nnz + 8 * n * (len(d.shells) + 3) + 16
-    require_memory(need, f"the pattern of {nnz} pairs of {n} nodes")
-    if csr:
-        cols = levels.indices if diagonal else levels.indices[levels.data > 0]
+    ``diagonal`` and every level the pattern shares the record's column
+    indices; otherwise the columns are read through a 1-byte mask of the
+    record's entries, or of a dense record's cells, and a CSR record's
+    level with its diagonal through a second such mask.  ResourceError is
+    raised first when ``require_memory`` refuses the record, its row counts,
+    those masks and 16 bytes for each entry of the pattern, its int64 column
+    and float64 one, or 24 for That_l, which gathers r[j] into an operand."""
+    levels, n = shells.distances, shells.distances.shape[0]
+    counts = shells.row_counts if level is None else shells.row_counts[level - 1 : level]
+    nnz, csr = sum(int(k.sum()) for k in counts) + n * diagonal, sp.issparse(levels)
+    cells, masks = (levels.nnz, 1 + (diagonal and level is not None)) if csr else (n * n, 1)
+    need = (levels.dtype.itemsize + masks + 8 * csr) * cells + (16 + 8 * normalized) * nnz
+    require_memory(need + 8 * n * (len(shells) + 3) + 16, f"the pattern of {nnz} pairs of {n} nodes")
+    if csr and diagonal and level is None:
+        cols = levels.indices
     else:
-        mask = levels > 0
-        np.fill_diagonal(mask, diagonal)  # a dense record's diagonal is at level 0
-        cols = np.flatnonzero(mask)
-        cols %= n
-    counts = sum(d.shells.row_counts, np.full(n, int(diagonal)))
-    return frozen_csr(np.ones(nnz), cols, np.concatenate([[0], np.cumsum(counts)]))
+        stored = levels.data if csr else levels  # each diagonal entry is at level 0
+        keep = stored > 0 if level is None else stored == level
+        if diagonal and csr:
+            keep |= stored == 0
+        elif diagonal:
+            np.fill_diagonal(keep, True)
+        cols = levels.indices[keep] if csr else np.flatnonzero(keep) % n
+    counts = sum(counts, np.full(n, int(diagonal)))
+    if normalized:  # r[i] * r[j], as D^-1/2 (T + I) D^-1/2 forms it
+        r = 1.0 / np.sqrt(counts)
+        values = np.repeat(r, counts)
+        values *= r[cols]
+    else:
+        values = np.ones(nnz)
+    return frozen_csr(values, cols, np.concatenate([[0], np.cumsum(counts)]))
 
 
 def shell_report(g: SparseGraph, l_cap: int | None = None) -> dict:

@@ -301,6 +301,14 @@ class TestTrainCommand:
         assert result.exit_code == 3
         assert "bad.json" in result.output
 
+    def test_rerun_of_a_rerun_manifest_exits_3(self, runner, tmp_path):
+        manifest = tmp_path / "loop.json"
+        manifest.write_text(json.dumps({"argv": ["rerun", str(manifest)]}))
+        result = runner.invoke(main, ["rerun", str(manifest)])
+        assert result.exit_code == 3
+        assert "loop.json" in result.output and "rerun" in result.output
+        assert isinstance(result.exception, SystemExit)
+
 
 class TestSweepCommand:
     def test_cross_product_rows(self, runner, toy_dataset, tmp_path):
@@ -453,6 +461,27 @@ class TestOptionRanges:
         )
         assert result.exit_code == 2
         assert f"Invalid value for '{flag}'" in result.output
+
+
+    @pytest.mark.parametrize(
+        "args, field",
+        [
+            (["train", "--lr", "nan"], "lr"),
+            (["train", "--lr", "inf"], "lr"),
+            (["train", "--weight-decay", "nan"], "weight_decay"),
+            (["train", "--weight-decay", "inf"], "weight_decay"),
+            (["sweep", "--layers", "1", "--alphas", "2", "--lr", "nan"], "lr"),
+            (["sweep", "--layers", "1", "--alphas", "2", "--weight-decay", "inf"], "weight_decay"),
+        ],
+    )
+    def test_non_finite_rate_exits_2(self, runner, toy_dataset, tmp_path, args, field):
+        result = runner.invoke(
+            main, [args[0], "--data", str(toy_dataset), *args[1:], "--out", str(tmp_path / "o")]
+        )
+        assert result.exit_code == 2
+        assert f"error: {field} must be finite" in result.output
+        assert isinstance(result.exception, SystemExit)
+        assert not (tmp_path / "o").exists()
 
 
 def test_cli_start_up_leaves_csgraph_unimported():

@@ -33,7 +33,7 @@ from shellprop import (
 )
 from shellprop.data import Dataset, Split
 from shellprop.graph import as_array, by_bytes, from_array, stores_dense
-from shellprop.model import _dropped, _forward_cache, _inputs, _row_blocks, _row_logits, _rows_of, _softmax as softmax
+from shellprop.model import _dropped, _forward_cache, _row_blocks, _row_logits, _rows_of, _softmax as softmax
 
 from helpers import bag_of_words, dense_fused, random_connected_graph, reference_forward
 
@@ -368,6 +368,12 @@ class TestTrainAndEvaluate:
         with pytest.raises(ConfigError):
             TrainConfig(alpha=2.0, lr=0.0)
 
+    @pytest.mark.parametrize("field", ["lr", "weight_decay"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_rate_is_a_config_error(self, field, value):
+        with pytest.raises(ConfigError, match=f"{field} must be finite"):
+            TrainConfig(alpha=2.0, **{field: value})
+
     def test_evaluate_perfect_predictions(self):
         x = np.vstack([np.eye(2)] * 3)
         labels = np.array([0, 1] * 3)
@@ -443,7 +449,7 @@ class TestSparseFeatures:
         x = bag_of_words(1, n_per_class=20, features=60, words=3).feature_matrix
         params = init_params(x.shape[1], 4, 2, np.random.default_rng(0))
         rng = np.random.default_rng(4)
-        dropped = _dropped(_inputs(x, params, x.shape[0]), rng, 0.5)
+        dropped = _dropped(_rows_of(identity_propagator(x.shape[0]), x, params), rng, 0.5)
         assert np.array_equal(dropped.indices, x.indices)
         assert np.array_equal(dropped.indptr, x.indptr)
         assert set(np.unique(dropped.data)) == {0.0, 2.0}
@@ -590,11 +596,11 @@ def reference_train(ds, config: TrainConfig, prop: FusedPropagator):
     p = as_array(prop.matrix)
     seeds = np.random.SeedSequence(config.seed).spawn(config.epochs + 1)
     params = init_params(x.shape[1], config.hidden, ds.num_classes, np.random.default_rng(seeds[0]))
-    inputs = _inputs(x, params, ds.n)
+    rows = _rows_of(prop, x, params)
     adam = init_adam(params)
     losses, val_accs, best = [], [], (-1.0, 0, params)
     for epoch in range(config.epochs):
-        cache = _forward_cache(params, inputs, _rows_of(prop), config.dropout, np.random.default_rng(seeds[epoch + 1]))
+        cache = _forward_cache(params, rows, config.dropout, np.random.default_rng(seeds[epoch + 1]))
         s_in = cache["s_in"][train_mask]
         probs = softmax(s_in @ params.w2 + params.b2)
         losses.append(loss(probs, y[train_mask], np.arange(train_mask.size)))
@@ -617,6 +623,13 @@ def reference_train(ds, config: TrainConfig, prop: FusedPropagator):
         elif epoch - best[1] >= config.patience:
             break
     return best[2], losses, val_accs, best[1]
+
+
+def rows_of(prop: FusedPropagator, ds, index: np.ndarray):
+    """``_rows_of`` for the rows ``index`` of ``prop`` and ``ds``'s
+    features, with weights of their width."""
+    params = init_params(ds.features.shape[1], 1, ds.num_classes, np.random.default_rng(0))
+    return _rows_of(prop, ds.feature_matrix, params, index)
 
 
 def spy_products(monkeypatch) -> list[tuple[tuple[int, int], int]]:
@@ -679,7 +692,7 @@ class TestRowRestriction:
         x = as_array(ds.feature_matrix)
         assert sp.issparse(x) == sparse_x
         prop = fuse_shells(shell_decompose(ds.graph, 1), 2.0)
-        assert _rows_of(prop, ds.split.train).support.size < ds.n
+        assert rows_of(prop, ds, ds.split.train).support.size < ds.n
         real = np.random.default_rng
         rngs = []
         monkeypatch.setattr(np.random, "default_rng", lambda seed: rngs.append(real(seed)) or rngs[-1])
@@ -695,7 +708,7 @@ class TestRowRestriction:
         ds, prop = case
         prop = in_carrier(prop, dense=False)
         p, rows = prop.matrix, ds.split.train
-        sliced = _rows_of(prop, rows)
+        sliced = rows_of(prop, ds, rows)
         support = sliced.support
         assert np.array_equal(support, np.unique(p[rows].tocoo().coords[1]))
         rng = np.random.default_rng(rows.size)
@@ -735,7 +748,7 @@ class TestRowRestriction:
         if l_cap is None:
             s_t = s_v = n
         else:
-            s_t, s_v = (_rows_of(prop, mask).support.size for mask in (ds.split.train, ds.split.val))
+            s_t, s_v = (rows_of(prop, ds, mask).support.size for mask in (ds.split.train, ds.split.val))
             assert s_t < n and s_v < n
         products = spy_products(monkeypatch)
         params, _ = train(ds, TrainConfig(alpha=2.0, epochs=3, patience=3), prop)
@@ -749,6 +762,20 @@ class TestRowRestriction:
         epoch = [((train_size, s_t), 64), ((s_t, train_size), 64), ((val_size, s_v), 3)]
         assert products[:trained] == epoch * 3
         assert all(width == 3 for _, width in products[trained:])
+
+    def test_dense_p_scores_all_validation_rows_in_one_product(self, monkeypatch):
+        # 270 validation rows, more than evaluate's 256-row blocks: each
+        # epoch scores them as one (|val|, n) slice of a dense P
+        ds = synth_planted_partition(100, 3, 0.05, 0.005, seed=3, labels_per_block=5)
+        order = np.random.default_rng(0).permutation(ds.n)
+        split = Split(np.sort(order[:15]), np.sort(order[15:285]), np.sort(order[285:]))
+        ds = replace(ds, split=split)
+        prop = fuse_shells(shell_decompose(ds.graph), 2.0)
+        assert isinstance(prop.matrix, DenseMatrix)
+        products = spy_products(monkeypatch)
+        train(ds, TrainConfig(alpha=2.0, hidden=4, epochs=3, patience=3), prop)
+        epoch = [((15, ds.n), 4), ((ds.n, 15), 4), ((270, ds.n), 3)]
+        assert products == epoch * 3
 
     def test_backward_multiplies_only_the_loss_rows(self, monkeypatch):
         _, x, y, mask, prop, params = small_instance(5, n=20)
@@ -775,6 +802,43 @@ class TestRowRestriction:
         assert got.shape == want.shape and np.all(np.abs(got - want) <= bound)
         shifted = ModelParams(params.w1, params.b1, params.w2, rng.standard_normal(3))
         assert np.array_equal(_row_logits(shifted, ds.features, _row_blocks(prop, rows)), got + shifted.b2)
+
+
+_BAD_SHAPES = {"fewer-rows": (11, 5), "more-rows": (13, 5), "narrow": (12, 4), "wide": (12, 6)}
+_BAD_X = [
+    pytest.param(carrier(np.ones(shape)), id=f"{name}-{carrier.__name__}")
+    for name, shape in _BAD_SHAPES.items()
+    for carrier in (np.asarray, DenseMatrix, sp.csr_array)
+] + [pytest.param(np.ones(12), id="1-d")]
+
+
+class TestFeatureShape:
+    """X must have P's n rows and W1's input width; each entry point checks
+    it, in each carrier, and raises InputError."""
+
+    @pytest.mark.parametrize("x", _BAD_X)
+    def test_forward_and_backward(self, x):
+        _, _, y, mask, prop, params = small_instance(6)
+        with pytest.raises(InputError, match="feature matrix must be 12 x 5"):
+            forward(params, x, prop)
+        with pytest.raises(InputError, match="feature matrix must be 12 x 5"):
+            backward(params, x, prop, y, mask, rng=np.random.default_rng(0))
+
+    @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "csr"])
+    @pytest.mark.parametrize("shape", _BAD_SHAPES.values(), ids=_BAD_SHAPES.keys())
+    def test_evaluate(self, shape, sparse):
+        g, _, y, mask, prop, params = small_instance(6)
+        ds = Dataset(g, np.eye(*shape) if sparse else np.ones(shape), y, 3)
+        assert sp.issparse(ds.feature_matrix) == sparse
+        with pytest.raises(InputError, match="feature matrix must be 12 x 5"):
+            evaluate(params, ds, prop, mask)
+
+    @pytest.mark.parametrize("rows", [11, 13])
+    def test_train(self, rows):
+        ds = synth_planted_partition(8, 2, 0.7, 0.1, seed=4)
+        bad = replace(ds, features=np.ones((rows, ds.features.shape[1])))
+        with pytest.raises(InputError, match=f"feature matrix must be 16 x 2, as P and W1 are, got \\({rows}, 2\\)"):
+            train(bad, TrainConfig(alpha=2.0, epochs=2))
 
 
 _BAD_MASKS = [

@@ -119,6 +119,43 @@ class TestCumulativeMatrix:
         assert needs[-1] == need(pattern.nnz)
 
 
+@pytest.mark.parametrize("normalized", [False, True], ids=["binary", "normalized"])
+@pytest.mark.parametrize("cap", [None, 3], ids=["dense-record", "csr-record"])
+class TestShellRead:
+    """Reading one shell is checked before it is built: the record and its
+    row counts, a 1-byte mask of the record's cells (two for a CSR record's
+    level and diagonal), 16 bytes for each of the shell's e entries, or 24
+    for That_l, which gathers r[j], and 8 n (L + 3) of row counts, each
+    row's count and the row pointers."""
+
+    @staticmethod
+    def largest_level(cap, normalized):
+        d = shell_decompose(random_tree(7, 300), cap)
+        assert sp.issparse(d.shells.distances) == (cap is not None)
+        shells = fuse_shells(d, 2.0).normalized_shells if normalized else d.shells
+        return shells, int(np.argmax(d.shell_sizes))
+
+    @staticmethod
+    def need(shells, e, normalized):
+        levels, csr = shells.distances, sp.issparse(shells.distances)
+        cells = levels.nnz if csr else 300**2
+        mask = 1 + (csr and normalized)
+        return (1 + mask + 8 * csr) * cells + (16 + 8 * normalized) * e + 8 * 300 * (len(shells) + 3) + 16
+
+    def test_peak_is_within_the_check(self, cap, normalized):
+        shells, level = self.largest_level(cap, normalized)
+        shells[level]
+        t, needs = assert_peak_within_checks(("graph", "shells"), lambda: shells[level])
+        assert needs == [self.need(shells, t.nnz, normalized)]
+
+    def test_refusal_names_the_figure(self, cap, normalized, monkeypatch):
+        shells, level = self.largest_level(cap, normalized)
+        need = self.need(shells, shells[level].nnz, normalized)
+        monkeypatch.setattr("shellprop.shells.require_memory", refuse_above(need - 1))
+        with pytest.raises(ResourceError, match=f"pattern of .* pairs of 300 nodes, about {need} bytes"):
+            shells[level]
+
+
 class TestShellDecompose:
     def test_path(self):
         d = shell_decompose(path_graph(3))
