@@ -542,10 +542,3 @@ def spmm(m: Matrix, x: np.ndarray) -> np.ndarray:
             f" {x.shape[0]} rows"
         )
     return as_array(m) @ x
-
-
-def is_symmetric(m: sp.csr_array) -> bool:
-    if m.shape[0] != m.shape[1]:
-        return False
-    d = m - m.T
-    return (d != 0).nnz == 0

@@ -7,6 +7,12 @@ sitting on the diagonal of M^k; for the classical symmetric and random-walk
 propagators of a connected graph it converges to 1/N as k grows, which is
 what the trajectory helpers verify numerically.
 
+The classical propagators read the one-level record of hop levels of the
+graph's own adjacency, the kind of record the fused operator is filled on,
+through the shells' one checked reader: ``sym`` is its That_1, r[i] * r[j]
+with r = (k + 1)**-1/2 on A + I's pattern, and ``rw`` puts 1/(k_i + 1) on
+row i of that pattern.
+
 The aggregation count takes l sparse matrix-vector products.  The
 trajectory reads depth 1 off M's own diagonal, with no decomposition.
 Deeper depths decompose a symmetric matrix once per connected component,
@@ -22,7 +28,7 @@ decomposition.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import chain
 
@@ -32,9 +38,9 @@ import scipy.sparse as sp
 from .errors import ConfigError, InputError, NumericError
 from .graph import (
     _BFS_ROWS, Matrix, SparseGraph, _bfs_forest, adjacency_matrix, as_array, components,
-    diameter, from_array, is_connected, memory_limit, require_memory,
+    diameter, from_array, frozen_csr, is_connected, memory_limit, require_memory,
 )
-from .shells import ShellDecomposition, fuse_shells, normalize_shell
+from .shells import ShellDecomposition, _DistanceShells, _pattern, fuse_shells
 
 #: float64 loses walk-count exactness past 2**53; n**(l+2) bounds every value
 #: a binary matrix's walk count reaches, so that is the rejection test.
@@ -83,20 +89,35 @@ class AggregationBoundsVerdict:
         return self.lower_ok and self.upper_ok
 
 
-def sym_norm_propagator(g: SparseGraph) -> Propagator:
-    """Symmetric normalization of the self-looped adjacency.
+def _adjacency_record(g: SparseGraph) -> _DistanceShells:
+    """The one-level record of hop levels of g's own adjacency: each edge at
+    level 1 and each (i, i) at level 0, so its pattern is that of A + I."""
+    return ShellDecomposition(g.n, (adjacency_matrix(g),), 1, (2 * g.edge_count,)).shells
 
-    Entry (i, j) of the matrix is 1/sqrt(d_i * d_j) where d is the degree
-    in A + I; the diagonal is 1/d_i.
+
+def sym_norm_propagator(g: SparseGraph) -> Propagator:
+    """Symmetric normalization of the self-looped adjacency, SGC's S.
+
+    It is That_1, the normalized read of level 1 of the adjacency's record:
+    with r = (k + 1)**-1/2 for k each node's degree, entry (i, j) of A + I's
+    pattern is r[i] * r[j], so the diagonal is 1/(k_i + 1).  ResourceError
+    is raised before the record, or the read, is built when
+    ``require_memory`` refuses it.
     """
-    return Propagator(normalize_shell(adjacency_matrix(g)), SYM_NORM)
+    return Propagator(replace(_adjacency_record(g), normalized=True)[0], SYM_NORM)
 
 
 def rw_norm_propagator(g: SparseGraph) -> Propagator:
-    """Row-stochastic normalization of the self-looped adjacency."""
-    inv_deg = sp.diags_array(1.0 / (g.degrees + 1.0))
-    m = from_array(inv_deg @ (adjacency_matrix(g) + sp.eye_array(g.n)))
-    return Propagator(m, RW_NORM)
+    """Row-stochastic normalization of the self-looped adjacency: each entry
+    of row i of A + I's pattern, read off the adjacency's record with its
+    diagonal, is 1/(k_i + 1).  The record and the pattern are checked as
+    ``sym_norm_propagator``'s are; the pattern's all-ones values are dropped
+    before the rows' are made, which keeps the build within those checks."""
+    pattern = _pattern(_adjacency_record(g), diagonal=True)
+    indices, indptr = pattern.indices, pattern.indptr
+    del pattern
+    counts = np.diff(indptr)
+    return Propagator(frozen_csr(np.repeat(1.0 / counts, counts), indices, indptr), RW_NORM)
 
 
 def residual_propagator(p: Propagator, beta: float) -> Propagator:

@@ -24,8 +24,8 @@ import scipy.sparse as sp
 
 from .errors import ConfigError, InputError
 from .graph import (
-    DenseMatrix, Matrix, SparseGraph, _bfs_blocks, _freeze, from_array, frozen_csr, is_symmetric,
-    require_memory, spmm, stores_dense,
+    DenseMatrix, Matrix, SparseGraph, _bfs_blocks, _freeze, frozen_csr, require_memory, spmm,
+    stores_dense,
 )
 
 #: Rows of P that one block of the fill writes, and for a dense P the
@@ -277,25 +277,6 @@ def _csr_bytes(n: int, levels: int, pairs: int) -> int:
     return max((28 + width) * entries, fill) + 8 * n * (2 * levels + 4)
 
 
-def normalize_shell(t: sp.csr_array) -> sp.csr_array:
-    """Symmetric normalization of a binary shell with self-loops added.
-
-    Returns D^{-1/2} (T + I) D^{-1/2} where D is the row-degree diagonal of
-    T + I.  The output is symmetric and non-negative with spectral radius
-    at most 1; there is no fixed row-sum contract.
-    """
-    if t.shape[0] != t.shape[1]:
-        raise InputError("shell matrix must be square")
-    if not is_symmetric(t):
-        raise InputError("shell matrix must be structurally symmetric")
-    if t.nnz and not np.all(t.data == 1.0):
-        raise InputError("shell matrix must be binary")
-    if np.any(t.diagonal() != 0):
-        raise InputError("shell matrix must have an empty diagonal")
-    d = sp.diags_array(1.0 / np.sqrt(np.diff(t.indptr) + 1.0))
-    return from_array(d @ (t + sp.eye_array(t.shape[0])) @ d)
-
-
 def ppr_coefficients(alpha: float, l_max: int) -> np.ndarray:
     """Decay coefficients (1 - 1/alpha)**l for l = 1..l_max (empty at 0)."""
     if not np.isfinite(alpha) or alpha <= 1.0:
@@ -315,11 +296,11 @@ def _fuse(theta: np.ndarray, shells: _DistanceShells) -> Matrix:
     record of hop levels, in the record's carrier.
 
     With r_l = (k_l + 1)**-1/2, k_l each node's degree in T_l, That_l holds
-    r_l[i] * r_l[j] at each entry (i, j) of T_l and r_l**2 on its diagonal,
-    as ``normalize_shell`` gives.  A pair lies in one shell only, so off the
-    diagonal P[i, j] = theta_d * (r_d[i] * r_d[j]) for d the pair's level,
-    and the diagonal sums theta_l * (r_l * r_l) over l = 1..l_max in order,
-    also past a node's own eccentricity.  ``_entries`` computes the
+    r_l[i] * r_l[j] at each entry (i, j) of T_l + I's pattern, so r_l**2 on
+    its diagonal, as its normalized read (``_pattern``) gives.  A pair lies
+    in one shell only, so off the diagonal P[i, j] = theta_d * (r_d[i] *
+    r_d[j]) for d the pair's level, and the diagonal sums theta_l * (r_l *
+    r_l) over l = 1..l_max in order, also past a node's own eccentricity.  ``_entries`` computes the
     off-diagonal rule, with weight 0 at level 0: over blocks of
     ``_FILL_ROWS`` rows of a CSR record, each block's diagonal then written
     over its rows' level-0 entries, and over the tiles of ``_FILL_ROWS``
@@ -327,12 +308,12 @@ def _fuse(theta: np.ndarray, shells: _DistanceShells) -> Matrix:
     also written, transposed, over its mirror, and the diagonal written
     last.  The distances are symmetric and fl(a * b) = fl(b * a), so the
     mirror holds the bits its own entries would; both carriers do these
-    operations in this order, as ``normalize_shell`` does, so both hold the
-    same bits.  A CSR P shares the record's read-only indices and row
-    pointers, so it is canonical too.  ResourceError is raised first when
-    ``require_memory`` refuses the record, P and the fill's temporaries, at
-    the figure the record's own stream ends on (``_csr_bytes`` or
-    ``_distance_bytes``).
+    operations in this order, as theta_l * That_l summed over the normalized
+    reads does, so both hold the same bits.  A CSR P shares the record's
+    read-only indices and row pointers, so it is canonical too.
+    ResourceError is raised first when ``require_memory`` refuses the
+    record, P and the fill's temporaries, at the figure the record's own
+    stream ends on (``_csr_bytes`` or ``_distance_bytes``).
     """
     d = shells.distances
     n, csr = d.shape[0], sp.issparse(d)
@@ -437,8 +418,11 @@ def _pattern(
     """The binary canonical csr_array of the record's pairs, or of its pairs
     at ``level`` only, and of each (i, i) too when ``diagonal``, read once
     off its levels.  With ``normalized`` (and ``diagonal``) it is That_l, the
-    level's shell normalized as ``normalize_shell`` does: with r = (k + 1)**-1/2,
-    k each node's degree in T_l, entry (i, j) is r[i] * r[j].
+    level's shell normalized with self-loops, D^-1/2 (T_l + I) D^-1/2: with
+    r = (k + 1)**-1/2, k each node's degree in T_l, entry (i, j) of
+    T_l + I's pattern is r[i] * r[j].  Every normalized matrix of the
+    package is such a read: That_l of a decomposition, and SGC's S, That_1
+    of a graph's own adjacency (``metrics.sym_norm_propagator``).
 
     A CSR record's entries are its pairs and each row's diagonal, so with
     ``diagonal`` and every level the pattern shares the record's column

@@ -17,6 +17,7 @@ from unittest import mock
 
 import numpy as np
 import scipy.sparse as sp
+from hypothesis import strategies as st
 
 from shellprop import (
     Dataset, InputError, MetricReport, NumericError, SparseGraph, build_graph, is_connected,
@@ -67,6 +68,22 @@ def random_tree(seed: int, n: int) -> SparseGraph:
     rng = np.random.default_rng(seed)
     edges = [(int(rng.integers(0, i)), i) for i in range(1, n)]
     return build_graph(edges, n)
+
+
+@st.composite
+def component_graphs(draw, max_nodes: int = 40):
+    """Graphs of 1 to ``max_nodes`` nodes under a random labelling: a random
+    tree plus extra edges on a drawn share of the nodes, often three
+    quarters or more, so that P is dense, and the rest in small components
+    or isolated."""
+    n = draw(st.integers(1, max_nodes))
+    big = draw(st.one_of(st.integers(-(-3 * n // 4), n), st.integers(1, n)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    tree = [(int(rng.integers(0, i)), i) for i in range(1, big)]
+    extra = rng.integers(0, big, size=(draw(st.integers(0, 2 * big)), 2))
+    rest = big + rng.integers(0, n - big, size=(draw(st.integers(0, n - big)), 2))
+    edges = np.concatenate([np.reshape(tree, (-1, 2)), extra, rest]).astype(np.int64)
+    return build_graph(rng.permutation(n)[edges], n)
 
 
 def bag_of_words(

@@ -206,6 +206,24 @@ class TestMetricsCommand:
         assert payload["n"] == 2100
         assert len(payload["report"]["sas_trajectory"]) == 2
 
+    @pytest.mark.parametrize("kind", ["sym", "rw", "residual"])
+    def test_adjacency_record_beyond_memory_exits_4(self, runner, tmp_path, monkeypatch, kind):
+        # the 2100-path's graph and one depth of its trajectory, 218376
+        # bytes, fit in 245760; the record its sym and rw are read off does not
+        fake_physical_memory(monkeypatch, 60 * 4096)
+        edges = tmp_path / "path.tsv"
+        edges.write_text("".join(f"{i}\t{i + 1}\n" for i in range(2099)))
+        result = run(
+            runner,
+            ["metrics", "--data", edges, "--propagator", kind, "--kmax", 1, "--out", tmp_path / "o"],
+        )
+        assert result.exit_code == 4
+        assert (
+            "error: the levels of 2100 nodes and their P store 4198 pairs, about 359018 bytes,"
+            " but physical memory is 245760 bytes"
+        ) in result.output
+        assert "Traceback" not in result.output
+
     def test_edgeless_fused_operator_exits_4(self, runner, tmp_path):
         data = tmp_path / "edgeless"
         data.mkdir()

@@ -35,6 +35,7 @@ from shellprop.metrics import _residual_trajectories
 from helpers import (
     assert_peak_within_checks,
     complete_graph,
+    component_graphs,
     dense_adjacency,
     dense_fused,
     dense_sym_norm,
@@ -43,6 +44,7 @@ from helpers import (
     path_graph,
     power_trajectory,
     random_connected_graph,
+    random_graph,
     random_tree,
     star_graph,
     to_dense,
@@ -113,6 +115,54 @@ class TestPropagators:
         assert isinstance(m, DenseMatrix)
         want = 0.3 * dense_fused(g, 2.0) + 0.7 * np.eye(g.n)
         assert np.max(np.abs(m.to_dense() - want)) < 1e-15
+
+
+class TestClassicalPropagatorBits:
+    """sym and rw hold, bit for bit, the dense oracles' D^-1/2 (A + I) D^-1/2
+    and (A + I) / (d + 1), as canonical CSR, on every graph: connected,
+    in components, with isolated nodes and edgeless."""
+
+    @given(g=component_graphs(), lone=st.integers(0, 5), edgeless=st.booleans())
+    @settings(max_examples=80, deadline=None)
+    def test_sym_and_rw_are_the_dense_oracles(self, g, lone, edgeless):
+        edges = [] if edgeless else [(u, v) for u in range(g.n) for v in g.neighbors(u) if u < v]
+        g = build_graph(edges, g.n + lone)
+        a = dense_adjacency(g)
+        sym, rw = sym_norm_propagator(g).matrix, rw_norm_propagator(g).matrix
+        for m in (sym, rw):
+            assert type(m) is sp.csr_array and m.has_canonical_format
+            assert m.indices.dtype == m.indptr.dtype == np.int64
+        assert np.array_equal(sym.toarray(), dense_sym_norm(a))
+        assert np.array_equal(rw.toarray(), (a + np.eye(g.n)) / (a.sum(axis=1) + 1)[:, None])
+
+
+class TestClassicalPropagatorBytes:
+    """The sym and rw builds peak within their byte checks, and a refusal
+    names the adjacency's record before it is built."""
+
+    @pytest.mark.parametrize("make", [sym_norm_propagator, rw_norm_propagator], ids=["sym", "rw"])
+    @pytest.mark.parametrize(
+        "graph",
+        [
+            lambda: random_graph(5, 600, 0.02),
+            lambda: build_graph([(2 * i, 2 * i + 1) for i in range(5000)], 10000),
+            lambda: complete_graph(60),
+        ],
+        ids=["random", "5000-pairs", "K60"],
+    )
+    def test_peak_is_within_the_checks(self, make, graph):
+        g = graph()
+        make(g)  # the graph builds its adjacency once, on first use
+        assert_peak_within_checks(["shells"], lambda: make(g))
+
+    def test_refusal_names_the_record(self, monkeypatch):
+        # a 2100-path's 4198 pairs and 2100 diagonal entries: the fill holds
+        # 41 bytes an entry, the record's 9, P's 8 and 24 of a block of rows,
+        # and 8 n (2 L + 4) more at L = 1
+        need = 41 * 6298 + 8 * 2100 * 6
+        fake_physical_memory(monkeypatch, 50 * 4096)
+        with pytest.raises(ResourceError, match=f"2100 nodes and their P store 4198 pairs, about {need} bytes"):
+            sym_norm_propagator(path_graph(2100))
 
 
 class TestAvgNat:

@@ -24,7 +24,6 @@ from shellprop import (
     fuse_shells,
     fused_propagate,
     fused_shell_propagator,
-    normalize_shell,
     ppr_coefficients,
     residual_propagator,
     rw_norm_propagator,
@@ -43,6 +42,7 @@ from helpers import (
     assert_peak_within_checks,
     bag_of_words,
     complete_graph,
+    component_graphs,
     dense_adjacency,
     dense_fused,
     dense_shells,
@@ -236,34 +236,31 @@ class TestShellDecompose:
             assert mapped == entries(shell_p)
 
 
-class TestNormalizeShell:
+def normalized_shells(d: ShellDecomposition):
+    """The That_l of a decomposition, as its fused operator reads them."""
+    return fuse_shells(d, 2.0).normalized_shells
+
+
+class TestNormalizedShell:
     def test_empty_shell_becomes_identity(self):
         empty = sp.csr_array(([], ([], [])), shape=(2, 2))
-        assert np.array_equal(normalize_shell(empty).toarray(), np.eye(2))
+        d = ShellDecomposition(2, (empty,), 1, (0,))
+        assert np.array_equal(normalized_shells(d)[0].toarray(), np.eye(2))
 
     def test_single_edge_shell(self):
-        t = shell_decompose(complete_graph(2)).shells[0]
-        assert np.allclose(normalize_shell(t).toarray(), np.full((2, 2), 0.5))
+        that = normalized_shells(shell_decompose(complete_graph(2)))[0]
+        assert np.allclose(that.toarray(), np.full((2, 2), 0.5))
 
     def test_path_first_shell_hand_values(self):
-        t1 = shell_decompose(path_graph(3)).shells[0]
-        got = normalize_shell(t1).toarray()
+        got = normalized_shells(shell_decompose(path_graph(3)))[0].toarray()
         assert got[0, 1] == pytest.approx(1.0 / np.sqrt(6.0), abs=1e-15)
         assert np.allclose(np.diag(got), [0.5, 1.0 / 3.0, 0.5])
-
-    def test_asymmetric_input_rejected(self):
-        with pytest.raises(InputError):
-            normalize_shell(sp.csr_array(([1.0], ([0], [1])), shape=(2, 2)))
-
-    def test_nonzero_diagonal_rejected(self):
-        with pytest.raises(InputError):
-            normalize_shell(sp.eye_array(2, format="csr"))
 
     @pytest.mark.parametrize("seed", range(5))
     def test_symmetric_and_spectral_radius_bounded(self, seed):
         g = random_connected_graph(seed + 20, 20, 0.2)
-        for shell in shell_decompose(g).shells:
-            dense = normalize_shell(shell).toarray()
+        for that in normalized_shells(shell_decompose(g)):
+            dense = that.toarray()
             assert np.max(np.abs(dense - dense.T)) < 1e-12
             # power iteration for the dominant eigenvalue
             v = np.random.default_rng(0).standard_normal(g.n)
@@ -276,8 +273,8 @@ class TestNormalizeShell:
     @pytest.mark.parametrize("seed", range(4))
     def test_matches_dense_oracle(self, seed):
         g = random_connected_graph(seed + 40, 15, 0.25)
-        for shell, oracle_shell in zip(shell_decompose(g).shells, dense_shells(g)):
-            got = normalize_shell(shell).toarray()
+        for that, oracle_shell in zip(normalized_shells(shell_decompose(g)), dense_shells(g)):
+            got = that.toarray()
             assert np.max(np.abs(got - dense_sym_norm(oracle_shell))) < 1e-12
 
 
@@ -311,10 +308,10 @@ class TestPprCoefficients:
 class TestFusedPropagate:
     def test_single_shell_identity_coefficient(self):
         d = shell_decompose(complete_graph(2))
-        that = normalize_shell(d.shells[0])
+        that = dense_sym_norm(d.shells[0].toarray())
         shells = fuse_shells(d, 2.0).normalized_shells
         p = FusedPropagator(2, shells, np.array([1.0]), 2.0)
-        assert np.allclose(fused_propagate(p, np.eye(2)), that.toarray())
+        assert np.allclose(fused_propagate(p, np.eye(2)), that)
 
     def test_path_alpha_two_matches_dense_oracle(self):
         g = path_graph(3)
@@ -341,7 +338,7 @@ class TestFusedPropagate:
         p = fuse_shells(d, 3.0)
         want = np.zeros((g.n, g.n))
         for theta, t in zip(p.coefficients, d.shells):
-            want += theta * normalize_shell(t).toarray()
+            want += theta * dense_sym_norm(t.toarray())
         assert np.max(np.abs(to_dense(p.matrix) - want)) < 1e-15
 
     def test_perturbed_coefficients_change_the_operator(self):
@@ -472,7 +469,8 @@ def built_csr() -> dict[str, sp.csr_array]:
     return {
         "binary shell": d.shells[1],
         "adjacency_matrix": adjacency_matrix(g),
-        "normalize_shell": normalize_shell(d.shells[1]),
+        "normalized shell": fuse_shells(d, 2.0).normalized_shells[1],
+        "capped normalized shell": fuse_shells(capped, 2.0).normalized_shells[1],
         "sym": sym.matrix,
         "rw": rw_norm_propagator(g).matrix,
         "residual": residual_propagator(sym, 0.5).matrix,
@@ -553,22 +551,6 @@ class TestShellSummaries:
         assert report["diameter"] == 4
 
 
-@st.composite
-def component_graphs(draw, max_nodes: int = 40):
-    """Graphs of 1 to ``max_nodes`` nodes under a random labelling: a random
-    tree plus extra edges on a drawn share of the nodes, often three
-    quarters or more, so that P is dense, and the rest in small components
-    or isolated."""
-    n = draw(st.integers(1, max_nodes))
-    big = draw(st.one_of(st.integers(-(-3 * n // 4), n), st.integers(1, n)))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    tree = [(int(rng.integers(0, i)), i) for i in range(1, big)]
-    extra = rng.integers(0, big, size=(draw(st.integers(0, 2 * big)), 2))
-    rest = big + rng.integers(0, n - big, size=(draw(st.integers(0, n - big)), 2))
-    edges = np.concatenate([np.reshape(tree, (-1, 2)), extra, rest]).astype(np.int64)
-    return build_graph(rng.permutation(n)[edges], n)
-
-
 def tuple_backed(d: ShellDecomposition) -> ShellDecomposition:
     return ShellDecomposition(d.n, tuple(d.shells), d.l_max, d.shell_sizes)
 
@@ -595,7 +577,7 @@ class TestDistanceShells:
         # theta_l * That_l adds the same products in the same order
         want = np.zeros((g.n, g.n))
         for theta, t in zip(ppr_coefficients(alpha, d.l_max), d.shells):
-            want += theta * normalize_shell(t).toarray()
+            want += theta * dense_sym_norm(t.toarray())
         assert np.array_equal(to_dense(p), want)
         # the oracle's (1 - 1/alpha)**l may differ from ppr_coefficients' in
         # the last bit, except for the exact powers of alpha = 2
