@@ -83,12 +83,6 @@ class SparseGraph:
     def __post_init__(self) -> None:
         _freeze(self.row_offsets, self.col_indices)
 
-    @cached_property
-    def degrees(self) -> np.ndarray:
-        d = np.diff(self.row_offsets)
-        _freeze(d)
-        return d
-
     def neighbors(self, i: int) -> np.ndarray:
         return self.col_indices[self.row_offsets[i] : self.row_offsets[i + 1]]
 
@@ -122,9 +116,6 @@ class DenseMatrix:
 
     def to_dense(self) -> np.ndarray:
         return self.values.copy()
-
-    def diagonal(self) -> np.ndarray:
-        return self.values.diagonal().copy()
 
 
 #: Either carrier of a real matrix; products read it through ``as_array``.
@@ -364,8 +355,10 @@ def _bfs_blocks(
     ``sources[s]``, and a level ORs each node's neighbours' frontier words.
     A block keeps only the nodes each level reaches and their words, and
     ends at its deepest level, or at ``cap``.  ResourceError is raised
-    before the first block when its working set, plus the ``held`` bytes a
-    consumer keeps beside it, exceeds ``require_memory``'s bound, and again
+    before the first block when its working set, plus the ``held`` bytes
+    that ``distance_blocks`` keeps beside it (the int32 block it fills, that
+    block's mask of reached pairs and the block its consumer still holds),
+    exceeds ``require_memory``'s bound, and again
     before each level is kept, counting the levels the block keeps and
     those of the block before it, which a consumer may still hold.
     """
@@ -424,19 +417,6 @@ def distance_blocks(
         dist = np.full((len(block.sources), g.n), UNREACHABLE, dtype=np.int32)
         block.fill(dist)
         yield block.sources, dist
-
-
-def distance_matrix(g: SparseGraph, cap: int | None = None) -> np.ndarray:
-    """Full all-pairs distance matrix (n x n, int32, UNREACHABLE sentinel),
-    filled block by block; the BFS stream's byte checks count it and one
-    block's mask of reached pairs."""
-    d = None
-    b = min(_BFS_BLOCK, g.n)
-    for block in _bfs_blocks(g, cap, held=4 * g.n * g.n + b * g.n):
-        if d is None:  # allocated once the stream's check has passed
-            d = np.full((g.n, g.n), UNREACHABLE, dtype=np.int32)
-        block.fill(d[block.sources[0] : block.sources[-1] + 1])
-    return d
 
 
 def diameter(g: SparseGraph) -> int:

@@ -9,9 +9,11 @@ what the trajectory helpers verify numerically.
 
 The classical propagators read the one-level record of hop levels of the
 graph's own adjacency, the kind of record the fused operator is filled on,
-through the shells' one checked reader: ``sym`` is its That_1, r[i] * r[j]
-with r = (k + 1)**-1/2 on A + I's pattern, and ``rw`` puts 1/(k_i + 1) on
-row i of that pattern.
+through the shells' one checked reader, in reads that take no level and
+share the record's column indices: ``sym`` is its normalized read, r[i] *
+r[j] with r = (k + 1)**-1/2 on A + I's pattern, which is its That_1, and
+``rw`` puts 1/(k_i + 1) on row i of that pattern.  A residual
+beta M + (1 - beta) I is built in M's carrier, checked first.
 
 The aggregation count takes l sparse matrix-vector products.  The
 trajectory reads depth 1 off M's own diagonal, with no decomposition.
@@ -28,7 +30,7 @@ decomposition.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 
@@ -37,8 +39,8 @@ import scipy.sparse as sp
 
 from .errors import ConfigError, InputError, NumericError
 from .graph import (
-    _BFS_ROWS, Matrix, SparseGraph, _bfs_forest, adjacency_matrix, as_array, components,
-    diameter, from_array, frozen_csr, is_connected, memory_limit, require_memory,
+    _BFS_ROWS, DenseMatrix, Matrix, SparseGraph, _bfs_forest, adjacency_matrix, as_array,
+    components, diameter, from_array, frozen_csr, is_connected, memory_limit, require_memory,
 )
 from .shells import ShellDecomposition, _DistanceShells, _pattern, fuse_shells
 
@@ -50,7 +52,6 @@ SYM_NORM = "sym_norm"
 RW_NORM = "rw_norm"
 RESIDUAL = "residual"
 FUSED_SHELL = "fused_shell"
-RAW_ADJACENCY = "raw_adjacency"
 
 
 @dataclass(frozen=True, eq=False)
@@ -59,7 +60,6 @@ class Propagator:
 
     matrix: Matrix
     kind: str
-    beta: float | None = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -98,13 +98,14 @@ def _adjacency_record(g: SparseGraph) -> _DistanceShells:
 def sym_norm_propagator(g: SparseGraph) -> Propagator:
     """Symmetric normalization of the self-looped adjacency, SGC's S.
 
-    It is That_1, the normalized read of level 1 of the adjacency's record:
-    with r = (k + 1)**-1/2 for k each node's degree, entry (i, j) of A + I's
-    pattern is r[i] * r[j], so the diagonal is 1/(k_i + 1).  ResourceError
-    is raised before the record, or the read, is built when
-    ``require_memory`` refuses it.
+    It is the normalized read of the adjacency's record with its diagonal,
+    which takes no level: the record's only levels are 0 and 1, so it is
+    That_1 and shares the record's column indices.  With r = (k + 1)**-1/2
+    for k each node's degree, entry (i, j) of A + I's pattern is r[i] * r[j],
+    so the diagonal is 1/(k_i + 1).  ResourceError is raised before the
+    record, or the read, is built when ``require_memory`` refuses it.
     """
-    return Propagator(replace(_adjacency_record(g), normalized=True)[0], SYM_NORM)
+    return Propagator(_pattern(_adjacency_record(g), diagonal=True, normalized=True), SYM_NORM)
 
 
 def rw_norm_propagator(g: SparseGraph) -> Propagator:
@@ -121,16 +122,32 @@ def rw_norm_propagator(g: SparseGraph) -> Propagator:
 
 
 def residual_propagator(p: Propagator, beta: float) -> Propagator:
-    """Convex combination beta * P + (1 - beta) * I of a propagator."""
+    """Convex combination beta * P + (1 - beta) * I of a propagator, in P's
+    carrier.
+
+    A dense P's copy is scaled and its diagonal raised in place.  A CSR P's
+    scaled values, on its own indices, are added by scipy to the CSR of the
+    diagonal, in a sum with room for both operands' entries, which is then
+    copied into canonical form (``from_array``).  ResourceError is raised
+    before the first of these is built when ``require_memory`` refuses P
+    and them: 16 n**2 bytes for a dense P, and 48 e + 56 n + 24 for a CSR P
+    of e entries with int64 indices, its 16 e + 8 (n + 1) beside the larger
+    of the sum's two steps: the scaled values, the diagonal and the sum,
+    24 e + 48 n + 16, or the sum and its copy, at most 32 e + 48 n + 16.
+    """
     if not 0.0 < beta < 1.0:
         raise ConfigError(f"beta must be strictly inside (0, 1), got {beta}")
-    m = p.matrix
-    merged = beta * as_array(m) + (1.0 - beta) * sp.eye_array(m.shape[0])
-    return Propagator(from_array(merged), RESIDUAL, beta=beta)
-
-
-def raw_adjacency_propagator(g: SparseGraph) -> Propagator:
-    return Propagator(adjacency_matrix(g), RAW_ADJACENCY)
+    a, n = as_array(p.matrix), p.matrix.shape[0]
+    if sp.issparse(a):
+        require_memory(48 * a.nnz + 56 * n + 24, f"the residual of a CSR {n} x {n} matrix of {a.nnz} entries")
+        merged = sp.csr_array((a.data * beta, a.indices, a.indptr), shape=a.shape) + frozen_csr(
+            np.full(n, 1.0 - beta), np.arange(n), np.arange(n + 1)
+        )
+        return Propagator(from_array(merged), RESIDUAL)
+    require_memory(16 * n * n, f"the residual of a dense {n} x {n} matrix")
+    merged = a * beta
+    merged.reshape(-1)[:: n + 1] += 1.0 - beta  # the diagonal, in place
+    return Propagator(DenseMatrix(merged), RESIDUAL)
 
 
 def fused_shell_propagator(

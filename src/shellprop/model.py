@@ -14,8 +14,10 @@ stores as CSR for sparse bag-of-words rows and dense otherwise.  Input
 dropout draws one uniform per stored entry of X, so a CSR X keeps its
 pattern and a dense X draws all n * d values in C order.
 
-A loss reads only its masked rows of P @ z and a score only its scored
-rows, so only those rows of P are multiplied.  Each read of P is one row
+P is read through a propagator's ``matrix`` alone, n being its row count,
+so a ``metrics.Propagator`` serves as a ``FusedPropagator`` does.  A loss
+reads only its masked rows of P @ z and a score only its scored rows, so
+only those rows of P are multiplied.  Each read of P is one row
 slice (``_rows_of``), which also picks the nodes S the slice reads, holds
 X's rows on S and the dropout draws that fall there, and checks X, once per
 call: ``forward`` reads all of P, ``backward`` its loss rows, and ``train``
@@ -47,7 +49,6 @@ most 3e-15 after 60 epochs on the benchmark graph with a dense X).
 from __future__ import annotations
 
 import struct
-import time
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
@@ -57,6 +58,7 @@ import scipy.sparse as sp
 from .data import node_ids
 from .errors import ConfigError, InputError, NumericError
 from .graph import DenseMatrix, Matrix, as_array, spmm
+from .metrics import Propagator
 from .shells import FusedPropagator, fuse_shells, shell_decompose
 
 _CHECKPOINT_MAGIC = b"SHLP"
@@ -119,7 +121,6 @@ class TrainHistory:
     train_loss: list[float]
     val_accuracy: list[float]
     best_epoch: int
-    wall_time: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -193,7 +194,8 @@ class _Rows:
 
 
 def _rows_of(
-    p: FusedPropagator, x: np.ndarray | Matrix, params: ModelParams, index: np.ndarray | None = None
+    p: FusedPropagator | Propagator, x: np.ndarray | Matrix, params: ModelParams,
+    index: np.ndarray | None = None,
 ) -> _Rows:
     """P's rows ``index``, or all of P when it is None, and X's rows on the
     nodes they read, X being n x d with the first stage's input width d.  A
@@ -203,22 +205,23 @@ def _rows_of(
     P[index, support]^T @ d is P @ d' on the support, d' being d on the rows
     ``index`` and zero elsewhere, with the same sums when ``index`` ascends,
     and P @ d' is 0 off it.  The transpose of either slice is a view."""
-    x = _features(x, params, p.n)
-    shape = (x.data if sp.issparse(x) else x).shape
     m = as_array(p.matrix)
+    n = m.shape[0]
+    x = _features(x, params, n)
+    shape = (x.data if sp.issparse(x) else x).shape
     if index is not None:
         m = m[index]
     if index is None or not sp.issparse(m):
-        return _Rows(slice(None) if index is None else index, m, slice(None), x, shape, slice(None), p.n)
+        return _Rows(slice(None) if index is None else index, m, slice(None), x, shape, slice(None), n)
     support = np.unique(m.indices)
     columns = np.searchsorted(support, m.indices)
     narrowed = sp.csr_array((m.data, columns, m.indptr), shape=(m.shape[0], support.size))
     draws = support
     if sp.issparse(x):
-        on = np.zeros(p.n, dtype=bool)
+        on = np.zeros(n, dtype=bool)
         on[support] = True
         draws = np.flatnonzero(np.repeat(on, np.diff(x.indptr)))
-    return _Rows(index, narrowed, support, x[support], shape, draws, p.n)
+    return _Rows(index, narrowed, support, x[support], shape, draws, n)
 
 
 def _dropped(rows: _Rows, rng, rate: float) -> np.ndarray | sp.csr_array:
@@ -233,7 +236,7 @@ def _dropped(rows: _Rows, rng, rate: float) -> np.ndarray | sp.csr_array:
     return m * scale
 
 
-def _row_blocks(p: FusedPropagator, index: np.ndarray) -> Iterator[np.ndarray | sp.csr_array]:
+def _row_blocks(p: FusedPropagator | Propagator, index: np.ndarray) -> Iterator[np.ndarray | sp.csr_array]:
     """P's rows ``index`` in turn, at most ``_SCORE_ROWS`` of them at a time."""
     m = as_array(p.matrix)
     for start in range(0, index.size, _SCORE_ROWS):
@@ -291,7 +294,7 @@ def _forward_cache(params: ModelParams, rows: _Rows, dropout: float, rng) -> dic
 def forward(
     params: ModelParams,
     x: np.ndarray | Matrix,
-    p: FusedPropagator,
+    p: FusedPropagator | Propagator,
     train_mode: bool = False,
     rng=None,
     dropout: float = 0.5,
@@ -359,7 +362,7 @@ def _grads_from_cache(
 def backward(
     params: ModelParams,
     x: np.ndarray | Matrix,
-    p: FusedPropagator,
+    p: FusedPropagator | Propagator,
     y: np.ndarray,
     mask: np.ndarray,
     rng=None,
@@ -373,7 +376,7 @@ def backward(
     The loss reads only the masked rows of P @ z, so only those rows of P
     are multiplied, and the mask must hold distinct node ids.
     """
-    mask = _mask(mask, p.n, "loss mask")
+    mask = _mask(mask, p.matrix.shape[0], "loss mask")
     rows = _rows_of(p, x, params, mask)
     cache = _forward_cache(params, rows, dropout, rng)
     return _grads_from_cache(cache, params, rows, np.asarray(y, dtype=np.int64)[mask], weight_decay)
@@ -404,7 +407,9 @@ def adam_step(
     return ModelParams(*new_p), AdamState(t, ModelParams(*new_m), ModelParams(*new_v))
 
 
-def evaluate(params: ModelParams, dataset, p: FusedPropagator, mask) -> tuple[float, float]:
+def evaluate(
+    params: ModelParams, dataset, p: FusedPropagator | Propagator, mask
+) -> tuple[float, float]:
     """Accuracy and macro-F1 of argmax predictions on the masked nodes.
 
     Argmax ties break toward the lowest class index.  Macro-F1 averages
@@ -412,8 +417,9 @@ def evaluate(params: ModelParams, dataset, p: FusedPropagator, mask) -> tuple[fl
     prediction and truth.  The mask must hold distinct node ids; only its
     rows of P are read, ``_SCORE_ROWS`` at a time.
     """
-    mask = _mask(mask, p.n, "evaluation mask")
-    x = _features(dataset.feature_matrix, params, p.n)
+    n = p.matrix.shape[0]
+    mask = _mask(mask, n, "evaluation mask")
+    x = _features(dataset.feature_matrix, params, n)
     logits = _row_logits(params, x, _row_blocks(p, mask))
     if not np.all(np.isfinite(logits)):
         raise NumericError("non-finite values in logits")
@@ -430,7 +436,7 @@ def evaluate(params: ModelParams, dataset, p: FusedPropagator, mask) -> tuple[fl
 
 
 def train(
-    dataset, config: TrainConfig, propagator: FusedPropagator | None = None
+    dataset, config: TrainConfig, propagator: FusedPropagator | Propagator | None = None
 ) -> tuple[ModelParams, TrainHistory]:
     """Full-graph training with early stopping on validation accuracy.
 
@@ -439,9 +445,9 @@ def train(
     a fixed seed.  Each split part must hold distinct node ids.  P's train
     and validation rows are sliced once, each as one slice; an epoch
     multiplies only the train rows, forward and adjoint, and scores only the
-    validation rows.
+    validation rows.  A given ``propagator`` is read through its ``matrix``
+    alone, so a ``metrics.Propagator`` serves as a fused one does.
     """
-    started = time.perf_counter()
     split = dataset.split
     if split is None:
         raise InputError("dataset has no split; build one with make_split")
@@ -486,13 +492,7 @@ def train(
             best_params = params
         elif epoch - best_epoch >= config.patience:
             break
-    history = TrainHistory(
-        train_loss=losses,
-        val_accuracy=val_accs,
-        best_epoch=best_epoch,
-        wall_time=time.perf_counter() - started,
-    )
-    return best_params, history
+    return best_params, TrainHistory(train_loss=losses, val_accuracy=val_accs, best_epoch=best_epoch)
 
 
 def save_checkpoint(path, params: ModelParams) -> None:

@@ -399,11 +399,6 @@ def fused_propagate(p: FusedPropagator, z: np.ndarray) -> np.ndarray:
     return spmm(p.matrix, np.asarray(z, dtype=np.float64))
 
 
-def shell_degree_profile(d: ShellDecomposition) -> list[float]:
-    """Average degree of each shell: entry count divided by node count."""
-    return [size / d.n for size in d.shell_sizes]
-
-
 def shell_union(d: ShellDecomposition) -> sp.csr_array:
     """Binary union of all shells: every reachable ordered pair, i != j.
 
@@ -417,12 +412,14 @@ def _pattern(
 ) -> sp.csr_array:
     """The binary canonical csr_array of the record's pairs, or of its pairs
     at ``level`` only, and of each (i, i) too when ``diagonal``, read once
-    off its levels.  With ``normalized`` (and ``diagonal``) it is That_l, the
-    level's shell normalized with self-loops, D^-1/2 (T_l + I) D^-1/2: with
-    r = (k + 1)**-1/2, k each node's degree in T_l, entry (i, j) of
-    T_l + I's pattern is r[i] * r[j].  Every normalized matrix of the
-    package is such a read: That_l of a decomposition, and SGC's S, That_1
-    of a graph's own adjacency (``metrics.sym_norm_propagator``).
+    off its levels.  With ``normalized`` (and ``diagonal``) each entry (i, j)
+    is r[i] * r[j], r = (k + 1)**-1/2 for k each row's count of the pairs
+    read: over the levels it reads, so at ``level`` it is That_l, the
+    level's shell normalized with self-loops, D^-1/2 (T_l + I) D^-1/2.
+    Every normalized matrix of the package is such a read: That_l of a
+    decomposition, and SGC's S, the read with no level of a graph's own
+    one-level adjacency record, whose only level is 1, so that it is That_1
+    (``metrics.sym_norm_propagator``).
 
     A CSR record's entries are its pairs and each row's diagonal, so with
     ``diagonal`` and every level the pattern shares the record's column
@@ -431,7 +428,8 @@ def _pattern(
     level with its diagonal through a second such mask.  ResourceError is
     raised first when ``require_memory`` refuses the record, its row counts,
     those masks and 16 bytes for each entry of the pattern, its int64 column
-    and float64 one, or 24 for That_l, which gathers r[j] into an operand."""
+    and float64 one, or 24 for a normalized read, which gathers r[j] into an
+    operand."""
     levels, n = shells.distances, shells.distances.shape[0]
     counts = shells.row_counts if level is None else shells.row_counts[level - 1 : level]
     nnz, csr = sum(int(k.sum()) for k in counts) + n * diagonal, sp.issparse(levels)

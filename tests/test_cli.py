@@ -224,6 +224,23 @@ class TestMetricsCommand:
         ) in result.output
         assert "Traceback" not in result.output
 
+    def test_residual_beyond_memory_exits_4(self, runner, tmp_path, monkeypatch):
+        # the 2100-path's record (359018 bytes) and sym's read fit in 393216;
+        # the residual of sym's 6298 entries, 48 * 6298 + 56 * 2100 + 24, does not
+        fake_physical_memory(monkeypatch, 96 * 4096)
+        edges = tmp_path / "path.tsv"
+        edges.write_text("".join(f"{i}\t{i + 1}\n" for i in range(2099)))
+        result = run(
+            runner,
+            ["metrics", "--data", edges, "--propagator", "residual", "--kmax", 1, "--out", tmp_path / "o"],
+        )
+        assert result.exit_code == 4
+        assert (
+            "error: the residual of a CSR 2100 x 2100 matrix of 6298 entries, about 419928 bytes,"
+            " but physical memory is 393216 bytes"
+        ) in result.output
+        assert "Traceback" not in result.output
+
     def test_edgeless_fused_operator_exits_4(self, runner, tmp_path):
         data = tmp_path / "edgeless"
         data.mkdir()

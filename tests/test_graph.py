@@ -14,7 +14,6 @@ from shellprop import (
     build_graph,
     component_count,
     diameter,
-    distance_matrix,
     is_connected,
     read_edge_list,
     shell_decompose,
@@ -42,17 +41,17 @@ class TestBuildGraph:
     def test_dedup_symmetrize_strip_loops(self):
         g = build_graph([(0, 1), (1, 0), (1, 1), (1, 2)], 3)
         assert g.edge_count == 2
-        assert list(g.degrees) == [1, 2, 1]
+        assert list(np.diff(g.row_offsets)) == [1, 2, 1]
         assert list(g.neighbors(1)) == [0, 2]
 
     def test_empty_edge_list(self):
         g = build_graph([], 4)
         assert g.edge_count == 0
-        assert list(g.degrees) == [0, 0, 0, 0]
+        assert list(np.diff(g.row_offsets)) == [0, 0, 0, 0]
 
     def test_star(self):
         g = build_graph([(0, 1), (0, 2), (0, 3)], 4)
-        assert list(g.degrees) == [3, 1, 1, 1]
+        assert list(np.diff(g.row_offsets)) == [3, 1, 1, 1]
 
     def test_id_out_of_range(self):
         with pytest.raises(InputError):
@@ -99,15 +98,20 @@ def oracle_distances(g, cap=None):
     return np.where(far, UNREACHABLE, d)
 
 
+def all_distances(g, cap=None):
+    """The n x n distances, ``distance_blocks``' blocks concatenated by rows."""
+    return np.concatenate([block for _, block in distance_blocks(g, cap)])
+
+
 class TestBfs:
     def test_path(self):
-        assert list(distance_matrix(path_graph(3))[0]) == [0, 1, 2]
+        assert list(all_distances(path_graph(3))[0]) == [0, 1, 2]
 
     def test_star_from_leaf(self):
-        assert list(distance_matrix(star_graph(3))[1]) == [1, 0, 2, 2]
+        assert list(all_distances(star_graph(3))[1]) == [1, 0, 2, 2]
 
     def test_disconnected(self):
-        d = distance_matrix(two_disjoint_edges())[0]
+        d = all_distances(two_disjoint_edges())[0]
         assert list(d) == [0, 1, UNREACHABLE, UNREACHABLE]
 
     @pytest.mark.parametrize("seed", range(8))
@@ -115,7 +119,7 @@ class TestBfs:
         rng = np.random.default_rng(seed)
         n = int(rng.integers(2, 61))
         g = random_graph(seed, n, float(rng.uniform(0.03, 0.4)))
-        full = distance_matrix(g)
+        full = all_distances(g)
         want = oracle_distances(g)
         for source in range(n):
             assert np.array_equal(full[source].astype(np.int64), want[source])
@@ -123,25 +127,25 @@ class TestBfs:
     @pytest.mark.parametrize("seed", range(6))
     def test_distance_matrix_matches_single_source(self, seed):
         g = random_graph(seed, 30, 0.1)
-        full = distance_matrix(g)
+        full = all_distances(g)
         for sources, block in distance_blocks(g, block_size=1):
             assert np.array_equal(full[sources[0]], block[0])
 
     def test_distance_matrix_spans_source_blocks(self):
         # n=300 exceeds the vectorized BFS block width, so this crosses blocks
         g = random_graph(42, 300, 0.02)
-        full = distance_matrix(g)
+        full = all_distances(g)
         assert np.array_equal(full.astype(np.int64), oracle_distances(g))
 
     @pytest.mark.parametrize("cap", [1, 2, 3, 5])
     def test_capped_distance_matrix_matches_floyd_warshall(self, cap):
         g = random_graph(11, 40, 0.06)
-        capped = distance_matrix(g, cap=cap)
+        capped = all_distances(g, cap=cap)
         assert np.array_equal(capped.astype(np.int64), oracle_distances(g, cap))
 
     def test_edge_lipschitz_invariant(self):
         g = random_graph(3, 25, 0.15)
-        d = distance_matrix(g)[0].astype(np.int64)
+        d = all_distances(g)[0].astype(np.int64)
         for u in range(g.n):
             for v in g.neighbors(u):
                 if d[u] != UNREACHABLE and d[v] != UNREACHABLE:
@@ -196,14 +200,15 @@ class TestBlockEdges:
 class TestBfsWorkingSet:
     # one edge on 1000 nodes: a block of 256 sources holds 4 words a node,
     # 8 * 4 * (6 * 1000 + 2) + 72 * 4 * 1000 = 480064 bytes, and the distance
-    # matrix 4 * 1000**2 and one block's mask of reached pairs 256 * 1000 more
+    # stream 9 * 256 * 1000 more: the int32 block it fills, that block's mask
+    # of reached pairs and the block its consumer still holds
     def test_distance_block_counted_only_where_it_is_held(self, monkeypatch):
         g = build_graph([(0, 999)], 1000)
         fake_physical_memory(monkeypatch, 200 * 4096)
         assert shell_decompose(g).shell_sizes == (2,)
         assert diameter(g) == 1
-        with pytest.raises(ResourceError, match=r"about 4736064 bytes, but physical memory is 819200 "):
-            distance_matrix(g)
+        with pytest.raises(ResourceError, match=r"about 2784064 bytes, but physical memory is 819200 "):
+            next(distance_blocks(g))
 
     def test_refused_before_the_first_block(self, monkeypatch):
         fake_physical_memory(monkeypatch, 50 * 4096)
@@ -218,8 +223,8 @@ class TestBfsWorkingSet:
     def test_address_space_limit_bounds_when_lower(self, monkeypatch, soft, bound):
         fake_physical_memory(monkeypatch, 200 * 4096)
         fake_address_space_limit(monkeypatch, soft)
-        with pytest.raises(ResourceError, match=f"about 4736064 bytes, but {bound}"):
-            distance_matrix(build_graph([(0, 999)], 1000))
+        with pytest.raises(ResourceError, match=f"about 2784064 bytes, but {bound}"):
+            next(distance_blocks(build_graph([(0, 999)], 1000)))
 
     def test_stream_peak_within_its_check(self):
         # 500 disjoint edges: a block of 256 sources over 1000 nodes is
@@ -261,19 +266,6 @@ class TestBfsWorkingSet:
             base + 2 * full, base + 2 * full + 32000 + 512000
         ] * 2 + [base + full + last, base + full + last + 32000 + 464000]
 
-    def test_distance_matrix_is_filled_within_its_check(self):
-        # the working set of 512000 bytes, the 4 * 1000**2 of the matrix and
-        # one block's mask of reached pairs, with no block or concatenation
-        # beside it; the kept level and the slab as above
-        g = build_graph([(2 * i, 2 * i + 1) for i in range(500)], 1000)
-        want = distance_matrix(g)
-        d, needs = assert_peak_within_checks(("graph",), lambda: distance_matrix(g))
-        assert np.array_equal(d, want) and d.dtype == np.int32
-        base, full, last = 512000 + 4000000 + 256000, 48 * 256 + 512, 48 * 232 + 512
-        assert needs == [base, base + full, base + full + 32000 + 512000] + [
-            base + 2 * full, base + 2 * full + 32000 + 512000
-        ] * 2 + [base + full + last, base + full + last + 32000 + 464000]
-
     @given(g=sparse_graphs(), cap=st.one_of(st.none(), st.integers(1, 5)))
     @settings(max_examples=40, deadline=None)
     def test_every_consumer_within_its_checks(self, g, cap):
@@ -283,7 +275,7 @@ class TestBfsWorkingSet:
             for _ in distance_blocks(g, cap):
                 pass
 
-        for call in (blocks, lambda: distance_matrix(g, cap), lambda: shell_report(g, cap)):
+        for call in (blocks, lambda: shell_report(g, cap)):
             call()
             assert_peak_within_checks(("graph",), call)
         shell_decompose(g, cap)

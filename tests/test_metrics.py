@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -20,7 +21,6 @@ from shellprop import (
     build_graph,
     diameter,
     fused_shell_propagator,
-    raw_adjacency_propagator,
     residual_propagator,
     rw_norm_propagator,
     sas,
@@ -29,7 +29,7 @@ from shellprop import (
     shell_union,
     sym_norm_propagator,
 )
-from shellprop.graph import as_array
+from shellprop.graph import as_array, from_array
 from shellprop.metrics import _residual_trajectories
 
 from helpers import (
@@ -164,6 +164,34 @@ class TestClassicalPropagatorBytes:
         with pytest.raises(ResourceError, match=f"2100 nodes and their P store 4198 pairs, about {need} bytes"):
             sym_norm_propagator(path_graph(2100))
 
+    @pytest.mark.parametrize(
+        "graph",
+        [
+            lambda: random_graph(5, 600, 0.02),
+            lambda: build_graph([(2 * i, 2 * i + 1) for i in range(5000)], 10000),
+            lambda: path_graph(3000),
+        ],
+        ids=["random", "5000-pairs", "3000-path"],
+    )
+    def test_sym_peaks_no_higher_than_rw(self, graph):
+        # on a sparse graph both peak while the adjacency's record is sorted:
+        # sym's read, like rw's, takes no level and shares the record's column
+        # indices, with no mask or copy of them (1 KiB allows for interpreter
+        # objects; a read at level 1 peaked 13-100 kB above rw here)
+        g = graph()
+
+        def peak(make):
+            make(g)
+            make(g)
+            tracemalloc.start()
+            try:
+                make(g)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(sym_norm_propagator) <= peak(rw_norm_propagator) + 1024
+
 
 class TestAvgNat:
     @pytest.mark.parametrize("n", [2, 3, 5, 8])
@@ -268,7 +296,7 @@ class TestSas:
 
     def test_zero_row_sum_names_row(self):
         # node 2 is isolated: its raw-adjacency row is all zero
-        m = raw_adjacency_propagator(isolated_plus_edge()).matrix
+        m = adjacency_matrix(isolated_plus_edge())
         with pytest.raises(NumericError, match="row 2"):
             sas(m, 1)
 
@@ -411,7 +439,7 @@ def propagators(draw):
     matrix carrier."""
     prop = draw(propagators_as_built())
     if draw(st.booleans()):
-        return Propagator(DenseMatrix(to_dense(prop.matrix)), prop.kind, prop.beta)
+        return Propagator(DenseMatrix(to_dense(prop.matrix)), prop.kind)
     return prop
 
 
@@ -433,7 +461,7 @@ def propagators_as_built(draw):
     if kind == "fused":
         l_cap = draw(st.sampled_from([None, 1, 2, 3]))
         return fused_shell_propagator(shell_decompose(g, l_cap), draw(st.sampled_from([2.0, 5.0])))
-    return raw_adjacency_propagator(g)
+    return Propagator(adjacency_matrix(g), "raw_adjacency")
 
 
 class TestEigenTrajectory:
@@ -458,7 +486,8 @@ class TestEigenTrajectory:
         assert got.avg_nat == pytest.approx(want.avg_nat, rel=1e-10)
 
     @pytest.mark.parametrize(
-        "make", [sym_norm_propagator, rw_norm_propagator, raw_adjacency_propagator]
+        "make",
+        [sym_norm_propagator, rw_norm_propagator, lambda g: Propagator(adjacency_matrix(g), "raw_adjacency")],
     )
     def test_depth_blocks_join_without_a_gap(self, make):
         # 300 depths span three blocks of diagonals
@@ -471,7 +500,7 @@ class TestEigenTrajectory:
     @pytest.mark.parametrize("carrier", ["csr", "dense"])
     def test_bare_rw_matrix_of_a_non_regular_graph(self, carrier):
         g = random_connected_graph(11, 30, 0.15)
-        assert len(set(g.degrees.tolist())) > 1
+        assert len(set(np.diff(g.row_offsets).tolist())) > 1
         m = rw_norm_propagator(g).matrix
         if carrier == "dense":
             m = DenseMatrix(m.toarray())
@@ -503,7 +532,7 @@ class TestEigenTrajectory:
         # and a 0 stored between the two must not join them
         edges = np.array([*zip(*np.triu_indices(40, 1)), (40, 41)])
         perm = np.random.default_rng(seed).permutation(42)
-        m = raw_adjacency_propagator(build_graph(perm[edges], 42)).matrix
+        m = adjacency_matrix(build_graph(perm[edges], 42))
         if carrier == "dense":
             m = DenseMatrix(m.toarray())
         elif carrier == "csr with a stored 0":
@@ -579,6 +608,50 @@ class TestResidualTrajectories:
             assert abs(got - oracle) <= 1e-10, f"depth {k}"
         assert residual.avg_nat == want.avg_nat
         assert abs(residual.limit_gap - want.limit_gap) <= 1e-10
+
+
+class TestResidualBytes:
+    """The residual is checked before its first temporary and built within
+    that check, with the bits of scipy's beta * P + (1 - beta) I in P's
+    carrier."""
+
+    def test_csr_peak_within_its_check(self):
+        # sym on 600 nodes: P's e entries and row pointers beside the larger
+        # of the sum's steps, 48 e + 56 n + 24 in all
+        base = sym_norm_propagator(random_graph(5, 600, 0.02))
+        residual_propagator(base, 0.5)
+        _, needs = assert_peak_within_checks(("metrics",), lambda: residual_propagator(base, 0.5), slack=0)
+        assert needs == [48 * base.matrix.nnz + 56 * 600 + 24]
+
+    def test_dense_peak_within_its_check(self):
+        # P's 8 n**2 and the scaled copy's 8 n**2
+        base = fused_shell_propagator(shell_decompose(random_connected_graph(3, 300, 0.05)), 2.0)
+        assert isinstance(base.matrix, DenseMatrix)
+        residual_propagator(base, 0.5)
+        _, needs = assert_peak_within_checks(("metrics",), lambda: residual_propagator(base, 0.5), slack=0)
+        assert needs == [16 * 300**2]
+
+    def test_refused_before_it_is_built(self, monkeypatch):
+        base = sym_norm_propagator(path_graph(2100))
+        fake_physical_memory(monkeypatch, 96 * 4096)
+        need = 48 * 6298 + 56 * 2100 + 24
+        with pytest.raises(ResourceError, match=f"residual of a CSR 2100 x 2100 matrix of 6298 entries, about {need}"):
+            residual_propagator(base, 0.5)
+
+    @given(prop=propagators(), beta=st.sampled_from([0.1, 0.3, 0.5, 0.9]))
+    @settings(max_examples=100, deadline=None)
+    def test_bits_of_the_scipy_sum(self, prop, beta):
+        got = residual_propagator(prop, beta).matrix
+        n = prop.matrix.shape[0]
+        want = from_array(beta * as_array(prop.matrix) + (1.0 - beta) * sp.eye_array(n))
+        assert type(got) is type(want)
+        if isinstance(want, DenseMatrix):
+            assert np.array_equal(got.values, want.values)
+        else:
+            assert got.has_canonical_format
+            for name in ("data", "indices", "indptr"):
+                assert np.array_equal(getattr(got, name), getattr(want, name))
+                assert getattr(got, name).dtype == getattr(want, name).dtype
 
 
 class TestResidualRaisesSelfAttention:

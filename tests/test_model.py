@@ -14,6 +14,7 @@ from shellprop import (
     FusedPropagator,
     InputError,
     ModelParams,
+    Propagator,
     ShellDecomposition,
     TrainConfig,
     adam_step,
@@ -313,6 +314,29 @@ class TestTrainAndEvaluate:
         for name in ("a.bin", "b.bin"):
             save_checkpoint(tmp_path / name, train(ds, config)[0])
         assert (tmp_path / "a.bin").read_bytes() == (tmp_path / "b.bin").read_bytes()
+
+    @pytest.mark.parametrize("dense", [True, False], ids=["dense-p", "csr-p"])
+    def test_a_metrics_propagator_trains_as_its_fused_operator(self, tmp_path, dense):
+        # every pass reads P's matrix alone, n being its row count
+        ds = synth_planted_partition(60, 3, 0.1, 0.01, seed=4, labels_per_block=5)
+        fused = in_carrier(fuse_shells(shell_decompose(ds.graph), 2.0), dense)
+        named = Propagator(fused.matrix, "fused_shell")
+        config = TrainConfig(alpha=2.0, epochs=15, patience=15, seed=2)
+        (want, want_history), (got, got_history) = train(ds, config, fused), train(ds, config, named)
+        save_checkpoint(tmp_path / "want.bin", want)
+        save_checkpoint(tmp_path / "got.bin", got)
+        assert (tmp_path / "got.bin").read_bytes() == (tmp_path / "want.bin").read_bytes()
+        assert got_history.train_loss == want_history.train_loss
+        assert got_history.val_accuracy == want_history.val_accuracy
+        assert got_history.best_epoch == want_history.best_epoch
+        assert evaluate(got, ds, named, ds.split.test) == evaluate(got, ds, fused, ds.split.test)
+        x = ds.feature_matrix
+        assert np.array_equal(forward(got, x, named)[1], forward(got, x, fused)[1])
+        grads = [
+            backward(got, x, p, ds.labels, ds.split.train, rng=np.random.default_rng(0)).arrays()
+            for p in (named, fused)
+        ]
+        assert all(np.array_equal(a, b) for a, b in zip(*grads))
 
     @pytest.mark.parametrize("width", [7, 64])
     def test_sliced_validation_rows_match_the_full_product(self, width):
