@@ -13,12 +13,18 @@ Hop distances come from one bit-parallel BFS per block of sources
 (``_bfs_blocks``).  A block keeps, for each level, the nodes it reached and
 their source bits; its distances are unpacked as bit-sliced planes, one
 per bit of its depth, and its pairs one level at a time.
+
+Every allocation that can be large is checked first (``require_memory``)
+against the memory limit, beside one ledger of the bytes held: arrays that
+outlive the call that made them register there (``hold``) for as long as
+they live.
 """
 from __future__ import annotations
 
 import io
 import os
 import resource
+import weakref
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -50,13 +56,43 @@ def memory_limit() -> tuple[int, str]:
     return limit, bound
 
 
+#: Each live hold, by the id of the object held: its bytes and the
+#: finalizer that ends it.  The arrays held outlive the call that made them,
+#: and every byte check counts them beside its own need.
+_ledger: dict[int, tuple[int, weakref.finalize]] = {}
+
+
+def hold(a, nbytes: int | None = None):
+    """Count ``nbytes`` (by default ``a.nbytes``) in every byte check until
+    ``a`` is freed, also by an exception or an abandoned generator, or
+    released (``release``); returns ``a``."""
+    ends = weakref.finalize(a, _ledger.pop, id(a), None)
+    _ledger[id(a)] = (a.nbytes if nbytes is None else nbytes, ends)
+    return a
+
+
+def release(*held) -> None:
+    """End the holds of objects that live on, as a call's result."""
+    for a in held:
+        _, ends = _ledger.pop(id(a), (0, None))
+        if ends is not None:
+            ends.detach()
+
+
+def _held() -> int:
+    return sum(nbytes for nbytes, _ in _ledger.values())
+
+
 def require_memory(need: int, what: str) -> None:
-    """Raise ResourceError, before allocating, when ``need`` bytes exceed
-    ``memory_limit``; ``what`` names the allocation, and the message names
-    the bound."""
+    """Raise ResourceError, before allocating, when ``need`` bytes beside
+    the bytes held (``hold``) exceed ``memory_limit``; ``what`` names the
+    allocation, and the message names the held bytes, if any, and the
+    bound."""
     limit, bound = memory_limit()
-    if need > limit:
-        raise ResourceError(f"{what}, about {need} bytes, but {bound} is {limit} bytes")
+    held = _held()
+    if held + need > limit:
+        beside = f" beside {held} bytes held" if held else ""
+        raise ResourceError(f"{what}, about {need} bytes{beside}, but {bound} is {limit} bytes")
 
 
 @dataclass(frozen=True, eq=False)
@@ -278,17 +314,14 @@ class _BfsBlock:
     ``levels[l-1]`` is (nodes, words, counts) for the pairs first reached
     at level l: the ascending nodes reached, each one's w uint64 words with
     bit s set for ``sources[s]``, and each one's count of those bits.
-    ``sizes[l-1]`` is the level's pair count.  ``need`` is the bytes the
-    stream checked last for the block: its working set, its levels and the
-    last block's; a slab is checked on top of it.  ``buffer`` is the stream's one unpack buffer, so only
-    one mask of a stream is valid at a time.
+    ``sizes[l-1]`` is the level's pair count.  ``buffer`` is the stream's
+    one unpack buffer, so only one mask of a stream is valid at a time.
     """
 
     sources: np.ndarray
     n: int
     levels: list[tuple[np.ndarray, np.ndarray, np.ndarray]]
     sizes: list[int]
-    need: int
     buffer: np.ndarray
 
     @property
@@ -300,13 +333,14 @@ class _BfsBlock:
         type that holds its depth, 0 for each source itself and for pairs
         not reached.  The levels are bit-sliced: plane k ORs the words of
         every level whose bit k is set, and each of the depth.bit_length()
-        planes is unpacked once.  ResourceError is raised first when the
-        block's bytes, the plane, the slab and one shifted plane exceed
-        ``require_memory``'s bound."""
+        planes is unpacked once.  ResourceError is raised first when
+        ``require_memory`` refuses the plane, its byte-transposed copy, the
+        slab, one shifted plane and the buffers of a ufunc step that casts,
+        ``np.getbufsize()`` elements of a byte and of the slab's type."""
         b, n = len(self.sources), self.n
         w, dtype = -(-b // 64), np.min_scalar_type(self.depth)
         require_memory(
-            self.need + 8 * w * n + 2 * dtype.itemsize * b * n,
+            16 * w * n + 2 * dtype.itemsize * b * n + np.getbufsize() * (1 + dtype.itemsize),
             f"the {b} x {n} distances of a BFS block at {self.depth} levels",
         )
         slab = np.zeros((b, n), dtype=dtype)
@@ -324,7 +358,8 @@ class _BfsBlock:
     def fill(self, out: np.ndarray) -> None:
         """Write the block's distances over the (b, n) ``out``: 0 for each
         source itself and its slab's level for each pair reached; a pair
-        not reached keeps its entry."""
+        not reached keeps its entry.  The slab and its mask of reached pairs
+        take no more than the slab's check."""
         slab = self.slab()
         np.copyto(out, slab, where=slab > 0)
         out[np.arange(len(self.sources)), self.sources] = 0
@@ -345,7 +380,7 @@ class _BfsBlock:
 
 
 def _bfs_blocks(
-    g: SparseGraph, cap: int | None, block_size: int = _BFS_BLOCK, held: int = 0
+    g: SparseGraph, cap: int | None, block_size: int = _BFS_BLOCK
 ) -> Iterator[_BfsBlock]:
     """Stream the BFS of every source, one ``_BfsBlock`` per block of
     ``block_size`` sources, blocks in ascending order.
@@ -355,26 +390,25 @@ def _bfs_blocks(
     ``sources[s]``, and a level ORs each node's neighbours' frontier words.
     A block keeps only the nodes each level reaches and their words, and
     ends at its deepest level, or at ``cap``.  ResourceError is raised
-    before the first block when its working set, plus the ``held`` bytes
-    that ``distance_blocks`` keeps beside it (the int32 block it fills, that
-    block's mask of reached pairs and the block its consumer still holds),
-    exceeds ``require_memory``'s bound, and again
-    before each level is kept, counting the levels the block keeps and
-    those of the block before it, which a consumer may still hold.
+    before the first block when ``require_memory`` refuses its working set
+    and the stream's unpack buffer with the byte-transposed words an unpack
+    copies, and again before each level is kept, for the working set and
+    the levels the block keeps.  The buffer, and each block's levels once
+    it is yielded, are held (``hold``) while they live, so every check
+    counts them, a block that a consumer still holds and what it keeps
+    beside.
     """
     b = min(block_size, g.n)
     w = -(-b // 64)
-    # six (n, w) word arrays while a level forms, the words gathered per edge
-    # entry, and the unpack buffer's byte-transposed words and mask
-    need = 8 * w * (6 * g.n + len(g.col_indices)) + 72 * w * g.n + held
+    # six (n, w) word arrays while a level forms and the words gathered per edge entry
+    work = 8 * w * (6 * g.n + len(g.col_indices))
     what = f"a BFS block of {b} sources over {g.n} nodes holds its bit frontier"
-    require_memory(need, what + (f" beside {held} bytes of distances" if held else ""))
+    require_memory(work + 72 * w * g.n, what)
     has = np.diff(g.row_offsets) > 0
     starts = g.row_offsets[:-1][has]
-    buffer = np.empty(64 * w * g.n, dtype=np.uint8)
-    last = 0
-    for start in range(0, g.n, block_size):
-        sources = np.arange(start, min(start + block_size, g.n), dtype=np.int64)
+    buffer = hold(np.empty(64 * w * g.n, dtype=np.uint8))
+
+    def bfs(sources: np.ndarray) -> _BfsBlock:
         bit = np.arange(len(sources), dtype=np.uint64)
         frontier = np.zeros((g.n, -(-len(sources) // 64)), dtype=np.uint64)
         frontier[sources, bit // 64] = np.uint64(1) << bit % 64
@@ -388,15 +422,16 @@ def _bfs_blocks(
                 break
             # a reached node's id, count and words, and a level's three arrays and tuple
             kept += (16 + 8 * w) * nodes.size + 512
-            require_memory(need + last + kept, f"{what} and the nodes of the {level} levels it reached")
+            require_memory(work + kept, f"{what} and the nodes of the {level} levels it reached")
             seen |= frontier
             words = frontier[nodes]
             counts = np.bitwise_count(words).sum(axis=1, dtype=np.int64)
             levels.append((nodes, words, counts))
             sizes.append(int(counts.sum()))
-        del frontier, seen, reached
-        yield _BfsBlock(sources, g.n, levels, sizes, need + last + kept, buffer)
-        last = kept
+        return hold(_BfsBlock(sources, g.n, levels, sizes, buffer), kept)
+
+    for start in range(0, g.n, block_size):  # one call a block, so the stream keeps none it yielded
+        yield bfs(np.arange(start, min(start + block_size, g.n), dtype=np.int64))
 
 
 def distance_blocks(
@@ -408,13 +443,14 @@ def distance_blocks(
     ``dist_block`` is int32 with shape (len(sources), n) and UNREACHABLE
     beyond ``cap`` levels or outside the component.  Blocks are yielded in
     ascending source order, so concatenated output is identical regardless
-    of scheduling.  The stream's byte checks count the block it fills, the
-    mask of the pairs its slab reached, and the block a consumer still
-    holds from the last step.
+    of scheduling.  Each block is checked by ``require_memory`` before it
+    is made and held (``hold``) while it lives, so the stream's later
+    checks count the blocks a consumer still holds.
     """
-    b = min(block_size, g.n)
-    for block in _bfs_blocks(g, cap, block_size, held=9 * b * g.n):
-        dist = np.full((len(block.sources), g.n), UNREACHABLE, dtype=np.int32)
+    for block in _bfs_blocks(g, cap, block_size):
+        b = len(block.sources)
+        require_memory(4 * b * g.n, f"the {b} x {g.n} int32 distances of a BFS block")
+        dist = hold(np.full((b, g.n), UNREACHABLE, dtype=np.int32))
         block.fill(dist)
         yield block.sources, dist
 

@@ -37,10 +37,10 @@ from itertools import chain
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import ConfigError, InputError, NumericError
+from .errors import ConfigError, InputError, NumericError, ResourceError
 from .graph import (
     _BFS_ROWS, DenseMatrix, Matrix, SparseGraph, _bfs_forest, adjacency_matrix, as_array,
-    components, diameter, from_array, frozen_csr, is_connected, memory_limit, require_memory,
+    components, diameter, from_array, frozen_csr, hold, is_connected, require_memory,
 )
 from .shells import ShellDecomposition, _DistanceShells, _pattern, fuse_shells
 
@@ -343,16 +343,16 @@ def _vetted(m: Matrix, k_max: int) -> tuple[sp.csr_array | np.ndarray, np.ndarra
     return a, _row_sums(a @ np.ones(m.shape[0]), 1)
 
 
-def _spectrum(a: sp.csr_array | np.ndarray, k_max: int, beside: int = 0) -> list[tuple]:
+def _spectrum(a: sp.csr_array | np.ndarray, k_max: int) -> list[tuple]:
     """The eigenpairs that depths 2..k_max read: a block (nodes, eigenvalues,
     V * V) per connected component of a's pattern, of its symmetric form
     S_C = V diag(lam) V^T, and one block of the lone nodes with V * V None.
     None is needed at k_max 1, so none is computed there.  The bytes the
     trajectory holds, with 16 a node for its id and eigenvalue and
-    ``_COMPONENT_BYTES`` a listed component, and ``beside`` bytes that the
-    caller holds for it, are checked first."""
+    ``_COMPONENT_BYTES`` a listed component, are checked first, beside what
+    a caller holds (``hold``)."""
     n = a.shape[0]
-    depths = 24 * (min(k_max, _DEPTH_BLOCK) + 1) * n + beside
+    depths = 24 * (min(k_max, _DEPTH_BLOCK) + 1) * n
     if k_max == 1:
         require_memory(depths, f"sas_trajectory holds one depth of a {n} x {n} matrix")
         return []
@@ -363,12 +363,16 @@ def _spectrum(a: sp.csr_array | np.ndarray, k_max: int, beside: int = 0) -> list
     # syevd writes V over the block it decomposes but needs 2 |C|**2 doubles
     # of workspace; syevr keeps V apart in |C|**2, so it decomposes the
     # components that fit only that way
-    driver = "evd" if held + _decompose_bytes(largest, "evd") <= memory_limit()[0] else "evr"
-    require_memory(
-        held + _decompose_bytes(largest, driver),
+    what = (
         f"sas_trajectory holds the dense blocks of the {len(sizes)} connected"
-        f" components of a {n} x {n} matrix and their eigenvectors",
+        f" components of a {n} x {n} matrix and their eigenvectors"
     )
+    try:
+        driver = "evd"
+        require_memory(held + _decompose_bytes(largest, driver), what)
+    except ResourceError:
+        driver = "evr"
+        require_memory(held + _decompose_bytes(largest, driver), what)
     # imported on first use: scipy.linalg adds 80-155 ms to every CLI start-up
     from scipy.linalg import eigh
 
@@ -470,13 +474,15 @@ def _residual_trajectories(
     decomposition to rounding.  p's trajectory is read first; then each
     eigenvalue array is shifted in place, so no second spectrum is held.
     Costs and checks are those of one ``sas_trajectory`` and the residual
-    matrix, which is held beside p's spectrum and read by its products.
+    matrix, which is held (``hold``) beside p's spectrum and read by its
+    products.
     """
     residual = residual_propagator(p, beta)
     r, r_sums = _vetted(residual.matrix, k_max)
     a, sums = _vetted(p.matrix, k_max)
-    held = r.data.nbytes + r.indices.nbytes + r.indptr.nbytes if sp.issparse(r) else r.nbytes
-    spectra = _spectrum(a, k_max, held)
+    for array in (r.data, r.indices, r.indptr) if sp.issparse(r) else (r,):
+        hold(array)  # freed with the residual on return
+    spectra = _spectrum(a, k_max)
     baseline = _read(a, sums, spectra, k_max, None)
     for _, lam, _ in spectra:
         lam *= beta

@@ -24,8 +24,8 @@ import scipy.sparse as sp
 
 from .errors import ConfigError, InputError
 from .graph import (
-    DenseMatrix, Matrix, SparseGraph, _bfs_blocks, _freeze, frozen_csr, require_memory, spmm,
-    stores_dense,
+    DenseMatrix, Matrix, SparseGraph, _bfs_blocks, _freeze, frozen_csr, hold, release, require_memory,
+    spmm, stores_dense,
 )
 
 #: Rows of P that one block of the fill writes, and for a dense P the
@@ -46,6 +46,8 @@ class ShellDecomposition:
     with a slice of another decomposition's shells, go through
     ``_level_record`` on construction as one block of all rows, each shell
     one level, so that the record is checked as the stream's records are.
+    ``l_max`` and ``shell_sizes`` must be the shells' count and sizes, or
+    InputError names both.
     """
 
     n: int
@@ -54,14 +56,19 @@ class ShellDecomposition:
     shell_sizes: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if isinstance(self.shells, _DistanceShells):
-            return
-        n, rows = self.n, np.arange(self.n)
-        record = _level_record(n, (
-            ([(l, rows, np.diff(t.indptr))], l, np.repeat(rows * n, np.diff(t.indptr)) + t.indices)
-            for l, t in enumerate(self.shells, start=1)
-        ))
-        object.__setattr__(self, "shells", record.shells)
+        if not isinstance(self.shells, _DistanceShells):
+            n, rows = self.n, np.arange(self.n)
+            record = _level_record(n, (
+                ([(l, rows, np.diff(t.indptr))], l, np.repeat(rows * n, np.diff(t.indptr)) + t.indices)
+                for l, t in enumerate(self.shells, start=1)
+            ))
+            object.__setattr__(self, "shells", record.shells)
+        sizes = tuple(int(k.sum()) for k in self.shells.row_counts)
+        if self.l_max != len(sizes) or tuple(self.shell_sizes) != sizes:
+            raise InputError(
+                f"l_max {self.l_max} and shell_sizes {tuple(self.shell_sizes)} must be those of"
+                f" the {len(sizes)} shells given, of sizes {sizes}"
+            )
 
 
 @dataclass(frozen=True, eq=False)
@@ -160,13 +167,17 @@ def shell_decompose(g: SparseGraph, l_cap: int | None = None) -> ShellDecomposit
 
 def _bfs_parts(g: SparseGraph, l_cap: int | None) -> Iterator[tuple]:
     """The BFS blocks as ``_level_record`` reads them.  A block whose own
-    pairs make its rows dense by P's byte rule comes as one slab of levels;
-    any other comes level by level, as its pairs' positions."""
+    pairs make its rows dense by P's byte rule comes as one slab of levels,
+    the block freed first; any other comes level by level, as its pairs'
+    positions."""
     for block in _bfs_blocks(g, l_cap):
-        b = len(block.sources)
+        b, start = len(block.sources), int(block.sources[0])
         tally = [(level, nodes, counts) for level, (nodes, _, counts) in enumerate(block.levels, start=1)]
         if stores_dense((b, g.n), b + sum(block.sizes)):
-            yield tally, int(block.sources[0]), block.slab()
+            slab = block.slab()
+            del block  # its words go now, its nodes and counts once the record has read the tally
+            yield tally, start, slab
+            del slab  # placed by now, so the next block's BFS runs without it
         else:
             for counted, (level, flat) in zip(tally, block.positions()):
                 yield [counted], level, flat
@@ -195,33 +206,44 @@ def _level_record(n: int, parts: Iterable[tuple]) -> ShellDecomposition:
     stream is CSR, the smaller of the two carriers' peaks (``_csr_bytes``,
     ``_distance_bytes``), a lower bound whichever way the rule turns; from
     the switch on, and before the matrix is allocated, ``_distance_bytes``.
-    A stream that ends as CSR is checked at ``_csr_bytes`` before its sort."""
+    A stream that ends as CSR is checked at ``_csr_bytes`` before its sort.
+    The row counts, kept parts and distance matrix are held (``hold``)
+    while the stream runs, so the BFS's checks count them; each figure asks
+    for itself less those of them it covers, beside all that is held.  Each
+    tally is emptied once read, so a block that came as a slab, freed before
+    it, leaves nothing behind."""
     # each CSR row holds its diagonal, at level 0, as P's rows do
     diagonal = ([], 0, np.arange(n) * (n + 1))
     row_counts, kept, stored, distances = [], [], 0, None
     for tally, at, pairs in chain([diagonal], parts):
         for level, nodes, counts in tally:
             if level > len(row_counts):
-                row_counts.append(np.zeros(n, dtype=np.int64))
+                row_counts.append(hold(np.zeros(n, dtype=np.int64)))
             row_counts[level - 1][nodes] += counts
             stored += int(counts.sum())
+        tally.clear()  # so a freed BFS block's nodes and counts go with it
         top, what = len(row_counts), f"the levels of {n} nodes and their P store {stored} pairs"
-        kept.append((at, pairs))
+        kept.append((at, hold(pairs)))
+        # the held row counts are in both figures, the held parts in the CSR
+        # one and the held distances in the dense one, so neither asks for them
+        csr = _csr_bytes(n, top, stored) - 8 * n * top - sum(part.nbytes for _, part in kept)
+        dense = _distance_bytes(n, top) - 8 * n * top - (0 if distances is None else distances.nbytes)
         if distances is None and not stores_dense((n, n), n + stored):
-            require_memory(min(_csr_bytes(n, top, stored), _distance_bytes(n, top)), what)
+            require_memory(min(csr, dense), what)
             continue
-        require_memory(_distance_bytes(n, top), f"a dense P of {n} nodes and its distances at {top} levels")
-        if distances is None:
-            distances = np.zeros((n, n), dtype=np.min_scalar_type(top))
-        distances = distances.astype(np.min_scalar_type(top), copy=False)
+        require_memory(dense, f"a dense P of {n} nodes and its distances at {top} levels")
+        dtype = np.min_scalar_type(top)
+        if distances is None or distances.dtype != dtype:  # uint8 until a level passes 255
+            distances = hold(np.zeros((n, n), dtype) if distances is None else distances.astype(dtype))
         for start, part in kept:  # a slab of rows, or a level's pairs by position
             if part.ndim == 2:
                 distances[start : start + len(part)] = part
             else:
                 distances.reshape(-1)[part] = start
         kept.clear()
+        del part, pairs  # placed, so the next part is read without them
     if distances is None:  # P stays CSR: its record is sorted, and P filled, as CSR
-        require_memory(_csr_bytes(n, top, stored), f"{what} as CSR")
+        require_memory(csr, f"{what} as CSR")
         cols, data = [], []
         while kept:  # a slab is freed as its pairs are listed; the sort orders each row's columns
             start, part = kept.pop()
@@ -242,6 +264,7 @@ def _level_record(n: int, parts: Iterable[tuple]) -> ShellDecomposition:
         offsets = np.concatenate([[0], np.cumsum(sum(row_counts, np.ones(n, dtype=np.int64)))])
         distances = frozen_csr(tags[order], flat, offsets)
         del flat, tags, order
+    release(distances, *row_counts)  # the record is the caller's now
     sizes = tuple(int(k.sum()) for k in row_counts)
     return ShellDecomposition(n, _DistanceShells(distances, tuple(row_counts)), len(sizes), sizes)
 
@@ -433,10 +456,11 @@ def _pattern(
     levels, n = shells.distances, shells.distances.shape[0]
     counts = shells.row_counts if level is None else shells.row_counts[level - 1 : level]
     nnz, csr = sum(int(k.sum()) for k in counts) + n * diagonal, sp.issparse(levels)
-    cells, masks = (levels.nnz, 1 + (diagonal and level is not None)) if csr else (n * n, 1)
+    shared = csr and diagonal and level is None  # the record's own column indices, no mask
+    cells, masks = (levels.nnz, 0 if shared else 1 + diagonal) if csr else (n * n, 1)
     need = (levels.dtype.itemsize + masks + 8 * csr) * cells + (16 + 8 * normalized) * nnz
     require_memory(need + 8 * n * (len(shells) + 3) + 16, f"the pattern of {nnz} pairs of {n} nodes")
-    if csr and diagonal and level is None:
+    if shared:
         cols = levels.indices
     else:
         stored = levels.data if csr else levels  # each diagonal entry is at level 0
@@ -445,7 +469,10 @@ def _pattern(
             keep |= stored == 0
         elif diagonal:
             np.fill_diagonal(keep, True)
-        cols = levels.indices[keep] if csr else np.flatnonzero(keep) % n
+        cols = levels.indices[keep] if csr else np.flatnonzero(keep)
+        del keep  # gone before the values are made
+        if not csr:
+            cols %= n
     counts = sum(counts, np.full(n, int(diagonal)))
     if normalized:  # r[i] * r[j], as D^-1/2 (T + I) D^-1/2 forms it
         r = 1.0 / np.sqrt(counts)

@@ -23,6 +23,7 @@ from shellprop import (
     Dataset, InputError, MetricReport, NumericError, SparseGraph, build_graph, is_connected,
     synth_planted_partition,
 )
+from shellprop import graph
 from shellprop.graph import as_array, open_text
 
 BIG = 10**9  # oracle-side unreachable marker
@@ -38,6 +39,13 @@ def complete_graph(n: int) -> SparseGraph:
 
 def star_graph(leaves: int) -> SparseGraph:
     return build_graph([(0, i) for i in range(1, leaves + 1)], leaves + 1)
+
+
+def spider_graph(arm: int) -> SparseGraph:
+    """Four paths of ``arm`` nodes from node 0, numbered outward: node
+    4 (d - 1) + a + 1 lies on arm a, d hops from node 0."""
+    edges = [(max(0, node - 4), node) for node in range(1, 4 * arm + 1)]
+    return build_graph(edges, 4 * arm + 1)
 
 
 def two_disjoint_edges() -> SparseGraph:
@@ -160,24 +168,22 @@ def fake_address_space_limit(monkeypatch, soft) -> None:
     monkeypatch.setattr(resource, "getrlimit", getrlimit)
 
 
-def assert_peak_within_checks(modules, call, slack: int = 16384, apart: bool = False):
+def assert_peak_within_checks(modules, call, slack: int = 16384):
     """Run ``call()`` under tracemalloc with ``require_memory`` spied on (and
     still enforced) in each ``shellprop.<module>`` named in ``modules``, and
-    assert that the traced peak is at most the largest figure checked plus
-    ``slack`` bytes; with ``apart``, where each module checks its own
-    allocations held beside the others' (a BFS block beside the record it
-    feeds), at most the sum of each module's largest figure plus ``slack``.
-    Returns the call's result and the figures checked, in order.  Warm the
-    call up first where a first run imports or caches."""
-    needs, bound = [], {}
+    assert that the traced peak is at most the largest total checked, the
+    bytes held (``graph.hold``) beside the check's own need, plus ``slack``
+    bytes.  Returns the call's result and the totals of the checks that
+    passed, in order.  Warm the call up first where a first run imports or
+    caches."""
+    needs = []
     with ExitStack() as stack:
         for name in modules:
             real = importlib.import_module(f"shellprop.{name}").require_memory
 
-            def spy(need, what, real=real, name=name):
-                needs.append(need)
-                bound[name] = max(bound.get(name, 0), need)
+            def spy(need, what, real=real):
                 real(need, what)
+                needs.append(graph._held() + need)
 
             stack.enter_context(mock.patch(f"shellprop.{name}.require_memory", spy))
         tracemalloc.start()
@@ -187,8 +193,7 @@ def assert_peak_within_checks(modules, call, slack: int = 16384, apart: bool = F
         finally:
             tracemalloc.stop()
     assert needs, "no byte check ran"
-    limit = sum(bound.values()) if apart else max(needs)
-    assert peak <= limit + slack, f"peak {peak} bytes above the checks' {limit}"
+    assert peak <= max(needs) + slack, f"peak {peak} bytes above the checks' {max(needs)}"
     return result, needs
 
 

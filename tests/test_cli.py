@@ -9,6 +9,7 @@ import pytest
 from click.testing import CliRunner
 
 from shellprop import (
+    Dataset,
     adjacency_matrix,
     component_count,
     residual_propagator,
@@ -19,7 +20,7 @@ from shellprop import (
 )
 from shellprop.cli import main
 
-from helpers import bag_of_words, fake_address_space_limit, fake_physical_memory
+from helpers import bag_of_words, fake_address_space_limit, fake_physical_memory, spider_graph
 
 
 @pytest.fixture()
@@ -209,7 +210,8 @@ class TestMetricsCommand:
     @pytest.mark.parametrize("kind", ["sym", "rw", "residual"])
     def test_adjacency_record_beyond_memory_exits_4(self, runner, tmp_path, monkeypatch, kind):
         # the 2100-path's graph and one depth of its trajectory, 218376
-        # bytes, fit in 245760; the record its sym and rw are read off does not
+        # bytes, fit in 245760; the record its sym and rw are read off, 359018
+        # bytes with the 67184 of row counts and positions it holds, does not
         fake_physical_memory(monkeypatch, 60 * 4096)
         edges = tmp_path / "path.tsv"
         edges.write_text("".join(f"{i}\t{i + 1}\n" for i in range(2099)))
@@ -219,8 +221,8 @@ class TestMetricsCommand:
         )
         assert result.exit_code == 4
         assert (
-            "error: the levels of 2100 nodes and their P store 4198 pairs, about 359018 bytes,"
-            " but physical memory is 245760 bytes"
+            "error: the levels of 2100 nodes and their P store 4198 pairs, about 291834 bytes"
+            " beside 67184 bytes held, but physical memory is 245760 bytes"
         ) in result.output
         assert "Traceback" not in result.output
 
@@ -273,6 +275,25 @@ class TestTrainCommand:
         assert set(manifest["output_digest"]) == {
             "checkpoint.bin", "history.csv", "metrics.json",
         }
+
+    def test_record_beside_its_bfs_block_beyond_memory_exits_4(self, runner, tmp_path, monkeypatch):
+        # a 513-node spider of four 128-node arms: its second BFS block
+        # widens the distances to uint16, and the record's check there asks
+        # 5267490 bytes beside the 1711881 it and the stream hold, 6979371 in
+        # all.  1610 pages hold 6594560 bytes, above every figure the record
+        # or the block asks on its own, the largest a block's 6592000 with
+        # its working set when neither counted the other
+        g = spider_graph(128)
+        ds = Dataset(g, np.random.default_rng(0).random((g.n, 4)), np.arange(g.n) % 3, 3)
+        write_dataset(tmp_path / "spider", ds)
+        fake_physical_memory(monkeypatch, 1610 * 4096)
+        result = run(runner, ["train", "--data", tmp_path / "spider", "--epochs", 2, "--out", tmp_path / "o"])
+        assert result.exit_code == 4
+        assert (
+            "error: a dense P of 513 nodes and its distances at 256 levels, about 5267490 bytes"
+            " beside 1711881 bytes held, but physical memory is 6594560 bytes"
+        ) in result.output
+        assert "Traceback" not in result.output
 
     def test_alpha_one_exits_2(self, runner, toy_dataset, tmp_path):
         result = runner.invoke(

@@ -199,15 +199,20 @@ class TestBlockEdges:
 
 class TestBfsWorkingSet:
     # one edge on 1000 nodes: a block of 256 sources holds 4 words a node,
-    # 8 * 4 * (6 * 1000 + 2) + 72 * 4 * 1000 = 480064 bytes, and the distance
-    # stream 9 * 256 * 1000 more: the int32 block it fills, that block's mask
-    # of reached pairs and the block its consumer still holds
+    # and before the first block its working set and the stream's unpack
+    # buffer are checked, 8 * 4 * (6 * 1000 + 2) + 72 * 4 * 1000 = 480064
+    # bytes.  The buffer, 64 * 4 * 1000, is held from then on, and the
+    # block's one level, node 999 at 48 bytes and 512 for the level's
+    # arrays, once it is yielded; the distance stream then checks its int32
+    # block, 4 * 256 * 1000, beside those 256560 bytes
     def test_distance_block_counted_only_where_it_is_held(self, monkeypatch):
         g = build_graph([(0, 999)], 1000)
         fake_physical_memory(monkeypatch, 200 * 4096)
         assert shell_decompose(g).shell_sizes == (2,)
         assert diameter(g) == 1
-        with pytest.raises(ResourceError, match=r"about 2784064 bytes, but physical memory is 819200 "):
+        with pytest.raises(
+            ResourceError, match=r"about 1024000 bytes beside 256560 bytes held, but physical memory is 819200 "
+        ):
             next(distance_blocks(g))
 
     def test_refused_before_the_first_block(self, monkeypatch):
@@ -221,20 +226,24 @@ class TestBfsWorkingSet:
         (resource.RLIM_INFINITY, "physical memory is 819200 bytes"),
     ])
     def test_address_space_limit_bounds_when_lower(self, monkeypatch, soft, bound):
+        # below the first block's 480064 bytes the limit refuses that check,
+        # above them the int32 block's
         fake_physical_memory(monkeypatch, 200 * 4096)
         fake_address_space_limit(monkeypatch, soft)
-        with pytest.raises(ResourceError, match=f"about 2784064 bytes, but {bound}"):
+        need = "480064 bytes" if soft == 100 * 4096 else "1024000 bytes beside 256560 bytes held"
+        with pytest.raises(ResourceError, match=f"about {need}, but {bound}"):
             next(distance_blocks(build_graph([(0, 999)], 1000)))
 
     def test_stream_peak_within_its_check(self):
         # 500 disjoint edges: a block of 256 sources over 1000 nodes is
         # checked at 8 * 4 * (6 * 1000 + 1000) + 72 * 4 * 1000 = 512000
-        # bytes before the first block, and again before it keeps its one
-        # level: 256 nodes reached (232 in the last block) at 16 + 8 * 4
-        # bytes each and 512 for the level's arrays, and from the second
-        # block on the level of the block before, which a consumer may still
-        # hold.  A consumer that reads the pairs unpacks one level at a time
-        # into the stream's buffer
+        # bytes before the first block.  Before it keeps its one level it is
+        # checked again: the 224000 of its working set and its level, 256
+        # nodes reached (232 in the last block) at 16 + 8 * 4 bytes each and
+        # 512 for the level's arrays, beside the 256000-byte unpack buffer
+        # held and, from the second block on, the level of the block before,
+        # held while the consumer still holds that block.  A consumer that
+        # reads the pairs unpacks one level at a time into the buffer
         g = build_graph([(2 * i, 2 * i + 1) for i in range(500)], 1000)
 
         def drain():
@@ -244,15 +253,18 @@ class TestBfsWorkingSet:
 
         for consumer in (drain, lambda: diameter(g), lambda: shell_report(g)):
             _, needs = assert_peak_within_checks(("graph",), consumer, slack=0)
-            full, last = 48 * 256 + 512, 48 * 232 + 512
-            assert needs == [512000, 512000 + full] + [512000 + 2 * full] * 2 + [512000 + full + last]
+            base, full, last = 256000 + 224000, 48 * 256 + 512, 48 * 232 + 512
+            assert needs == [512000, base + full] + [base + 2 * full] * 2 + [base + full + last]
 
     def test_distance_stream_counts_the_block_a_consumer_holds(self):
-        # 500 disjoint edges: the working set of 512000 bytes, the int32
-        # block being filled, the mask of its reached pairs and the block the
-        # consumer still holds, 9 * 256 * 1000; the kept level as above; and
-        # before each block's distances, one plane of 8 * 4 * 1000 bytes and
-        # the uint8 slab and shifted plane, 2 * b * 1000
+        # 500 disjoint edges: the working set and kept level as above; the
+        # int32 block of 4 * 256 * 1000 bytes checked before it is made; and
+        # before each block's distances one plane and its byte-transposed
+        # copy, 16 * 4 * 1000, the uint8 slab and shifted plane, 2 * b * 1000,
+        # and the buffers of one ufunc step, 2 * 8192.  Each check counts
+        # what is held beside it: the unpack buffer, the BFS block being
+        # read, and from the second block on the int32 block the consumer
+        # still holds, 1024000 bytes
         g = build_graph([(2 * i, 2 * i + 1) for i in range(500)], 1000)
         held = []
 
@@ -261,16 +273,21 @@ class TestBfsWorkingSet:
                 held[:] = [block]
 
         _, needs = assert_peak_within_checks(("graph",), consume)
-        base, full, last = 512000 + 2304000, 48 * 256 + 512, 48 * 232 + 512
-        assert needs == [base, base + full, base + full + 32000 + 512000] + [
-            base + 2 * full, base + 2 * full + 32000 + 512000
-        ] * 2 + [base + full + last, base + full + last + 32000 + 464000]
+        buffer, full, last, dist = 256000, 48 * 256 + 512, 48 * 232 + 512, 1024000
+        level, unpack = buffer + 224000, 64000 + 16384
+        assert needs == [
+            512000, level + full, buffer + full + dist, buffer + full + dist + unpack + 512000
+        ] + [
+            level + dist + 2 * full, buffer + full + 2 * dist, buffer + full + 2 * dist + unpack + 512000
+        ] * 2 + [
+            level + dist + full + last, buffer + last + dist + 928000, buffer + last + dist + 928000 + unpack + 464000
+        ]
 
     @given(g=sparse_graphs(), cap=st.one_of(st.none(), st.integers(1, 5)))
     @settings(max_examples=40, deadline=None)
     def test_every_consumer_within_its_checks(self, g, cap):
-        # the stream's checks count what a consumer holds beside it; the
-        # record and the BFS block feeding it are each checked on their own
+        # every check counts what is held beside it: the blocks a consumer
+        # holds, and the record beside the BFS block that feeds it
         def blocks():
             for _ in distance_blocks(g, cap):
                 pass
@@ -279,7 +296,7 @@ class TestBfsWorkingSet:
             call()
             assert_peak_within_checks(("graph",), call)
         shell_decompose(g, cap)
-        assert_peak_within_checks(("graph", "shells"), lambda: shell_decompose(g, cap), apart=True)
+        assert_peak_within_checks(("graph", "shells"), lambda: shell_decompose(g, cap))
 
 
 class TestBfsWork:

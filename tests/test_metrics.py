@@ -29,6 +29,7 @@ from shellprop import (
     shell_union,
     sym_norm_propagator,
 )
+from shellprop import shells
 from shellprop.graph import as_array, from_array
 from shellprop.metrics import _residual_trajectories
 
@@ -158,10 +159,12 @@ class TestClassicalPropagatorBytes:
     def test_refusal_names_the_record(self, monkeypatch):
         # a 2100-path's 4198 pairs and 2100 diagonal entries: the fill holds
         # 41 bytes an entry, the record's 9, P's 8 and 24 of a block of rows,
-        # and 8 n (2 L + 4) more at L = 1
-        need = 41 * 6298 + 8 * 2100 * 6
+        # and 8 n (2 L + 4) more at L = 1; the record holds its row counts,
+        # 8 n, and the int64 positions of its entries, 8 * 6298, already
+        held = 8 * 2100 + 8 * 6298
+        need = 41 * 6298 + 8 * 2100 * 6 - held
         fake_physical_memory(monkeypatch, 50 * 4096)
-        with pytest.raises(ResourceError, match=f"2100 nodes and their P store 4198 pairs, about {need} bytes"):
+        with pytest.raises(ResourceError, match=f"store 4198 pairs, about {need} bytes beside {held} bytes held"):
             sym_norm_propagator(path_graph(2100))
 
     @pytest.mark.parametrize(
@@ -191,6 +194,21 @@ class TestClassicalPropagatorBytes:
                 tracemalloc.stop()
 
         assert peak(sym_norm_propagator) <= peak(rw_norm_propagator) + 1024
+
+    @pytest.mark.parametrize("make, per_entry", [(sym_norm_propagator, 24), (rw_norm_propagator, 16)], ids=["sym", "rw"])
+    def test_level_free_read_counts_no_mask(self, monkeypatch, make, per_entry):
+        # the read shares the record's column indices and builds no mask, so
+        # its check counts the record's uint8 level and int64 column an
+        # entry, e = 2 m + n of them, 8 n (1 + 3) of row counts, each row's
+        # count and the row pointers, and 16 bytes an entry of the pattern,
+        # 24 for sym, which gathers r[j]; no byte an entry for a mask
+        g = random_graph(5, 600, 0.02)
+        e = g.col_indices.size + g.n
+        figures = []
+        real = shells.require_memory
+        monkeypatch.setattr(shells, "require_memory", lambda need, what: figures.append(need) or real(need, what))
+        make(g)
+        assert figures[-1] == (1 + 8) * e + per_entry * e + 8 * g.n * 4 + 16
 
 
 class TestAvgNat:

@@ -33,6 +33,7 @@ from shellprop import (
     sym_norm_propagator,
 )
 
+from shellprop import graph
 from shellprop.graph import _bfs_blocks, stores_dense
 from shellprop.shells import _csr_bytes, _DistanceShells, _distance_bytes
 
@@ -53,6 +54,7 @@ from helpers import (
     random_graph,
     random_tree,
     reference_fill,
+    spider_graph,
     star_graph,
     to_dense,
 )
@@ -233,6 +235,20 @@ class TestShellDecompose:
         for shell, shell_p in zip(d.shells, dp.shells):
             mapped = {(int(perm[i]), int(perm[j])) for i, j in entries(shell)}
             assert mapped == entries(shell_p)
+
+
+    @pytest.mark.parametrize("changed", [
+        lambda d: ShellDecomposition(10, d.shells[:3], 7, (1, 2)),
+        lambda d: dataclasses.replace(d, shells=d.shells[:2]),
+        lambda d: dataclasses.replace(d, l_max=8),
+        lambda d: dataclasses.replace(d, shell_sizes=(17,) + d.shell_sizes[1:]),
+    ], ids=["by-hand", "fewer-shells", "l_max", "sizes"])
+    def test_l_max_and_sizes_must_be_the_shells(self, changed):
+        d = shell_decompose(path_graph(10))
+        with pytest.raises(InputError, match=r"l_max \d+ and shell_sizes \(.*\) must be those of the \d+ shells"):
+            changed(d)
+        same = dataclasses.replace(d, shells=d.shells[:2], l_max=2, shell_sizes=d.shell_sizes[:2])
+        assert same.l_max == 2 and same.shell_sizes == (18, 16)
 
 
 def normalized_shells(d: ShellDecomposition):
@@ -880,13 +896,6 @@ class TestRecordByBlock:
             assert np.array_equal(mine, theirs)
 
 
-def spider_graph(arm: int) -> SparseGraph:
-    """Four paths of ``arm`` nodes from node 0, numbered outward: node
-    4 (d - 1) + a + 1 lies on arm a, d hops from node 0."""
-    edges = [(max(0, node - 4), node) for node in range(1, 4 * arm + 1)]
-    return build_graph(edges, 4 * arm + 1)
-
-
 class TestDecomposeBytes:
     """The record streams as CSR, and before each part, a block's slab or
     one level's pairs, is kept it is checked at the smaller of the two
@@ -895,18 +904,22 @@ class TestDecomposeBytes:
     at every part after; a record that ends as CSR is checked at the CSR
     peak before its sort."""
 
-    @pytest.mark.parametrize("g, levels, need", [
+    @pytest.mark.parametrize("g, levels, need, held", [
         # n = 300: sources 0-255 reach all 299 levels and come as one slab of
         # 76544 pairs, past the 44550 at which P turns dense; 3 n**2 of
         # distances, uint8 and widened to uint16, 8 n**2 of P, 8 n (2 * 299
         # + 3) of row counts and the fill's r table, diagonal and node ids,
-        # and 24 * 256**2 of one fill tile
-        (path_graph(300), 299, 270000 + 720000 + 1442400 + 1572864),
+        # and 24 * 256**2 of one fill tile, 4005264 bytes, less the 8 n * 299
+        # of row counts, which are held.  Beside them the unpack buffer,
+        # 64 * 4 n, the uint16 slab, 2 * 256 n, and the diagonal's positions,
+        # 8 n, are held; the block's levels were freed with it
+        (path_graph(300), 299, 4005264 - 717600, 717600 + 76800 + 153600 + 2400),
         # n = 40: level 1 stores 1560 pairs and P turns dense; a fill tile
-        # of 40 x 40
-        (complete_graph(40), 1, 1600 + 12800 + 1600 + 38400),
+        # of 40 x 40, 54400 bytes less the 8 n of row counts; the buffer,
+        # 64 n, the uint8 slab, n**2, and the diagonal's positions are held
+        (complete_graph(40), 1, 1600 + 12800 + 1600 + 38400 - 320, 320 + 2560 + 1600 + 320),
     ], ids=["path-300", "complete-40"])
-    def test_dense_p_refused_where_it_turns_dense(self, monkeypatch, g, levels, need):
+    def test_dense_p_refused_where_it_turns_dense(self, monkeypatch, g, levels, need, held):
         # the distance matrix is the one n x n array that shells' np.zeros
         # makes; a block's slab of all 40 rows is made in graph
         shapes, real_zeros = [], np.zeros
@@ -921,8 +934,8 @@ class TestDecomposeBytes:
         assert (g.n, g.n) in shapes
         shapes.clear()
         # every check before the switch, and the BFS block's, fits below it
-        fake_physical_memory(monkeypatch, (need - 1) // 4096 * 4096)
-        message = f"dense P of {g.n} nodes .* at {levels} levels, about {need} bytes"
+        fake_physical_memory(monkeypatch, (need + held - 1) // 4096 * 4096)
+        message = f"dense P of {g.n} nodes .* at {levels} levels, about {need} bytes beside {held} bytes held"
         with pytest.raises(ResourceError, match=message):
             shell_decompose(g)
         assert (g.n, g.n) not in shapes
@@ -930,38 +943,55 @@ class TestDecomposeBytes:
     def test_dense_path_refused_where_the_distances_widen(self, monkeypatch):
         # four 128-node arms: sources 0-255 lie within 64 hops of node 0 and
         # reach 192 levels, and their 131072 pairs make P dense in uint8,
-        # checked at 5529633 bytes; sources 256-511 take in three arm tips,
-        # which reach 256 levels and widen the distances to uint16: 3 n**2 of
-        # distances, 8 n**2 of P, 8 n (2 * 256 + 3) of row counts and r table
-        # and 24 * 256**2 of a fill tile, 6581283 bytes.  That block's own
-        # slab is checked at 6592000 before it, in graph, so the record's
-        # check is refused on its own
+        # checked at _distance_bytes(513, 192) = 5529633 bytes less the
+        # 8 n * 192 of row counts held, beside 1054728 bytes held: the row
+        # counts, the diagonal's positions, 8 n, the unpack buffer, 64 * 4 n,
+        # and the uint8 slab, 256 n.  Sources 256-511 take in three arm
+        # tips, which reach 256 levels and widen the distances to uint16:
+        # 3 n**2 of distances, 8 n**2 of P, 8 n (2 * 256 + 3) of row counts
+        # and r table and 24 * 256**2 of a fill tile, 6581283 bytes, less the
+        # held row counts, 8 n * 256, and uint8 distances, n**2, beside
+        # 1711881 bytes held: those, the diagonal's positions, the buffer and
+        # the uint16 slab, 2 * 256 n.  That block's slab is checked before
+        # it, in graph, beside the record's row counts and distances; here
+        # the record's check alone is refused
         g = spider_graph(128)
         d = shell_decompose(g)
         assert d.l_max == 256 and d.shells.distances.dtype == np.uint16
         assert np.array_equal(fuse_shells(d, 2.0).matrix.values, dense_fused(g, 2.0))
-        monkeypatch.setattr("shellprop.shells.require_memory", refuse_above(6581282))
-        with pytest.raises(ResourceError, match="at 256 levels, about 6581283 bytes"):
+        widen, held = 6581283 - 8 * 513 * 256 - 513**2, 8 * 513 * 257 + 513**2 + 64 * 4 * 513 + 2 * 256 * 513
+        assert widen + held == 6979371
+        _, needs = assert_peak_within_checks(("graph", "shells"), lambda: shell_decompose(g))
+        assert max(needs) == widen + held
+        monkeypatch.setattr("shellprop.shells.require_memory", refuse_above(widen + held - 1))
+        with pytest.raises(ResourceError, match=f"at 256 levels, about {widen} bytes beside {held} bytes held"):
             shell_decompose(g)
 
     def test_capped_shells_refused_mid_stream(self, monkeypatch):
-        # a 1000-path at cap 30 passes the BFS blocks' checks (at most 973 kB); its
-        # sources 0-255 store 512 - l pairs at level l, sources 256-767 512
-        # and sources 768-999 464 - l.  With 30 levels found, 41 bytes an
+        # a 1000-path at cap 30: its sources 0-255 store 512 - l pairs at
+        # level l and sources 256-511 512.  With 30 levels found, 41 bytes an
         # entry (the pairs and 1000 diagonal entries, all in one fill block)
         # and 8 n (2 * 30 + 4) of row counts, r table, node ids and row
-        # pointers pass 2465792 bytes at level 3 of the fourth block:
-        # 41 * (1000 + 14895 + 2 * 15360 + 463 + 462 + 461) + 512000
+        # pointers come to 41 * (1000 + 14895 + 30 * 512) + 512000 = 1793455
+        # bytes at level 30 of the second block.  The record holds 490040 of
+        # them, its 8 n * 30 of row counts and the int64 positions of its
+        # diagonal and pairs, and beside them the stream holds its 256000-byte
+        # unpack buffer and the block's 30 levels, 287 nodes a level on
+        # average at 48 bytes and 512 for each level's arrays, 428640: the
+        # check passes 2465792 bytes there
         fake_physical_memory(monkeypatch, 602 * 4096)
-        with pytest.raises(ResourceError, match=r"store 47001 pairs, about 2480041 bytes"):
+        with pytest.raises(ResourceError, match=r"store 30255 pairs, about 1303415 bytes beside 1174680 bytes held"):
             shell_decompose(path_graph(1000), 30)
 
     def test_capped_p_turning_dense_mid_stream_is_checked_as_dense(self):
         # a 1500-node random graph at cap 6, with 1830332 pairs: P turns
         # dense in its fourth BFS block, sources 768-1023, once 1122750 are
-        # stored.  No check asks more than the distance matrix and the dense
-        # P it fills, and that figure bounds the peak of decomposing and
-        # fusing
+        # stored.  That is the largest check: the distance matrix and the
+        # dense P it fills, less the 8 n * 6 bytes of row counts held, beside
+        # all that is held then, the row counts, the diagonal's positions,
+        # 8 n, the four blocks' uint8 slabs kept while P was CSR, 256 n each,
+        # and the unpack buffer, 64 * 4 n; and it bounds the peak of
+        # decomposing and fusing
         g = random_graph(1, 1500, 4 / 1500)
         fuse_shells(shell_decompose(g, 6), 2.0)
 
@@ -972,26 +1002,25 @@ class TestDecomposeBytes:
         (d, p), needs = assert_peak_within_checks(("graph", "shells"), run)
         assert d.l_max == 6 and sum(d.shell_sizes) == 1830332
         assert isinstance(d.shells.distances, np.ndarray) and isinstance(p, DenseMatrix)
-        assert max(needs) <= _distance_bytes(g.n, 6)
+        held = 8 * 1500 * 7 + 4 * 256 * 1500 + 64 * 4 * 1500
+        assert max(needs) == _distance_bytes(g.n, 6) - 8 * 1500 * 6 + held
 
-    @pytest.mark.parametrize("g, apart", [
-        (random_graph(1, 1200, 6 / 1200), False),
-        (spider_graph(128), True),
+    @pytest.mark.parametrize("g", [
+        random_graph(1, 1200, 6 / 1200), spider_graph(128),
     ], ids=["random-1200", "spider-128"])
-    def test_dense_record_and_fill_within_one_tile(self, g, apart):
+    def test_dense_record_and_fill_within_one_tile(self, g):
         # the fill holds one 256 x 256 tile at a time, so the check counts
         # 24 * 256**2 bytes of it, not 24 * 256 * n, and fusing stays within
         # that figure alone.  Decomposing holds a BFS block beside the
-        # record, each checked on its own: on the spider, whose 256 levels
-        # need uint16, a block's slab and the record together pass either
-        # figure (7.23 MB against 6.59 and 6.58 MB), so there the bound is
-        # their sum
+        # record, and each one's checks count the other's held arrays: on
+        # the spider, whose 256 levels need uint16, a block's slab and the
+        # record together peak at 7.23 MB
         def run():
             d = shell_decompose(g)
             return d, fuse_shells(d, 2.0).matrix
 
         run()
-        (d, p), needs = assert_peak_within_checks(("graph", "shells"), run, apart=apart)
+        (d, p), needs = assert_peak_within_checks(("graph", "shells"), run)
         assert isinstance(d.shells.distances, np.ndarray) and isinstance(p, DenseMatrix)
         _, needs = assert_peak_within_checks(("shells",), lambda: fuse_shells(d, 2.0))
         assert needs == [_distance_bytes(g.n, d.l_max)]
@@ -999,9 +1028,13 @@ class TestDecomposeBytes:
     def test_capped_p_staying_csr_is_checked_as_csr_before_its_sort(self, monkeypatch):
         # the same graph at cap 5 stores 1109350 pairs: P stays CSR, 1110850
         # entries against the 1124250 at which it turns dense, so every
-        # stream check asks the smaller _distance_bytes(1500, 5) = 21978864.
-        # Sorting the record holds 29 bytes an entry, and with 8 n (2 * 5 + 4)
-        # of row counts, r table, node ids and row pointers that is 32382650
+        # stream check asks the smaller _distance_bytes(1500, 5) = 21978864,
+        # less the row counts held.  Sorting the record holds 29 bytes an
+        # entry, and with 8 n (2 * 5 + 4) of row counts, r table, node ids and
+        # row pointers that is 32382650, the stream's bytes gone by then, of
+        # which the record holds its row counts, its diagonal's positions,
+        # the int64 positions of the 917003 pairs that came level by level
+        # and the uint8 slab, 256 n, of the one block that came whole
         g = random_graph(1, 1500, 4 / 1500)
         fuse_shells(shell_decompose(g, 5), 2.0)
 
@@ -1012,19 +1045,25 @@ class TestDecomposeBytes:
         (d, p), needs = assert_peak_within_checks(("graph", "shells"), run)
         assert sum(d.shell_sizes) == 1109350 and sp.issparse(p)
         assert max(needs) == 32382650 > _distance_bytes(g.n, 5) == 21978864
+        held = 8 * 1500 * 6 + 8 * 917003 + 256 * 1500
         monkeypatch.setattr("shellprop.shells.require_memory", refuse_above(31000000))
-        with pytest.raises(ResourceError, match="store 1109350 pairs as CSR, about 32382650 bytes"):
+        with pytest.raises(ResourceError, match=f"1109350 pairs as CSR, about {32382650 - held} bytes beside {held} "):
             shell_decompose(g, 5)
 
     def test_csr_full_diameter_checks_its_pairs(self, monkeypatch):
         # 500 disjoint edges: P is CSR, and 1000 pairs at one level and the
         # 1000 diagonal entries take 41 * 2000 + 8 * 1000 * (2 + 4) = 130000
-        # bytes with their P
+        # bytes with their P.  As the last block's level comes, the record
+        # holds its row counts and the int64 positions of its diagonal and
+        # pairs, 24000 of those bytes, and the stream its 256000-byte unpack
+        # buffer and that block's level, 232 nodes at 48 bytes and 512 for
+        # the level's arrays
         g = build_graph([(2 * i, 2 * i + 1) for i in range(500)], 1000)
         fake_physical_memory(monkeypatch, 10**9 // 4096 * 4096)
         assert shell_decompose(g).shell_sizes == (1000,)
-        monkeypatch.setattr("shellprop.shells.require_memory", refuse_above(129999))
-        with pytest.raises(ResourceError, match="store 1000 pairs, about 130000 bytes"):
+        held = 24000 + 256000 + 48 * 232 + 512
+        monkeypatch.setattr("shellprop.shells.require_memory", refuse_above(130000 - 24000 + held - 1))
+        with pytest.raises(ResourceError, match=f"store 1000 pairs, about 106000 bytes beside {held} bytes held"):
             shell_decompose(g)
 
     def test_capped_dense_p_checked_before_the_distances(self, monkeypatch):
@@ -1032,20 +1071,30 @@ class TestDecomposeBytes:
         # 44968 pairs, more than half of P's 90000 entries.  Sources 0-255
         # store 40150 of them, which make their own rows dense, so they come
         # as one slab, kept beside the CSR stream; sources 256-299 come level
-        # by level, 44528 pairs by level 78, whose check needs 41 * (300 + 44528) +
-        # 8 * 300 * (2 * 88 + 4) = 2269948 bytes.  Level 79 brings 44572
-        # pairs, P turns dense, and the distance matrix and the dense P need
-        # _distance_bytes(300, 88) = 2812464
-        monkeypatch.setattr("shellprop.shells.require_memory", refuse_above(2500000))
-        with pytest.raises(ResourceError, match="dense P of 300 nodes .* at 88 levels, about 2812464 bytes"):
+        # by level, 44528 pairs by level 78, whose check needs 41 * (300 +
+        # 44528) + 8 * 300 * (2 * 88 + 4) = 2269948 bytes, beside the stream's
+        # unpack buffer, 64 * 4 * 300, and the block's levels, 254144 bytes.
+        # Level 79 brings 44572 pairs, P turns dense, and the distance matrix
+        # and the dense P need _distance_bytes(300, 88) = 2812464, less the
+        # 8 * 300 * 88 of row counts held, beside 656720 bytes held: the row
+        # counts, the diagonal's positions, 8 * 300, the slab, 256 * 300, the
+        # positions of the 4422 pairs that came level by level, the buffer
+        # and the block's levels
+        monkeypatch.setattr("shellprop.shells.require_memory", refuse_above(3000000))
+        held = 211200 + 2400 + 76800 + 8 * 4422 + 76800 + 254144
+        assert held == 656720
+        with pytest.raises(ResourceError, match=f"at 88 levels, about {2812464 - 211200} bytes beside {held} "):
             fuse_shells(shell_decompose(path_graph(300), 88), 2.0)
 
 
 def refuse_above(limit: int):
-    """A ``require_memory`` that refuses any need above ``limit`` bytes."""
+    """A ``require_memory`` that refuses any need that, beside the bytes
+    held, passes ``limit`` bytes."""
     def check(need, what):
-        if need > limit:
-            raise ResourceError(f"{what}, about {need} bytes, but the limit is {limit} bytes")
+        held = graph._held()
+        if held + need > limit:
+            beside = f" beside {held} bytes held" if held else ""
+            raise ResourceError(f"{what}, about {need} bytes{beside}, but the limit is {limit} bytes")
     return check
 
 
